@@ -241,9 +241,12 @@ def _merge_config(parser: _JsonArgumentParser, argv: list[str]) -> argparse.Name
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
@@ -595,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInputError as exc:
         _print_error("InvalidInputError", exc)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, unreadable or directory paths
         _print_error("ConfigError", exc)
         return 2
 

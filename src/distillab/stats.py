@@ -8,18 +8,31 @@ the brute-force pairwise count, ties scoring one half), and AUPRC sweeps
 descending scores with ties processed as one block.
 
 Confidence intervals come from a cluster bootstrap: problems (not candidates)
-are resampled with replacement, multiplicity preserved, scores re-residualized
-per resample, and the percentile interval is read from the resampled AUROCs
-with nearest-order-statistic quantiles so both ends are values some resample
-actually attained. Resamples that collapse to a single label class are
-skipped and counted.
+are resampled with replacement, multiplicity preserved, and the percentile
+interval is read from the resampled AUROCs with nearest-order-statistic
+quantiles so both ends are values some resample actually attained. Resamples
+that collapse to a single label class are skipped and counted.
+
+The bootstrap never rebuilds a resampled dataset. A problem's residuals do not
+change when the problem is duplicated, so they are computed once per problem.
+With M[a, b] the Mann-Whitney count of (positive in problem a, negative in
+problem b) pairs, ties counting one half, a resample that draws problem p c[p]
+times has U = c^T M c and denominator (c . n_pos)(c . n_neg), where n_pos and
+n_neg count each problem's positives and negatives; it is degenerate exactly
+when one factor is zero. Every term is a multiple of one half far below 2**53,
+so float64 holds every sum exactly in any order, and the one final division is
+the same as the rank-based AUROC of the assembled resample: results are
+bit-identical to the direct resample-and-rank loop, which `_group_indices`,
+`_assemble_resample` and `_auroc_from_arrays` still implement as the
+reference. The draw counts depend only on (seed, resamples, number of
+problems), so several scores over the same candidates share one set of draws.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateInputError, InvalidInputError
 from .seeding import RNG_ID, derive_rng
@@ -75,12 +88,24 @@ def residualize_within_problem(items) -> list[ScoredCandidate]:
     ]
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks where each block of tied values shares its average rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size, dtype=float)
+    # ranks starts+1 .. ends average to (starts + 1 + ends) / 2, a half-integer
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def _auroc_from_arrays(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos = int(labels.sum())
     n_neg = int(labels.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise DegenerateInputError("AUROC needs both label classes")
-    ranks = rankdata(scores)  # mid-ranks: ties share the average rank
+    ranks = _midranks(scores)
     u = float(ranks[labels].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 
@@ -169,6 +194,49 @@ class BootstrapResult:
     rng_id: str
 
 
+@lru_cache(maxsize=4)
+def _draw_counts(seed: int, resamples: int, n_problems: int) -> np.ndarray:
+    """(resamples, n_problems) read-only matrix: row b counts how often resample
+    b draws each problem. Depends on nothing but its arguments, so every score
+    bootstrapped over the same problems reuses one matrix."""
+    counts = np.empty((resamples, n_problems), dtype=float)
+    for b in range(resamples):
+        draw = derive_rng(seed, b).integers(0, n_problems, size=n_problems)
+        counts[b] = np.bincount(draw, minlength=n_problems)
+    counts.flags.writeable = False
+    return counts
+
+
+def _pair_count_matrix(
+    groups: list[np.ndarray], scores: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M[a, b] = #(positive in a, negative in b) with r+ > r-, plus 1/2 per tie,
+    on within-problem residuals; also each problem's positive and negative counts."""
+    residual = np.empty_like(scores)
+    member = np.zeros((scores.size, len(groups)))
+    for p, idx in enumerate(groups):
+        block = scores[idx]
+        residual[idx] = block - block.mean()
+        member[idx, p] = 1.0
+    r_pos = residual[labels][:, None]
+    r_neg = residual[~labels][None, :]
+    wins = (r_pos > r_neg) + 0.5 * (r_pos == r_neg)
+    m = member[labels].T @ wins @ member[~labels]
+    return m, member[labels].sum(axis=0), member[~labels].sum(axis=0)
+
+
+def _resample_aurocs(
+    groups: list[np.ndarray], scores: np.ndarray, labels: np.ndarray, seed: int, resamples: int
+) -> tuple[np.ndarray, int]:
+    """AUROCs of the usable resamples in draw order, and the degenerate count."""
+    m, n_pos, n_neg = _pair_count_matrix(groups, scores, labels)
+    counts = _draw_counts(seed, resamples, len(groups))
+    u = np.einsum("bp,pq,bq->b", counts, m, counts)
+    denom = (counts @ n_pos) * (counts @ n_neg)
+    usable = denom > 0
+    return u[usable] / denom[usable], int(resamples - usable.sum())
+
+
 def cluster_bootstrap_auroc(items, cfg: BootstrapConfig) -> BootstrapResult:
     """Point AUROC on residualized scores plus a problem-level percentile CI."""
     problems, scores, labels = _split(items)
@@ -178,20 +246,9 @@ def cluster_bootstrap_auroc(items, cfg: BootstrapConfig) -> BootstrapResult:
     point = _auroc_from_arrays(
         np.array([c.score for c in residualize_within_problem(items)]), labels
     )
-    n_problems = len(groups)
-    values = []
-    n_degenerate = 0
-    for b in range(cfg.resamples):
-        rng = derive_rng(cfg.seed, b)
-        draw = rng.integers(0, n_problems, size=n_problems)
-        rs, rl = _assemble_resample(groups, draw, scores, labels)
-        if rl.all() or not rl.any():
-            n_degenerate += 1
-            continue
-        values.append(_auroc_from_arrays(rs, rl))
-    if not values:
+    arr, n_degenerate = _resample_aurocs(groups, scores, labels, cfg.seed, cfg.resamples)
+    if arr.size == 0:
         raise DegenerateInputError("every bootstrap resample was single-class")
-    arr = np.array(values)
     alpha = (1.0 - cfg.confidence) / 2.0
     ci_low = float(np.quantile(arr, alpha, method="nearest"))
     ci_high = float(np.quantile(arr, 1.0 - alpha, method="nearest"))
@@ -199,7 +256,7 @@ def cluster_bootstrap_auroc(items, cfg: BootstrapConfig) -> BootstrapResult:
         point=point,
         ci_low=ci_low,
         ci_high=ci_high,
-        n_resamples=len(values),
+        n_resamples=int(arr.size),
         n_degenerate=n_degenerate,
         seed=cfg.seed,
         rng_id=RNG_ID,

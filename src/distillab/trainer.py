@@ -58,7 +58,11 @@ def weighting_from_name(name: str, vocab_size: int | None = None) -> Weighting:
     if key.startswith("entropy_gate"):
         _, _, raw = key.partition(":")
         if raw:
-            return EntropyGateWeighting(float(raw))
+            try:
+                threshold = float(raw)
+            except ValueError as exc:
+                raise InvalidInputError(f"entropy_gate threshold {raw!r} is not a number") from exc
+            return EntropyGateWeighting(threshold)
         if vocab_size is None:
             raise InvalidInputError("entropy_gate without a threshold needs vocab_size")
         return EntropyGateWeighting(default_gate_threshold(vocab_size))
@@ -68,6 +72,8 @@ def weighting_from_name(name: str, vocab_size: int | None = None) -> Weighting:
 
 
 def weighting_name(weighting: Weighting) -> str:
+    """Name of a weighting; `weighting_from_name` resolves it back, except for
+    a custom position schedule, which no name selects."""
     if isinstance(weighting, UniformWeighting):
         return "uniform"
     if isinstance(weighting, PositionWeighting):
@@ -78,7 +84,7 @@ def weighting_name(weighting: Weighting) -> str:
             f"position({weighting.schedule.w_min},{weighting.schedule.midpoint},"
             f"{weighting.schedule.steepness})"
         )
-    return repr(weighting)
+    return f"entropy_gate:{float(weighting.gate_threshold)!r}"
 
 
 @dataclass(frozen=True)

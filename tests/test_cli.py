@@ -146,6 +146,37 @@ def test_metrics_error_paths(tmp_path):
     assert res4.returncode == 2
 
 
+def _assert_json_error_exit_two(res):
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
+def test_metrics_directory_input_exits_two(tmp_path):
+    _assert_json_error_exit_two(_run(["metrics", "--in", str(tmp_path)]))
+
+
+def test_metrics_non_utf8_input_exits_two(tmp_path):
+    raw = tmp_path / "latin1.jsonl"
+    raw.write_bytes(b'{"gold": "\xe9", "samples": []}\n\xff\xfe\n')
+    _assert_json_error_exit_two(_run(["metrics", "--in", str(raw)]))
+
+
+def test_train_unparseable_gate_threshold_exits_two():
+    res = _run(["train", "--weighting", "entropy_gate:abc"] + TINY_TRAIN)
+    _assert_json_error_exit_two(res)
+    assert json.loads(res.stderr)["error"] == "InvalidInputError"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, distillab.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_unknown_flag_exits_two():
     res = _run(["identities", "--bogus", "1"])
     assert res.returncode == 2

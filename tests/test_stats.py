@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distillab.errors import DegenerateInputError, InvalidInputError
 from distillab.seeding import RNG_ID, derive_rng
@@ -7,6 +9,12 @@ from distillab.stats import (
     BootstrapConfig,
     BootstrapResult,
     ScoredCandidate,
+    _assemble_resample,
+    _auroc_from_arrays,
+    _group_indices,
+    _midranks,
+    _resample_aurocs,
+    _split,
     auprc,
     auroc,
     cluster_bootstrap_auroc,
@@ -214,3 +222,86 @@ def test_score_report_shape():
     assert rep["n_problems"] == 8
     assert rep["seed"] == 3
     assert rep["rng_id"] == RNG_ID
+
+
+
+def _reference_resample_aurocs(items, seed, resamples):
+    """One derived RNG, assembled resample and rank-based AUROC per resample."""
+    problems, scores, labels = _split(items)
+    _, groups = _group_indices(problems)
+    values = []
+    n_degenerate = 0
+    for b in range(resamples):
+        draw = derive_rng(seed, b).integers(0, len(groups), size=len(groups))
+        rs, rl = _assemble_resample(groups, draw, scores, labels)
+        if rl.all() or not rl.any():
+            n_degenerate += 1
+            continue
+        values.append(_auroc_from_arrays(rs, rl))
+    return np.array(values, dtype=float), n_degenerate
+
+
+# each candidate: (problem index, score, label); the list order interleaves
+# problems, and small integer scores force ties within and across problems
+_candidate = st.tuples(
+    st.integers(0, 5),
+    st.one_of(
+        st.integers(0, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cands=st.lists(_candidate, min_size=2, max_size=30),
+    seed=st.integers(0, 2**32),
+    resamples=st.integers(1, 40),
+)
+@example(  # two one-class problems: every resample drawing one of them twice is single-class
+    cands=[(0, 1.0, True), (0, 1.0, True), (1, 0.0, False), (1, 2.0, False)],
+    seed=0,
+    resamples=40,
+)
+@example(  # interleaved ids, all scores tied, one problem holding both classes
+    cands=[(2, 1.0, True), (0, 1.0, False), (2, 1.0, False), (0, 1.0, False), (1, 1.0, True)],
+    seed=3,
+    resamples=40,
+)
+def test_count_matrix_bootstrap_equals_reference_bit_for_bit(cands, seed, resamples):
+    items = [ScoredCandidate(f"p{p}", s, l) for p, s, l in cands]
+    problems, scores, labels = _split(items)
+    _, groups = _group_indices(problems)
+    fast, fast_degenerate = _resample_aurocs(groups, scores, labels, seed, resamples)
+    slow, slow_degenerate = _reference_resample_aurocs(items, seed, resamples)
+    assert fast_degenerate == slow_degenerate
+    assert fast.tobytes() == slow.tobytes()
+    cfg = BootstrapConfig(resamples=resamples, seed=seed)
+    if len(groups) < 2 or labels.all() or not labels.any() or slow.size == 0:
+        with pytest.raises(DegenerateInputError):
+            cluster_bootstrap_auroc(items, cfg)
+        return
+    res = cluster_bootstrap_auroc(items, cfg)
+    alpha = (1.0 - cfg.confidence) / 2.0
+    assert (res.n_resamples, res.n_degenerate) == (slow.size, slow_degenerate)
+    assert res.ci_low == float(np.quantile(slow, alpha, method="nearest"))
+    assert res.ci_high == float(np.quantile(slow, 1.0 - alpha, method="nearest"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-3, 3).map(float), st.floats(allow_nan=False, width=64)),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_midranks_equal_rankdata_and_pairwise_count(values):
+    from scipy.stats import rankdata
+
+    x = np.array(values, dtype=float)
+    ranks = _midranks(x)
+    assert ranks.tobytes() == rankdata(x).astype(float).tobytes()
+    brute = [sum(v < xi for v in x) + (sum(v == xi for v in x) + 1) / 2.0 for xi in x]
+    assert ranks.tolist() == brute

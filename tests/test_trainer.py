@@ -85,6 +85,13 @@ def test_weighting_from_name_resolution():
 def test_weighting_name_round_trip():
     for name in ("uniform", "mild", "moderate", "sharp", "aggressive"):
         assert weighting_name(weighting_from_name(name)) == name
+    for gate in (EntropyGateWeighting(2.5), weighting_from_name("entropy_gate", vocab_size=12)):
+        name = weighting_name(gate)
+        assert name.startswith("entropy_gate:")
+        assert weighting_from_name(name) == gate
+    assert weighting_name(EntropyGateWeighting(2.5)) == "entropy_gate:2.5"
+    with pytest.raises(InvalidInputError):
+        weighting_from_name("entropy_gate:abc")
     custom = PositionWeighting(PositionSchedule(w_min=0.3, midpoint=0.25, steepness=0.07))
     assert weighting_name(custom) == "position(0.3,0.25,0.07)"
 
