@@ -5,7 +5,9 @@ Parameters start at the teacher's log-probabilities plus Gaussian noise (the
 student begins life as a perturbed copy of the policy it is distilling), then
 follow the exact analytic gradient of the clipped forward-KL objective on
 resampled on-policy rollouts, with a linearly decaying step size so the trace
-settles instead of rattling inside the gradient-noise ball.
+settles instead of rattling inside the gradient-noise ball. Each step samples
+and differentiates one batch: `train_step` returns the gradients it applied,
+and `run_training` builds the gradient-norm profile from them.
 
 Evaluation samples the tabular policy with fresh seeds and pushes terminal
 answers through the multi-sample metrics pipeline. Held-out problems are
@@ -55,9 +57,9 @@ def weighting_from_name(name: str, vocab_size: int | None = None) -> Weighting:
         return UniformWeighting()
     if key in PRESETS:
         return PositionWeighting(preset(key))
-    if key.startswith("entropy_gate"):
-        _, _, raw = key.partition(":")
-        if raw:
+    head, colon, raw = key.partition(":")
+    if head == "entropy_gate":
+        if colon:
             try:
                 threshold = float(raw)
             except ValueError as exc:
@@ -163,12 +165,12 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
 
 
 def _temperature_scaled(q: np.ndarray, temperature: float) -> np.ndarray:
-    """Teacher target at the distillation temperature: q^(1/T), renormalized.
-    Exact zeros stay zero."""
+    """Teacher target at the distillation temperature: q^(1/T), renormalized
+    row by row. Exact zeros stay zero."""
     if temperature == 1.0:
         return q
     scaled = np.where(q > 0.0, np.exp(np.log(np.maximum(q, PROB_FLOOR)) / temperature), 0.0)
-    return scaled / scaled.sum()
+    return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -184,12 +186,12 @@ def rollout_from_params(
     problem: ProblemInstance, theta: np.ndarray, rng: np.random.Generator
 ) -> Episode:
     """Sample one episode from softmax(theta) (plain categorical at T = 1)."""
+    probs = softmax_with_temperature(theta, 1.0)
     lane = 0
     tokens: list[int] = []
     lanes: list[int] = []
     for t in range(problem.length):
-        p = softmax_with_temperature(theta[t, lane], 1.0)
-        token = nucleus_sample(rng, p, temperature=1.0, top_p=1.0)
+        token = nucleus_sample(rng, probs[t, lane], temperature=1.0, top_p=1.0)
         tokens.append(token)
         lanes.append(lane)
         if t < problem.length - 1:
@@ -223,25 +225,19 @@ def _batch_from_episodes(
     teacher_rows = []
     student_rows = []
     for ep in episodes:
-        q = np.array(
-            [
-                _temperature_scaled(ep.problem.teacher[t, lane], temperature)
-                for t, lane in enumerate(ep.lanes)
-            ]
-        )
-        z = np.array(
-            [theta.tables[ep.problem.problem_id][t, lane] for t, lane in enumerate(ep.lanes)]
-        )
-        teacher_rows.append(q)
-        student_rows.append(z)
+        visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
+        teacher_rows.append(_temperature_scaled(ep.problem.teacher[visited], temperature))
+        student_rows.append(theta.tables[ep.problem.problem_id][visited])
     return RolloutBatch(teacher_rows, student_rows)
 
 
 def train_step(
     theta: StudentParams, problems: list[ProblemInstance], cfg: TrainConfig
-) -> tuple[StudentParams, float]:
+) -> tuple[StudentParams, float, list[np.ndarray]]:
     """One batch of rollouts (treated as fixed examples) and one exact-gradient
-    descent update to visited-state logits only. Returns pre-update loss."""
+    descent update to visited-state logits only. Returns the updated params,
+    the pre-update loss and the per-sequence (length, vocab) gradients the
+    update applied (before scaling by the step size)."""
     episodes = _collect_episodes(theta, problems, cfg)
     batch = _batch_from_episodes(episodes, theta, cfg.distill_temperature)
     loss = distillation_loss(batch, cfg.objective, cfg.weighting, cfg.reduction)
@@ -253,7 +249,7 @@ def train_step(
         lane_idx = np.array(ep.lanes)
         np.subtract.at(table, (t_idx, lane_idx), lr * g)
     theta.step += 1
-    return theta, loss
+    return theta, loss, grads
 
 
 def evaluate_policy(
@@ -348,11 +344,8 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
     norm_sums: list[float] = []
     norm_counts: list[int] = []
     for _ in range(cfg.steps):
-        episodes = _collect_episodes(theta, problems, cfg)
-        batch = _batch_from_episodes(episodes, theta, cfg.distill_temperature)
-        grads = loss_gradient_wrt_student_logits(
-            batch, cfg.objective, cfg.weighting, cfg.reduction
-        )
+        theta, loss, grads = train_step(theta, problems, cfg)
+        losses.append(loss)
         for g in grads:
             norms = np.linalg.norm(g, axis=1)
             for t, n in enumerate(norms):
@@ -361,8 +354,6 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
                     norm_counts.append(0)
                 norm_sums[t] += float(n)
                 norm_counts[t] += 1
-        theta, loss = train_step(theta, problems, cfg)
-        losses.append(loss)
     if not theta.logits_finite():
         raise ArithmeticError("student logits left the finite range during training")
 
@@ -471,9 +462,18 @@ def factorial_and_sweep(
 ) -> dict:
     """The 2x2 weighting-by-reduction factorial and the four-preset schedule
     sweep, each cell trained at `seeds` consecutive seeds; per-cell mean and
-    sample standard deviation of the evaluation metrics."""
+    sample standard deviation of the evaluation metrics. A configuration that
+    appears in both (the moderate preset at the base reduction) is trained
+    once and its report shared."""
     if seeds < 1:
         raise InvalidInputError(f"seeds must be >= 1, got {seeds}")
+    runs: dict[TrainConfig, TrainReport] = {}
+
+    def train(cfg: TrainConfig) -> TrainReport:
+        if cfg not in runs:
+            runs[cfg] = run_training(cfg, world_cfg)
+        return runs[cfg]
+
     cells = {}
     for w_name, reduction in FACTORIAL_CELLS:
         reports = []
@@ -484,7 +484,7 @@ def factorial_and_sweep(
                 reduction=reduction,
                 seed=base_cfg.seed + s,
             )
-            reports.append(run_training(cfg, world_cfg))
+            reports.append(train(cfg))
         cells[f"{w_name}/{reduction.value}"] = {
             "reports": [r.as_dict() for r in reports],
             "summary": _cell_summary(reports),
@@ -498,7 +498,7 @@ def factorial_and_sweep(
                 weighting=weighting_from_name(name, world_cfg.vocab_size),
                 seed=base_cfg.seed + s,
             )
-            reports.append(run_training(cfg, world_cfg))
+            reports.append(train(cfg))
         sweep[name] = {
             "reports": [r.as_dict() for r in reports],
             "summary": _cell_summary(reports),

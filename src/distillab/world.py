@@ -27,7 +27,9 @@ keeps greedy rollouts correct and makes nucleus continuations deterministic.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,13 +266,33 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
 
 def nucleus_sample(rng: np.random.Generator, probs: np.ndarray, temperature: float, top_p: float) -> int:
     """Temperature rescale, keep the smallest descending-probability prefix with
-    mass >= top_p, renormalize, draw. top_p = 1 is plain categorical sampling."""
+    mass >= top_p, renormalize, draw. top_p = 1 is plain categorical sampling.
+
+    The prefix (kept tokens and their cumulative mass) is memoised by the row's
+    bytes, temperature and top_p in a least-recently-used memo of
+    `_NUCLEUS_MEMO_SIZE` entries, so a draw from a row already seen costs one
+    `rng.random()` and one bisection. The memo is exact: the same bytes go
+    through the same computation, and a row changed in place has new bytes,
+    so it can never serve a stale prefix."""
     if not (0.0 < top_p <= 1.0):
         raise InvalidInputError(f"top_p must lie in (0, 1], got {top_p!r}")
-    p = np.asarray(probs, dtype=float)
+    if temperature != 1.0 and temperature <= 0.0:
+        raise InvalidInputError(f"temperature must be positive, got {temperature!r}")
+    kept, cum = _nucleus_prefix(np.asarray(probs, dtype=float).tobytes(), temperature, top_p)
+    return kept[min(bisect_right(cum, rng.random()), len(kept) - 1)]
+
+
+_NUCLEUS_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_NUCLEUS_MEMO_SIZE)
+def _nucleus_prefix(
+    row: bytes, temperature: float, top_p: float
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Kept tokens of a row's nucleus, most probable first, and the cumulative
+    renormalized mass over them."""
+    p = np.frombuffer(row)
     if temperature != 1.0:
-        if temperature <= 0.0:
-            raise InvalidInputError(f"temperature must be positive, got {temperature!r}")
         scaled = np.where(p > 0.0, np.exp(np.log(np.maximum(p, PROB_FLOOR)) / temperature), 0.0)
         p = scaled / scaled.sum()
     order = np.argsort(-p, kind="stable")
@@ -279,8 +301,7 @@ def nucleus_sample(rng: np.random.Generator, probs: np.ndarray, temperature: flo
     kept = order[:cut]
     kp = p[kept]
     kp = kp / kp.sum()
-    u = rng.random()
-    return int(kept[np.searchsorted(np.cumsum(kp), u, side="right").clip(0, len(kept) - 1)])
+    return tuple(kept.tolist()), tuple(np.cumsum(kp).tolist())
 
 
 def _trace(problem: ProblemInstance, tokens: list[int], lanes: list[int]) -> EpisodeTrace:

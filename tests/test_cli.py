@@ -39,6 +39,12 @@ def test_version_flag():
     res = _run(["--version"])
     assert res.returncode == 0
     assert res.stdout.strip()
+    # the package runs as a module too
+    pkg = subprocess.run(
+        [sys.executable, "-m", "distillab", "--version"], capture_output=True, text=True, timeout=60
+    )
+    assert pkg.returncode == 0, pkg.stderr
+    assert pkg.stdout == res.stdout
 
 
 def test_identities_command_reports_tiny_gaps():
@@ -165,9 +171,10 @@ def test_metrics_non_utf8_input_exits_two(tmp_path):
 
 
 def test_train_unparseable_gate_threshold_exits_two():
-    res = _run(["train", "--weighting", "entropy_gate:abc"] + TINY_TRAIN)
-    _assert_json_error_exit_two(res)
-    assert json.loads(res.stderr)["error"] == "InvalidInputError"
+    for weighting in ("entropy_gate:abc", "entropy_gatexyz"):
+        res = _run(["train", "--weighting", weighting] + TINY_TRAIN)
+        _assert_json_error_exit_two(res)
+        assert json.loads(res.stderr)["error"] == "InvalidInputError"
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import distillab.trainer as trainer_module
 from distillab.errors import InvalidInputError
 from distillab.objectives import (
     EntropyGateWeighting,
@@ -11,6 +12,7 @@ from distillab.objectives import (
     PositionWeighting,
     Reduction,
     UniformWeighting,
+    loss_gradient_wrt_student_logits,
 )
 from distillab.schedules import PositionSchedule
 from distillab.trainer import (
@@ -90,8 +92,9 @@ def test_weighting_name_round_trip():
         assert name.startswith("entropy_gate:")
         assert weighting_from_name(name) == gate
     assert weighting_name(EntropyGateWeighting(2.5)) == "entropy_gate:2.5"
-    with pytest.raises(InvalidInputError):
-        weighting_from_name("entropy_gate:abc")
+    for bad in ("entropy_gate:abc", "entropy_gatexyz", "entropy_gate:", "entropy_gates:2.5"):
+        with pytest.raises(InvalidInputError):
+            weighting_from_name(bad, vocab_size=12)
     custom = PositionWeighting(PositionSchedule(w_min=0.3, midpoint=0.25, steepness=0.07))
     assert weighting_name(custom) == "position(0.3,0.25,0.07)"
 
@@ -139,7 +142,7 @@ def test_student_matching_teacher_has_near_zero_loss_and_update():
     cfg = _small_cfg(init_noise=0.0, learning_rate=512.0)
     theta = init_student(cfg, problems)
     before = {pid: t.copy() for pid, t in theta.tables.items()}
-    theta, loss = train_step(theta, problems, cfg)
+    theta, loss, _ = train_step(theta, problems, cfg)
     assert abs(loss) < 1e-12
     drift = max(
         float(np.abs(theta.tables[pid] - before[pid]).max()) for pid in before
@@ -163,7 +166,7 @@ def test_single_state_update_matches_closed_form():
         reduction=Reduction.GLOBAL_TOKEN_MEAN, seed=0, lr_decay="constant",
         train_problems=1,
     )
-    theta, loss = train_step(theta, [problem], cfg)
+    theta, loss, _ = train_step(theta, [problem], cfg)
     assert abs(loss - (-0.13977302597844765)) < 1e-12
     delta = z[0, 0] - theta.tables["hand"][0, 0]
     assert abs(delta[0] - (-0.12235887753426655)) < 1e-12
@@ -179,8 +182,8 @@ def test_train_step_is_deterministic():
     a = init_student(cfg, problems)
     b = init_student(cfg, problems)
     for _ in range(3):
-        a, la = train_step(a, problems, cfg)
-        b, lb = train_step(b, problems, cfg)
+        a, la, _ = train_step(a, problems, cfg)
+        b, lb, _ = train_step(b, problems, cfg)
         assert la == lb
     for pid in a.tables:
         assert np.array_equal(a.tables[pid], b.tables[pid])
@@ -208,17 +211,45 @@ def test_run_training_report_shape_and_determinism():
     assert r1.config["reduction"] == "per_sequence_mean"
 
 
-def test_run_training_matches_manual_step_loop():
+def test_run_training_matches_manual_step_loop(monkeypatch):
     world = _small_world()
     cfg = _small_cfg(steps=5)
+    batches = []
+    collect = trainer_module._collect_episodes
+
+    def spy(*args, **kwargs):
+        batches.append(None)
+        return collect(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "_collect_episodes", spy)
     report = run_training(cfg, world)
+    # the finite-difference spot-check batch, then one batch per step
+    assert len(batches) == cfg.steps + 1
     problems = [generate_problem(world, i) for i in range(cfg.train_problems)]
     theta = init_student(cfg, problems)
     manual = []
+    norm_sums: list[float] = []
+    norm_counts: list[int] = []
     for _ in range(cfg.steps):
-        theta, loss = train_step(theta, problems, cfg)
+        batch = trainer_module._batch_from_episodes(
+            trainer_module._collect_episodes(theta, problems, cfg), theta, cfg.distill_temperature
+        )
+        expected = loss_gradient_wrt_student_logits(
+            batch, cfg.objective, cfg.weighting, cfg.reduction
+        )
+        theta, loss, grads = train_step(theta, problems, cfg)
+        # the returned gradients are the pre-update ones the step applied
+        assert all(np.array_equal(g, e) for g, e in zip(grads, expected, strict=True))
         manual.append(loss)
+        for g in grads:
+            for t, n in enumerate(np.linalg.norm(g, axis=1)):
+                if t == len(norm_sums):
+                    norm_sums.append(0.0)
+                    norm_counts.append(0)
+                norm_sums[t] += float(n)
+                norm_counts[t] += 1
     assert report.losses == manual
+    assert report.grad_norm_profile == [s / c for s, c in zip(norm_sums, norm_counts)]
 
 
 def test_run_training_skips_heldout_when_disabled():
@@ -291,3 +322,25 @@ def test_factorial_and_sweep_structure_and_cell_identity():
     assert cell_report == standalone.as_dict()
     with pytest.raises(InvalidInputError):
         factorial_and_sweep(world, base, seeds=0)
+
+
+def test_factorial_and_sweep_trains_each_config_once(monkeypatch):
+    world = _small_world()
+    base = _small_cfg(steps=2, eval_problems=1, eval_samples=2)
+    configs = []
+    real = trainer_module.run_training
+
+    def spy(cfg, world_cfg=None):
+        configs.append(cfg)
+        return real(cfg, world_cfg)
+
+    monkeypatch.setattr(trainer_module, "run_training", spy)
+    out = factorial_and_sweep(world, base, seeds=2)
+    cells = len(FACTORIAL_CELLS) + len(SWEEP_PRESETS)
+    # moderate/per_sequence_mean is both a factorial cell and the moderate sweep cell
+    assert len(configs) == len(set(configs)) == (cells - 1) * 2
+    assert out["factorial"]["moderate/per_sequence_mean"]["reports"] == (
+        out["sweep"]["moderate"]["reports"]
+    )
+    moderate = dataclasses.replace(base, weighting=weighting_from_name("moderate"), seed=1)
+    assert out["sweep"]["moderate"]["reports"][1] == real(moderate, world).as_dict()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import distillab.world as world_module
 from distillab.errors import InvalidInputError
 from distillab.seeding import derive_rng
 from distillab.uncertainty import mutual_information
@@ -173,6 +176,73 @@ def test_nucleus_sample_properties():
         nucleus_sample(rng, p, 1.0, 0.0)
     with pytest.raises(InvalidInputError):
         nucleus_sample(rng, p, -1.0, 0.9)
+
+
+def _reference_nucleus_sample(rng, probs, temperature, top_p):
+    # the uncached algorithm: rescale, sort, cut, renormalize, then draw
+    p = np.asarray(probs, dtype=float)
+    if temperature != 1.0:
+        scaled = np.where(p > 0.0, np.exp(np.log(np.maximum(p, 1e-12)) / temperature), 0.0)
+        p = scaled / scaled.sum()
+    order = np.argsort(-p, kind="stable")
+    cum = np.cumsum(p[order])
+    cut = int(np.searchsorted(cum, top_p, side="left")) + 1
+    kept = order[:cut]
+    kp = p[kept]
+    kp = kp / kp.sum()
+    u = rng.random()
+    return int(kept[np.searchsorted(np.cumsum(kp), u, side="right").clip(0, len(kept) - 1)])
+
+
+_temperatures = st.sampled_from([1.0, 0.1, 0.5, 0.9, 1.1, 2.0, 7.0])
+_top_ps = st.sampled_from([1.0, 0.999, 0.95, 0.6, 0.3, 1e-6])
+
+
+@st.composite
+def _nucleus_calls(draw):
+    """Rows with ties and zeros, then calls that revisit them (memo hits),
+    with one row overwritten in place partway through."""
+    vocab = draw(st.integers(2, 12))
+    weights = st.lists(st.integers(0, 4), min_size=vocab, max_size=vocab).filter(any)
+    rows = [np.array(w, dtype=float) / sum(w) for w in draw(st.lists(weights, min_size=1, max_size=5))]
+    calls = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(rows) - 1), _temperatures, _top_ps),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    replacement = np.array(draw(weights), dtype=float)
+    return rows, calls, draw(st.integers(0, len(calls))), replacement / replacement.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_nucleus_calls(), seed=st.integers(0, 2**32))
+def test_memoised_nucleus_sample_equals_reference(case, seed):
+    rows, calls, mutate_at, replacement = case
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k, (i, temperature, top_p) in enumerate(calls):
+        if k == mutate_at:
+            rows[0][:] = replacement  # same array object, new contents
+        expected = _reference_nucleus_sample(slow_rng, rows[i], temperature, top_p)
+        assert nucleus_sample(fast_rng, rows[i], temperature, top_p) == expected
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32), vocab=st.integers(2, 12), temperature=_temperatures, top_p=_top_ps)
+def test_memoised_nucleus_sample_survives_eviction(seed, vocab, temperature, top_p):
+    memo = world_module._nucleus_prefix
+    size = world_module._NUCLEUS_MEMO_SIZE
+    rows = derive_rng(seed).dirichlet(np.full(vocab, 0.5), size=size + 7)
+    memo.cache_clear()
+    fast_rng, slow_rng = derive_rng(seed, 1), derive_rng(seed, 1)
+    for _ in range(2):  # a cycle longer than the memo evicts every row before its reuse
+        for row in rows:
+            expected = _reference_nucleus_sample(slow_rng, row, temperature, top_p)
+            assert nucleus_sample(fast_rng, row, temperature, top_p) == expected
+    info = memo.cache_info()
+    assert info.currsize == size
+    assert (info.hits, info.misses) == (0, 2 * len(rows))
 
 
 def test_nucleus_low_temperature_sharpens():
