@@ -304,31 +304,44 @@ class FiniteDifferenceReport:
     skipped_boundary_tokens: int
 
 
-def _token_loss_extended(
-    q_row: np.ndarray,
-    z_row: np.ndarray,
-    temperature: float,
-    clip_threshold: float,
-    fkl: bool,
-) -> np.longdouble:
-    """One token's unweighted loss, evaluated in extended precision.
+_FD_BLOCK_ENTRIES = 1 << 16  # longdouble entries in one block of perturbed logit rows
+_FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 
-    Mirrors per_token_losses for a single token but runs the softmax and the
-    KL terms in np.longdouble so that central differences of the result are
-    not drowned by float64 rounding of the loss values themselves.
-    """
+
+def _token_losses_extended(q_row, z_rows, cfg: ObjectiveConfig, fkl: bool) -> np.ndarray:
+    """One token's unweighted loss for each (..., V) row of logits. Mirrors
+    per_token_losses row-wise for a single teacher row, in np.longdouble so
+    that central differences of the result are not drowned by float64
+    rounding of the loss values themselves."""
     floor = np.longdouble(PROB_FLOOR)
-    z = z_row.astype(np.longdouble) / np.longdouble(temperature)
-    e = np.exp(z - z.max())
-    p = e / e.sum()
+    z = z_rows.astype(np.longdouble) / np.longdouble(cfg.distill_temperature)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     q = q_row.astype(np.longdouble)
     logp = np.log(np.maximum(p, floor))
     logq = np.log(np.maximum(q, floor))
     zero = np.longdouble(0.0)
     if fkl:
         terms = np.where(q > 0.0, q * (logq - logp), zero)
-        return np.minimum(terms, np.longdouble(clip_threshold)).sum()
-    return np.where(p > 0.0, p * (logp - logq), zero).sum()
+        return np.minimum(terms, np.longdouble(cfg.clip_threshold)).sum(axis=-1)
+    return np.where(p > 0.0, p * (logp - logq), zero).sum(axis=-1)
+
+
+def _fd_row(q_row, z_row, scale, cfg: ObjectiveConfig, fkl: bool, step: float) -> np.ndarray:
+    """`scale` times the five-point difference quotient of one token's
+    extended-precision loss, one float64 per logit coordinate."""
+    V = z_row.size
+    chunk = max(1, _FD_BLOCK_ENTRIES // (4 * V))
+    h = np.longdouble(step)
+    fd = np.empty(V)
+    for k0 in range(0, V, chunk):
+        cols = np.arange(min(chunk, V - k0))
+        rows = np.tile(z_row, (4, cols.size, 1))  # row (o, k): coordinate k0+k moved by o*step
+        rows[:, cols, k0 + cols] = z_row[k0 + cols] + _FD_OFFSETS[:, None] * step
+        probes = _token_losses_extended(q_row, rows, cfg, fkl)
+        quotient = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * h)
+        fd[k0 : k0 + cols.size] = scale * quotient
+    return fd
 
 
 def finite_difference_check(
@@ -357,6 +370,14 @@ def finite_difference_check(
     the stencil straddles the kink there and no derivative comparison is
     meaningful. `max_tokens` stops after that many tokens have been compared
     (spot-check mode); None compares every token in the batch.
+
+    A token's stencil is one call on a (4, K, V) block whose row (o, k) is its
+    logits with coordinate k moved by o * step, o in (-2, -1, 1, 2); K = V, or
+    chunks of max(1, _FD_BLOCK_ENTRIES // 4V) coordinates when that bounds
+    memory. Each row meets the same elementwise ufuncs as alone, max is
+    order-free, and a row's last-axis sum in a C-contiguous block is the same
+    pairwise reduction as its 1-D sum, so this is bit-identical to one call
+    per perturbed row.
     """
     if step <= 0.0:
         raise InvalidInputError(f"step must be positive, got {step!r}")
@@ -366,7 +387,6 @@ def finite_difference_check(
     weights = token_weights(batch, weighting)
     gates = _gate_masks(batch, weighting)
     margin = 10.0 * step
-    h = np.longdouble(step)
 
     def multiplier(i: int, t: int) -> float:
         indicator = [np.zeros(z.shape[0]) for z in batch.student_logits]
@@ -392,23 +412,11 @@ def finite_difference_check(
                 continue
             tokens_done += 1
             scale = np.longdouble(multiplier(i, t))
-            q_row = batch.teacher_dists[i][t]
-            for k in range(z.shape[1]):
-                row = z[t].copy()
-                probes = []
-                for offset in (-2.0, -1.0, 1.0, 2.0):
-                    row[k] = z[t, k] + offset * step
-                    probes.append(
-                        _token_loss_extended(
-                            q_row, row, cfg.distill_temperature, cfg.clip_threshold, fkl_token
-                        )
-                    )
-                quotient = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * h)
-                fd = float(scale * quotient)
-                a = analytic[i][t, k]
-                compared += 1
-                if abs(a) > rel_floor:
-                    max_rel = max(max_rel, abs(fd - a) / abs(a))
-                else:
-                    max_abs = max(max_abs, abs(fd - a))
-    return FiniteDifferenceReport(max_rel, max_abs, compared, skipped)
+            fd = _fd_row(batch.teacher_dists[i][t], z[t], scale, cfg, fkl_token, step)
+            a = analytic[i][t]
+            err = np.abs(fd - a)
+            rel = np.abs(a) > rel_floor
+            max_rel = np.max(err[rel] / np.abs(a[rel]), initial=max_rel)
+            max_abs = np.max(err[~rel], initial=max_abs)
+            compared += fd.size
+    return FiniteDifferenceReport(float(max_rel), float(max_abs), compared, skipped)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dists import PROB_FLOOR, softmax_with_temperature
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, NumericDomainError
 from .metrics import aggregate_metrics, grade_and_cluster, problem_metrics, seed_spread
 from .objectives import (
     ObjectiveConfig,
@@ -233,11 +233,12 @@ def _batch_from_episodes(
 
 def train_step(
     theta: StudentParams, problems: list[ProblemInstance], cfg: TrainConfig
-) -> tuple[StudentParams, float, list[np.ndarray]]:
+) -> tuple[StudentParams, float, list[np.ndarray], RolloutBatch]:
     """One batch of rollouts (treated as fixed examples) and one exact-gradient
     descent update to visited-state logits only. Returns the updated params,
-    the pre-update loss and the per-sequence (length, vocab) gradients the
-    update applied (before scaling by the step size)."""
+    the pre-update loss, the per-sequence (length, vocab) gradients the
+    update applied (before scaling by the step size) and their batch, whose
+    gathered rows the update leaves as sampled."""
     episodes = _collect_episodes(theta, problems, cfg)
     batch = _batch_from_episodes(episodes, theta, cfg.distill_temperature)
     loss = distillation_loss(batch, cfg.objective, cfg.weighting, cfg.reduction)
@@ -249,7 +250,7 @@ def train_step(
         lane_idx = np.array(ep.lanes)
         np.subtract.at(table, (t_idx, lane_idx), lr * g)
     theta.step += 1
-    return theta, loss, grads
+    return theta, loss, grads, batch
 
 
 def evaluate_policy(
@@ -318,7 +319,7 @@ def _config_echo(cfg: TrainConfig, world_cfg: WorldConfig) -> dict:
 
 def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> TrainReport:
     """`steps` iterations of train_step, one finite-difference spot check on the
-    first batch, per-position gradient-norm accumulation, and final
+    step-0 batch, per-position gradient-norm accumulation, and final
     evaluation with fresh samples per problem."""
     world_cfg = world_cfg if world_cfg is not None else WorldConfig()
     problems = [generate_problem(world_cfg, i) for i in range(cfg.train_problems)]
@@ -327,24 +328,15 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
 
     train_eval_init = evaluate_policy(cfg, problems, init_tables, eval_tag=0)
 
-    # one-token gradient spot check on the step-0 batch (same seeds as step 0)
-    spot_episodes = _collect_episodes(theta, problems, cfg)
-    spot_batch = _batch_from_episodes(spot_episodes, theta, cfg.distill_temperature)
-    spot = finite_difference_check(
-        spot_batch, cfg.objective, cfg.weighting, cfg.reduction, max_tokens=1
-    )
-    fd_spot = {
-        "max_rel_err": float(spot.max_rel_err),
-        "max_abs_err": float(spot.max_abs_err),
-        "compared": spot.compared,
-        "skipped_boundary_tokens": spot.skipped_boundary_tokens,
-    }
-
     losses: list[float] = []
     norm_sums: list[float] = []
     norm_counts: list[int] = []
-    for _ in range(cfg.steps):
-        theta, loss, grads = train_step(theta, problems, cfg)
+    for step in range(cfg.steps):
+        theta, loss, grads, batch = train_step(theta, problems, cfg)
+        if step == 0:  # one-token gradient spot check
+            spot = finite_difference_check(
+                batch, cfg.objective, cfg.weighting, cfg.reduction, max_tokens=1
+            )
         losses.append(loss)
         for g in grads:
             norms = np.linalg.norm(g, axis=1)
@@ -355,7 +347,7 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
                 norm_sums[t] += float(n)
                 norm_counts[t] += 1
     if not theta.logits_finite():
-        raise ArithmeticError("student logits left the finite range during training")
+        raise NumericDomainError(f"student logits left the finite range in {cfg.steps} steps")
 
     train_eval_final = evaluate_policy(cfg, problems, theta.tables, eval_tag=1)
 
@@ -374,7 +366,7 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
         heldout_eval=heldout_eval,
         train_eval_init=train_eval_init,
         train_eval_final=train_eval_final,
-        fd_spot=fd_spot,
+        fd_spot=dataclasses.asdict(spot),
     )
 
 

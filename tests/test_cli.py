@@ -177,6 +177,23 @@ def test_train_unparseable_gate_threshold_exits_two():
         assert json.loads(res.stderr)["error"] == "InvalidInputError"
 
 
+def test_train_non_finite_logits_exit_two(monkeypatch, capsys):
+    # no flag value drives the logits non-finite, so fake the end-of-training check
+    from distillab.cli import main
+    from distillab.trainer import StudentParams
+
+    monkeypatch.setattr(StudentParams, "logits_finite", lambda self: False)
+    code = main(["train"] + TINY_TRAIN)
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code == 2
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "NumericDomainError"
+    assert "in 3 steps" in err["message"]
+    assert captured.out == ""
+
+
 def test_import_leaves_scipy_stats_unloaded():
     code = "import sys, distillab.cli; print('scipy.stats' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

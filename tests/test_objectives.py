@@ -1,12 +1,18 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from distillab.dists import entropy, forward_kl, reverse_kl, softmax_with_temperature
+import distillab.objectives as objectives_module
+from distillab.dists import PROB_FLOOR, entropy, forward_kl, reverse_kl, softmax_with_temperature
 from distillab.errors import InvalidInputError
 from distillab.objectives import (
     EntropyGateWeighting,
+    FiniteDifferenceReport,
     ObjectiveConfig,
     PositionWeighting,
     Reduction,
@@ -21,7 +27,8 @@ from distillab.objectives import (
     token_weights,
     weighted_reduction,
 )
-from distillab.schedules import PositionSchedule, preset, weights_for_length
+from distillab.objectives import _fkl_raw_terms, _gate_masks
+from distillab.schedules import PRESETS, PositionSchedule, preset, weights_for_length
 from distillab.seeding import derive_rng
 
 
@@ -234,6 +241,154 @@ def test_fd_spot_check_mode_stops_early():
             batch, ObjectiveConfig(), UniformWeighting(), Reduction.GLOBAL_TOKEN_MEAN,
             max_tokens=0,
         )
+
+
+def _reference_token_loss(q_row, z_row, temperature, clip_threshold, fkl):
+    # one perturbed logit row at a time, in extended precision
+    floor = np.longdouble(PROB_FLOOR)
+    z = z_row.astype(np.longdouble) / np.longdouble(temperature)
+    e = np.exp(z - z.max())
+    p = e / e.sum()
+    q = q_row.astype(np.longdouble)
+    logp = np.log(np.maximum(p, floor))
+    logq = np.log(np.maximum(q, floor))
+    zero = np.longdouble(0.0)
+    if fkl:
+        terms = np.where(q > 0.0, q * (logq - logp), zero)
+        return np.minimum(terms, np.longdouble(clip_threshold)).sum()
+    return np.where(p > 0.0, p * (logp - logq), zero).sum()
+
+
+def _reference_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1e-8, max_tokens=None):
+    """The scalar per-coordinate, per-probe finite-difference loop: the report
+    and, for each compared token, its vector of fd values."""
+    analytic = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
+    weights = token_weights(batch, weighting)
+    gates = _gate_masks(batch, weighting)
+    h = np.longdouble(step)
+    max_rel = max_abs = 0.0
+    compared = skipped = tokens_done = 0
+    fds = []
+    for i, z in enumerate(batch.student_logits):
+        if max_tokens is not None and tokens_done >= max_tokens:
+            break
+        raw = _fkl_raw_terms(batch.teacher_dists[i], softmax_with_temperature(z, cfg.distill_temperature))
+        for t in range(z.shape[0]):
+            if max_tokens is not None and tokens_done >= max_tokens:
+                break
+            fkl_token = gates is None or gates[i][t]
+            if fkl_token and np.any(np.abs(raw[t] - cfg.clip_threshold) <= 10.0 * step):
+                skipped += 1
+                continue
+            tokens_done += 1
+            indicator = [np.zeros(zz.shape[0]) for zz in batch.student_logits]
+            indicator[i][t] = 1.0
+            scale = np.longdouble(weighted_reduction(indicator, weights, reduction))
+            fd_row = []
+            for k in range(z.shape[1]):
+                row = z[t].copy()
+                probes = []
+                for offset in (-2.0, -1.0, 1.0, 2.0):
+                    row[k] = z[t, k] + offset * step
+                    probes.append(
+                        _reference_token_loss(
+                            batch.teacher_dists[i][t], row, cfg.distill_temperature,
+                            cfg.clip_threshold, fkl_token,
+                        )
+                    )
+                quotient = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * h)
+                fd = float(scale * quotient)
+                fd_row.append(fd)
+                a = analytic[i][t, k]
+                compared += 1
+                if abs(a) > rel_floor:
+                    max_rel = max(max_rel, abs(fd - a) / abs(a))
+                else:
+                    max_abs = max(max_abs, abs(fd - a))
+            fds.append(np.array(fd_row))
+    return FiniteDifferenceReport(max_rel, max_abs, compared, skipped), fds
+
+
+@st.composite
+def _fd_cases(draw):
+    vocab = draw(st.integers(2, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    alpha = draw(st.sampled_from([0.05, 0.3, 1.0, 5.0]))
+    logit_scale = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    teachers, logits = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        L = draw(st.integers(1, 4))
+        q = rng.dirichlet(np.full(vocab, alpha), size=L)
+        if vocab > 2 and draw(st.booleans()):  # an exact zero in each teacher row
+            q[np.arange(L), q.argmin(axis=1)] = 0.0
+            q /= q.sum(axis=1, keepdims=True)
+        teachers.append(q)
+        logits.append(logit_scale * rng.standard_normal((L, vocab)))
+    kind = draw(st.sampled_from(["uniform", "position", "gate", "gate"]))
+    if kind == "uniform":
+        weighting = UniformWeighting()
+    elif kind == "position":
+        weighting = PositionWeighting(preset(draw(st.sampled_from(sorted(PRESETS)))))
+    else:  # a threshold at one token's teacher entropy: that token and lower ones take reverse KL
+        entropies = sorted(entropy(row) for q in teachers for row in q)
+        weighting = EntropyGateWeighting(draw(st.sampled_from(entropies)))
+    temperature = draw(st.sampled_from([0.5, 1.0, 1.1, 2.5]))
+    clip = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    if draw(st.booleans()):  # put the first token's largest term at the clip: a skipped token
+        p = softmax_with_temperature(logits[0][:1], temperature)
+        clip = max(float(_fkl_raw_terms(teachers[0][:1], p).max()), 1e-3)
+    cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=clip)
+    # a block budget that splits a token's coordinates into chunks, or the default
+    budget = draw(st.one_of(st.none(), st.integers(1, 4 * vocab * vocab)))
+    return (
+        RolloutBatch(teachers, logits),
+        cfg,
+        weighting,
+        draw(st.sampled_from(list(Reduction))),
+        draw(st.sampled_from([None, 1, 2])),
+        budget,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fd_cases())
+def test_batched_fd_check_equals_scalar_reference(case):
+    batch, cfg, weighting, reduction, max_tokens, budget = case
+    fd_rows = []
+    fd_row = objectives_module._fd_row
+
+    def spy(*args):
+        fd_rows.append(fd_row(*args))
+        return fd_rows[-1]
+
+    budget = budget if budget is not None else objectives_module._FD_BLOCK_ENTRIES
+    with mock.patch.object(objectives_module, "_FD_BLOCK_ENTRIES", budget), mock.patch.object(
+        objectives_module, "_fd_row", spy
+    ):
+        report = finite_difference_check(batch, cfg, weighting, reduction, max_tokens=max_tokens)
+    expected, expected_rows = _reference_fd_check(batch, cfg, weighting, reduction, max_tokens=max_tokens)
+    assert report == expected
+    assert len(fd_rows) == len(expected_rows)
+    for got, want in zip(fd_rows, expected_rows):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_fd_check_memory_is_bounded_for_a_large_vocabulary():
+    # unchunked, one token's (4, V, V) longdouble block alone would be 64 MiB
+    rng = derive_rng(19)
+    vocab = 1024
+    batch = RolloutBatch([rng.dirichlet(np.ones(vocab), size=1)], [rng.standard_normal((1, vocab))])
+    tracemalloc.start()
+    try:
+        rep = finite_difference_check(
+            batch, ObjectiveConfig(), UniformWeighting(), Reduction.GLOBAL_TOKEN_MEAN, max_tokens=1
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.compared == vocab
+    assert rep.max_rel_err < 1e-6
+    assert peak < 16 * 2**20
 
 
 def test_gradient_scales_with_weights_and_reduction():

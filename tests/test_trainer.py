@@ -12,6 +12,7 @@ from distillab.objectives import (
     PositionWeighting,
     Reduction,
     UniformWeighting,
+    finite_difference_check,
     loss_gradient_wrt_student_logits,
 )
 from distillab.schedules import PositionSchedule
@@ -142,7 +143,7 @@ def test_student_matching_teacher_has_near_zero_loss_and_update():
     cfg = _small_cfg(init_noise=0.0, learning_rate=512.0)
     theta = init_student(cfg, problems)
     before = {pid: t.copy() for pid, t in theta.tables.items()}
-    theta, loss, _ = train_step(theta, problems, cfg)
+    theta, loss, _, _ = train_step(theta, problems, cfg)
     assert abs(loss) < 1e-12
     drift = max(
         float(np.abs(theta.tables[pid] - before[pid]).max()) for pid in before
@@ -166,7 +167,7 @@ def test_single_state_update_matches_closed_form():
         reduction=Reduction.GLOBAL_TOKEN_MEAN, seed=0, lr_decay="constant",
         train_problems=1,
     )
-    theta, loss, _ = train_step(theta, [problem], cfg)
+    theta, loss, _, _ = train_step(theta, [problem], cfg)
     assert abs(loss - (-0.13977302597844765)) < 1e-12
     delta = z[0, 0] - theta.tables["hand"][0, 0]
     assert abs(delta[0] - (-0.12235887753426655)) < 1e-12
@@ -182,8 +183,8 @@ def test_train_step_is_deterministic():
     a = init_student(cfg, problems)
     b = init_student(cfg, problems)
     for _ in range(3):
-        a, la, _ = train_step(a, problems, cfg)
-        b, lb, _ = train_step(b, problems, cfg)
+        a, la, _, _ = train_step(a, problems, cfg)
+        b, lb, _, _ = train_step(b, problems, cfg)
         assert la == lb
     for pid in a.tables:
         assert np.array_equal(a.tables[pid], b.tables[pid])
@@ -223,8 +224,8 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
 
     monkeypatch.setattr(trainer_module, "_collect_episodes", spy)
     report = run_training(cfg, world)
-    # the finite-difference spot-check batch, then one batch per step
-    assert len(batches) == cfg.steps + 1
+    # one batch per step; the finite-difference spot check reuses step 0's
+    assert len(batches) == cfg.steps
     problems = [generate_problem(world, i) for i in range(cfg.train_problems)]
     theta = init_student(cfg, problems)
     manual = []
@@ -237,9 +238,20 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
         expected = loss_gradient_wrt_student_logits(
             batch, cfg.objective, cfg.weighting, cfg.reduction
         )
-        theta, loss, grads = train_step(theta, problems, cfg)
-        # the returned gradients are the pre-update ones the step applied
+        before = [z.copy() for z in batch.student_logits]
+        theta, loss, grads, used = train_step(theta, problems, cfg)
+        # the returned gradients are the pre-update ones the step applied, on
+        # the returned batch, whose rows the update left as sampled
         assert all(np.array_equal(g, e) for g, e in zip(grads, expected, strict=True))
+        assert all(np.array_equal(u, z) for u, z in zip(used.student_logits, before, strict=True))
+        assert all(
+            np.array_equal(u, q)
+            for u, q in zip(used.teacher_dists, batch.teacher_dists, strict=True)
+        )
+        if not manual:
+            spot = finite_difference_check(
+                used, cfg.objective, cfg.weighting, cfg.reduction, max_tokens=1
+            )
         manual.append(loss)
         for g in grads:
             for t, n in enumerate(np.linalg.norm(g, axis=1)):
@@ -249,6 +261,12 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
                 norm_sums[t] += float(n)
                 norm_counts[t] += 1
     assert report.losses == manual
+    assert report.fd_spot == {
+        "max_rel_err": spot.max_rel_err,
+        "max_abs_err": spot.max_abs_err,
+        "compared": spot.compared,
+        "skipped_boundary_tokens": spot.skipped_boundary_tokens,
+    }
     assert report.grad_norm_profile == [s / c for s, c in zip(norm_sums, norm_counts)]
 
 
