@@ -256,6 +256,15 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
         if args.spacing == 0
         else FilterConfig(spacing=args.spacing)
     )
+    out = Path(args.out)
+
+    def write_samples(candidates, spines) -> None:
+        # written before the statistics, so a late failure keeps them
+        lines = [_dump(c.to_json_dict()) for c in candidates]
+        _write_text(out / "candidates.jsonl", "".join(line + "\n" for line in lines))
+        spine_lines = [_dump(s) for s in spines]
+        _write_text(out / "spines.jsonl", "".join(line + "\n" for line in spine_lines))
+
     report = run_diagnostic(
         world,
         n_problems=args.problems,
@@ -264,12 +273,8 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
         ensemble_members=args.members,
         perturb_scale=args.perturb,
         continuations_per_child=args.continuations,
+        on_samples=write_samples,
     )
-    out = Path(args.out)
-    lines = [_dump(c.to_json_dict()) for c in report.candidates]
-    _write_text(out / "candidates.jsonl", "".join(line + "\n" for line in lines))
-    spine_lines = [_dump(s) for s in report.spines]
-    _write_text(out / "spines.jsonl", "".join(line + "\n" for line in spine_lines))
     _write_text(
         out / "report.json",
         _dump(

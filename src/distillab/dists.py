@@ -64,6 +64,24 @@ def entropy(p) -> float:
     return float(-(pos * np.log(pos)).sum())
 
 
+def row_entropies(table) -> np.ndarray:
+    """entropy() of every row of a 2-D table, validated as a whole.
+
+    Rows without an exact zero take one pass whose last-axis sums are the
+    same pairwise reductions as entropy()'s 1-D sums. A row holding a zero
+    keeps entropy()'s own path, which drops the zeros before summing.
+    """
+    arr = np.asarray(table, dtype=float)
+    valid = arr.ndim == 2 and np.all(np.isfinite(arr)) and not np.any(arr < 0.0)
+    if not valid or np.any(np.abs(arr.sum(axis=1) - 1.0) > _SUM_TOL):
+        raise InvalidInputError(f"entropy table rows must be distributions, got shape {arr.shape}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -(arr * np.log(arr)).sum(axis=1)
+    for i in np.flatnonzero((arr == 0.0).any(axis=1)):
+        out[i] = entropy(arr[i])
+    return out
+
+
 def truncated_entropy(p, valid_mask, top_m: int) -> float:
     """Entropy of the renormalized top-`top_m` valid-token probabilities.
 

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dists import PROB_FLOOR, entropy, softmax_with_temperature
+from .dists import PROB_FLOOR, row_entropies, softmax_with_temperature
 from .errors import InvalidInputError
 from .schedules import PositionSchedule, weights_for_length
 
@@ -174,11 +174,7 @@ def _gate_masks(batch: RolloutBatch, weighting: Weighting) -> list[np.ndarray] |
     """For entropy gating: per-sequence boolean rows, True = forward KL."""
     if not isinstance(weighting, EntropyGateWeighting):
         return None
-    masks = []
-    for q in batch.teacher_dists:
-        ent = np.array([entropy(row) for row in q])
-        masks.append(ent > weighting.gate_threshold)
-    return masks
+    return [row_entropies(q) > weighting.gate_threshold for q in batch.teacher_dists]
 
 
 def per_token_losses(batch: RolloutBatch, cfg: ObjectiveConfig, weighting: Weighting) -> list[np.ndarray]:
@@ -358,8 +354,8 @@ def finite_difference_check(
     Perturbing one logit changes exactly one token's loss, and the reduction
     is linear in that loss, so the difference quotient of the full loss equals
     the token's own difference quotient times the token's weight-and-reduction
-    multiplier. That multiplier is extracted exactly by running an indicator
-    array through weighted_reduction. The token loss itself is evaluated in
+    multiplier, which repeats the float operations weighted_reduction makes on
+    an indicator of the token. The token loss itself is evaluated in
     extended precision on a five-point stencil (a fourth-order central
     difference at the given step), which keeps both truncation and rounding
     noise in the quotient far below the comparison tolerance even for
@@ -387,11 +383,7 @@ def finite_difference_check(
     weights = token_weights(batch, weighting)
     gates = _gate_masks(batch, weighting)
     margin = 10.0 * step
-
-    def multiplier(i: int, t: int) -> float:
-        indicator = [np.zeros(z.shape[0]) for z in batch.student_logits]
-        indicator[i][t] = 1.0
-        return weighted_reduction(indicator, weights, reduction)
+    total = batch.total_tokens
 
     max_rel = 0.0
     max_abs = 0.0
@@ -411,7 +403,12 @@ def finite_difference_check(
                 skipped += 1
                 continue
             tokens_done += 1
-            scale = np.longdouble(multiplier(i, t))
+            # weighted_reduction of the token's indicator, less its exact-zero terms
+            w = float(weights[i][t])
+            if reduction is Reduction.GLOBAL_TOKEN_MEAN:
+                scale = np.longdouble(w / total)
+            else:
+                scale = np.longdouble(w / z.shape[0] / len(batch))
             fd = _fd_row(batch.teacher_dists[i][t], z[t], scale, cfg, fkl_token, step)
             a = analytic[i][t]
             err = np.abs(fd - a)

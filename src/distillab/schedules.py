@@ -9,13 +9,20 @@ which rises monotonically from about w_min at the start of the sequence to
 about 1 near the end, crossing w_min + (1 - w_min) / 2 exactly at the
 midpoint. Four named presets span gentle to aggressive early-token
 suppression.
+
+sigma is the libm logistic 1 / (1 + exp(-x)), one `math.exp` per element.
+That is the formula scipy.special.expit evaluates in double precision, so the
+weights equal expit's bit for bit without loading scipy; numpy's own SIMD
+`exp` is not libm's and would move low-order bits. Weights per sequence
+length are memoised, which pays back the per-element Python loop.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InvalidInputError
 
@@ -64,24 +71,37 @@ def position_fraction(t: int, length: int) -> float:
     return (t - 0.5) / length
 
 
+def _logistic(x: float) -> float:
+    """1 / (1 + exp(-x)) with libm's exp; 0.0 where exp(-x) overflows, as expit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
 def weight(r, schedule: PositionSchedule):
     """Schedule weight at position fraction(s) `r` (scalar or array).
 
-    Uses the numerically stable logistic, so weight(midpoint) evaluates the
-    sigmoid at exactly 0 and returns w_min + (1 - w_min) * 0.5 exactly.
+    weight(midpoint) evaluates the logistic at exactly 0 and returns
+    w_min + (1 - w_min) * 0.5 exactly.
     """
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise InvalidInputError("position fractions must lie in [0, 1]")
-    w = schedule.w_min + (1.0 - schedule.w_min) * expit((arr - schedule.midpoint) / schedule.steepness)
+    x = (arr - schedule.midpoint) / schedule.steepness
+    sig = np.fromiter(map(_logistic, x.flat), float, x.size).reshape(x.shape)
+    w = schedule.w_min + (1.0 - schedule.w_min) * sig
     if np.ndim(r) == 0:
         return float(w)
     return w
 
 
+@lru_cache(maxsize=1024)
 def weights_for_length(length: int, schedule: PositionSchedule) -> np.ndarray:
-    """Vector of schedule weights for positions 1..length."""
+    """Read-only vector of schedule weights for positions 1..length (memoised)."""
     if length < 1:
         raise InvalidInputError(f"sequence length must be >= 1, got {length}")
     t = np.arange(1, length + 1, dtype=float)
-    return weight((t - 0.5) / length, schedule)
+    w = weight((t - 0.5) / length, schedule)
+    w.flags.writeable = False
+    return w

@@ -9,6 +9,7 @@ SeedSequence; reports record RNG_ID so downstream readers know the algorithm.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it at import, not at the first draw
 
 from .errors import InvalidInputError
 

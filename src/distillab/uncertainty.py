@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import as_distribution, entropy
+from .dists import as_distribution, entropy, row_entropies
 from .errors import InvalidInputError
 
 DIRICHLET_EPSILON = 1e-6
@@ -38,7 +38,7 @@ def _as_ensemble(members) -> np.ndarray:
 def mean_predictive_entropy(members) -> float:
     """Average Shannon entropy of the ensemble members."""
     arr = _as_ensemble(members)
-    return float(np.mean([entropy(row) for row in arr]))
+    return float(np.mean(row_entropies(arr)))
 
 
 def mutual_information(members) -> float:
@@ -48,7 +48,7 @@ def mutual_information(members) -> float:
     """
     arr = _as_ensemble(members)
     mixed = arr.mean(axis=0)
-    mi = entropy(mixed) - float(np.mean([entropy(row) for row in arr]))
+    mi = entropy(mixed) - float(np.mean(row_entropies(arr)))
     return mi if mi > 0.0 else 0.0
 
 

@@ -28,6 +28,7 @@ keeps greedy rollouts correct and makes nucleus continuations deterministic.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -452,9 +453,12 @@ def run_diagnostic(
     ensemble_members: int = 5,
     perturb_scale: float = 0.1,
     continuations_per_child: int = 6,
+    on_samples: Callable[[list[CandidateRecord], list[dict]], None] | None = None,
 ) -> DiagnosticReport:
     """Full probe: greedy spines, candidate selection, forced continuations,
-    labels, uncertainty scores, and residualized AUROC reports per score."""
+    labels, uncertainty scores, and residualized AUROC reports per score.
+    `on_samples(candidates, spines)` runs before any statistic, so a caller
+    keeps the sampled data even when the statistics then fail."""
     if n_problems < 2:
         raise InvalidInputError(f"n_problems must be >= 2, got {n_problems}")
     filter_cfg = filter_cfg or default_filter_for_depth(cfg.depth)
@@ -518,6 +522,8 @@ def run_diagnostic(
             cand.ground_truth_reliable = state_kind != UNRELIABLE
             all_candidates.append(cand)
 
+    if on_samples is not None:
+        on_samples(all_candidates, spines)
     if not all_candidates:
         raise DegenerateInputError("diagnostic produced no candidates")
 

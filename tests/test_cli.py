@@ -201,6 +201,43 @@ def test_import_leaves_scipy_stats_unloaded():
     assert res.stdout.strip() == "False"
 
 
+def test_import_loads_numpy_random_and_no_scipy():
+    code = (
+        "import sys, distillab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+        "print('numpy.random' in sys.modules)"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["[]", "True"]
+
+
+def test_diagnose_late_failure_keeps_sampled_data(tmp_path):
+    # no dead branches: every candidate gets one label, so the AUROC fails
+    # after every continuation has run
+    out = tmp_path / "diag"
+    res = _run(["diagnose"] + TINY_WORLD + [
+        "--depth", "24", "--problems", "8", "--resamples", "50", "--members", "3",
+        "--continuations", "3", "--early", "0", "--late", "0", "--out", str(out),
+    ])
+    assert res.returncode == 3
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "DegenerateInputError", "message": "AUROC needs both label classes",
+    }
+    assert res.stdout == ""
+    assert sorted(p.name for p in out.iterdir()) == ["candidates.jsonl", "spines.jsonl"]
+    spines = (out / "spines.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(spines) == 8
+    candidates = [
+        json.loads(line) for line in (out / "candidates.jsonl").read_text(encoding="utf-8").splitlines()
+    ]
+    assert candidates
+    assert len({c["label"] for c in candidates} - {"gray"}) == 1
+    assert all(c["scores"] for c in candidates)
+
+
 def test_unknown_flag_exits_two():
     res = _run(["identities", "--bogus", "1"])
     assert res.returncode == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distillab.dists import (
     PROB_FLOOR,
@@ -11,10 +13,12 @@ from distillab.dists import (
     floored_log,
     forward_kl,
     reverse_kl,
+    row_entropies,
     softmax_with_temperature,
     truncated_entropy,
 )
 from distillab.errors import DegenerateInputError, InvalidInputError
+from distillab.objectives import EntropyGateWeighting, RolloutBatch, _gate_masks
 
 
 def test_softmax_two_point_fixture():
@@ -188,3 +192,40 @@ def test_floor_applies_inside_log_only():
     val = forward_kl(q, p)
     expected = 0.5 * math.log(0.5 / 1.0) + 0.5 * (math.log(0.5) - math.log(PROB_FLOOR))
     assert abs(val - expected) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 12),
+    vocab=st.sampled_from([1, 2, 3, 7, 8, 9, 16, 33, 127, 128, 129, 300, 1030]),
+    kind=st.sampled_from(["smooth", "ties", "peaked"]),
+    zero_share=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+)
+def test_row_entropies_equal_per_row_entropy_bit_for_bit(seed, rows, vocab, kind, zero_share):
+    rng = np.random.default_rng(seed)
+    if kind == "smooth":
+        mass = rng.exponential(size=(rows, vocab))
+    elif kind == "ties":
+        mass = rng.integers(1, 4, size=(rows, vocab)).astype(float)
+    else:
+        mass = np.exp(40.0 * rng.standard_normal((rows, vocab)))
+    mass[rng.random((rows, vocab)) < zero_share] = 0.0
+    mass[:, 0] += 1.0  # no row is all zero
+    table = mass / mass.sum(axis=1, keepdims=True)
+    expected = np.array([entropy(row) for row in table])
+    got = row_entropies(table)
+    assert got.tobytes() == expected.tobytes()
+    if vocab >= 2:
+        # the gate on the same rows, with the threshold exactly at one row's entropy
+        threshold = float(expected[rng.integers(rows)])
+        batch = RolloutBatch([table], [np.zeros((rows, vocab))])
+        (mask,) = _gate_masks(batch, EntropyGateWeighting(threshold))
+        assert mask.tolist() == [h > threshold for h in expected]
+
+
+def test_row_entropies_validation():
+    assert row_entropies([[1.0, 0.0], [0.5, 0.5]]).tolist() == [0.0, math.log(2.0)]
+    for bad in ([0.5, 0.5], [[0.5, 0.6]], [[1.5, -0.5]], [[np.nan, 1.0]], np.zeros((2, 0))):
+        with pytest.raises(InvalidInputError):
+            row_entropies(bad)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distillab.errors import InvalidInputError
 from distillab.schedules import (
     PRESETS,
     PositionSchedule,
+    _logistic,
     position_fraction,
     preset,
     weight,
@@ -102,3 +105,62 @@ def test_w_min_one_degenerates_to_uniform():
     s = PositionSchedule(w_min=1.0, midpoint=0.3, steepness=0.1)
     vec = weights_for_length(17, s)
     assert np.all(vec == 1.0)
+
+
+# math.exp(-x) overflows below about -709.78; expit returns 0.0 there
+LOGISTIC_ARGS = st.one_of(
+    st.floats(-40.0, 40.0),
+    st.floats(-800.0, 800.0),
+    st.floats(-709.9, -709.7),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, np.nextafter(-709.78, 0.0)]),
+)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(xs=st.lists(LOGISTIC_ARGS, min_size=1, max_size=64))
+def test_libm_logistic_equals_scipy_expit_bit_for_bit(xs):
+    from scipy.special import expit  # the oracle; the package never imports scipy
+
+    x = np.array(xs)
+    assert _bits([_logistic(v) for v in xs]) == _bits(expit(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    w_min=st.floats(0.0, 1.0),
+    midpoint=st.floats(0.0, 1.0),
+    steepness=st.one_of(st.floats(1e-300, 1e-3), st.floats(1e-3, 10.0)),
+    r=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=32),
+)
+def test_weight_equals_expit_formula_bit_for_bit(w_min, midpoint, steepness, r):
+    from scipy.special import expit
+
+    s = PositionSchedule(w_min, midpoint, steepness)
+    arr = np.array(r + [midpoint])  # the midpoint anchor evaluates expit(0)
+    expected = s.w_min + (1.0 - s.w_min) * expit((arr - s.midpoint) / s.steepness)
+    assert _bits(weight(arr, s)) == _bits(expected)
+    assert weight(midpoint, s) == s.w_min + (1.0 - s.w_min) * 0.5
+    assert _bits(weight(r[0], s)) == _bits(expected[0])
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_weights_for_length_is_memoised_and_read_only(name):
+    s = preset(name)
+    for L in (1, 5, 48, 333):
+        vec = weights_for_length(L, s)
+        assert weights_for_length(L, s) is vec
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
+        fresh = weights_for_length.__wrapped__(L, s)  # uncached
+        assert fresh is not vec
+        assert _bits(fresh) == _bits(vec)
+        t = np.arange(1, L + 1, dtype=float)
+        assert _bits(weight((t - 0.5) / L, s)) == _bits(vec)
+    with pytest.raises(InvalidInputError):
+        weights_for_length(0, s)
