@@ -9,8 +9,10 @@ degenerate inputs (not enough usable data to compute the request).
 
 `--config FILE` supplies defaults from a JSON object whose keys are flag
 names (dashes as underscores); flags given on the command line win. Unknown
-keys are rejected. `--threads` is accepted for interface compatibility;
-execution is serial and every output is independent of its value.
+keys are rejected. `--threads N` shards work over forked processes in
+`diagnose` (its problems) and `sweep` (its distinct trainings), capped at the
+CPU count and the number of units; the other commands run serially. No
+output depends on it: `run_meta.json` records the workers actually used.
 """
 from __future__ import annotations
 
@@ -41,9 +43,16 @@ from .objectives import (
 )
 from .seeding import RNG_ID, derive_rng
 from .stats import BootstrapConfig
-from .trainer import TrainConfig, factorial_and_sweep, run_training, weighting_from_name
+from .trainer import (
+    TrainConfig,
+    factorial_and_sweep,
+    run_training,
+    sweep_trainings,
+    weighting_from_name,
+)
 from .uncertainty import score_ensemble
 from .viability import FilterConfig
+from .workers import worker_count
 from .world import WorldConfig, default_filter_for_depth, run_diagnostic
 
 
@@ -72,19 +81,26 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_meta(out_dir: Path, argv: list[str]) -> None:
+def _write_meta(out_dir: Path, argv: list[str], **extra) -> None:
     meta = {
         "argv": argv,
         "rng_id": RNG_ID,
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "version": __version__,
+        **extra,
     }
     _write_text(out_dir / "run_meta.json", _dump(meta) + "\n")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
-    p.add_argument("--threads", type=int, default=1, help="accepted; execution is serial")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker processes for diagnose and sweep, capped at the CPU count; "
+        "outputs never depend on it",
+    )
 
 
 def _add_world_flags(p: argparse.ArgumentParser, seed_flag: str = "--seed") -> None:
@@ -274,6 +290,7 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
         perturb_scale=args.perturb,
         continuations_per_child=args.continuations,
         on_samples=write_samples,
+        threads=args.threads,
     )
     _write_text(
         out / "report.json",
@@ -308,7 +325,7 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
                     else row["ground_truth_reliable_rate"],
                 ]
             )
-    _write_meta(out, argv)
+    _write_meta(out, argv, workers=worker_count(args.threads, args.problems))
     summary = {
         "out": str(out),
         "n_candidates": len(report.candidates),
@@ -425,13 +442,14 @@ def _sweep_csv(table: dict) -> str:
 
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     world, cfg = _train_config(args)
-    table = factorial_and_sweep(world, cfg, seeds=args.sweep_seeds)
+    table = factorial_and_sweep(world, cfg, seeds=args.sweep_seeds, threads=args.threads)
     text = _dump(table) + "\n"
     if args.out:
         out = Path(args.out)
         _write_text(out / "sweep.json", text)
         _write_text(out / "summary.csv", _sweep_csv(table))
-        _write_meta(out, argv)
+        trainings = sweep_trainings(world, cfg, args.sweep_seeds)
+        _write_meta(out, argv, workers=worker_count(args.threads, len(trainings)))
         print(_dump({"out": str(out)}))
     else:
         sys.stdout.write(text)
@@ -603,7 +621,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInputError as exc:
         _print_error("InvalidInputError", exc)
         return 2
-    except OSError as exc:  # missing, unreadable or directory paths
+    except OSError as exc:  # missing, unreadable or directory paths; a worker that died
         _print_error("ConfigError", exc)
         return 2
 

@@ -40,6 +40,7 @@ from .objectives import (
 )
 from .schedules import PRESETS, preset
 from .seeding import derive_rng
+from .workers import map_sharded
 from .world import ProblemInstance, WorldConfig, generate_problem, nucleus_sample
 
 _TAG_INIT = 4
@@ -449,50 +450,68 @@ def _cell_summary(reports: list[TrainReport]) -> dict:
     }
 
 
-def factorial_and_sweep(
+def _sweep_grid(
+    world_cfg: WorldConfig, base_cfg: TrainConfig, seeds: int
+) -> dict[str, dict[str, list[TrainConfig]]]:
+    """Per kind ("factorial", "sweep") and cell, the configuration at each seed."""
+    if seeds < 1:
+        raise InvalidInputError(f"seeds must be >= 1, got {seeds}")
+
+    def at_seeds(weighting: str, reduction: Reduction) -> list[TrainConfig]:
+        return [
+            dataclasses.replace(
+                base_cfg,
+                weighting=weighting_from_name(weighting, world_cfg.vocab_size),
+                reduction=reduction,
+                seed=base_cfg.seed + s,
+            )
+            for s in range(seeds)
+        ]
+
+    return {
+        "factorial": {
+            f"{w_name}/{reduction.value}": at_seeds(w_name, reduction)
+            for w_name, reduction in FACTORIAL_CELLS
+        },
+        "sweep": {name: at_seeds(name, base_cfg.reduction) for name in SWEEP_PRESETS},
+    }
+
+
+def sweep_trainings(
     world_cfg: WorldConfig, base_cfg: TrainConfig, seeds: int = 3
+) -> list[TrainConfig]:
+    """The distinct configurations `factorial_and_sweep` trains, in first-use order."""
+    return _distinct(_sweep_grid(world_cfg, base_cfg, seeds))
+
+
+def _distinct(grid: dict[str, dict[str, list[TrainConfig]]]) -> list[TrainConfig]:
+    return list(
+        dict.fromkeys(cfg for cells in grid.values() for cfgs in cells.values() for cfg in cfgs)
+    )
+
+
+def factorial_and_sweep(
+    world_cfg: WorldConfig, base_cfg: TrainConfig, seeds: int = 3, threads: int = 1
 ) -> dict:
     """The 2x2 weighting-by-reduction factorial and the four-preset schedule
     sweep, each cell trained at `seeds` consecutive seeds; per-cell mean and
     sample standard deviation of the evaluation metrics. A configuration that
     appears in both (the moderate preset at the base reduction) is trained
-    once and its report shared."""
-    if seeds < 1:
-        raise InvalidInputError(f"seeds must be >= 1, got {seeds}")
-    runs: dict[TrainConfig, TrainReport] = {}
-
-    def train(cfg: TrainConfig) -> TrainReport:
-        if cfg not in runs:
-            runs[cfg] = run_training(cfg, world_cfg)
-        return runs[cfg]
-
-    cells = {}
-    for w_name, reduction in FACTORIAL_CELLS:
-        reports = []
-        for s in range(seeds):
-            cfg = dataclasses.replace(
-                base_cfg,
-                weighting=weighting_from_name(w_name, world_cfg.vocab_size),
-                reduction=reduction,
-                seed=base_cfg.seed + s,
-            )
-            reports.append(train(cfg))
-        cells[f"{w_name}/{reduction.value}"] = {
-            "reports": [r.as_dict() for r in reports],
-            "summary": _cell_summary(reports),
-        }
-    sweep = {}
-    for name in SWEEP_PRESETS:
-        reports = []
-        for s in range(seeds):
-            cfg = dataclasses.replace(
-                base_cfg,
-                weighting=weighting_from_name(name, world_cfg.vocab_size),
-                seed=base_cfg.seed + s,
-            )
-            reports.append(train(cfg))
-        sweep[name] = {
-            "reports": [r.as_dict() for r in reports],
-            "summary": _cell_summary(reports),
-        }
-    return {"factorial": cells, "sweep": sweep, "seeds": seeds}
+    once and its report shared. The distinct trainings run on up to
+    `threads` processes (`workers.map_sharded`); the table does not depend
+    on `threads`."""
+    grid = _sweep_grid(world_cfg, base_cfg, seeds)
+    distinct = _distinct(grid)
+    reports = map_sharded(lambda cfg: run_training(cfg, world_cfg), distinct, threads)
+    runs = dict(zip(distinct, reports))
+    table: dict = {}
+    for kind, cells in grid.items():
+        table[kind] = {}
+        for name, cfgs in cells.items():
+            cell = [runs[cfg] for cfg in cfgs]
+            table[kind][name] = {
+                "reports": [r.as_dict() for r in cell],
+                "summary": _cell_summary(cell),
+            }
+    table["seeds"] = seeds
+    return table

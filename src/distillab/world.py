@@ -49,6 +49,7 @@ from .viability import (
     label_candidate,
     select_candidates,
 )
+from .workers import map_sharded
 
 # fractions of layer positions below/above which the planted dead fractions apply
 EARLY_CUTOFF = 0.4
@@ -444,6 +445,68 @@ def default_filter_for_depth(depth: int) -> FilterConfig:
     return FilterConfig(spacing=max(1, depth // 16))
 
 
+def _probe_problem(
+    cfg: WorldConfig,
+    index: int,
+    filter_cfg: FilterConfig,
+    thresholds: LabelThresholds,
+    ensemble_members: int,
+    perturb_scale: float,
+    continuations_per_child: int,
+) -> tuple[dict, list[CandidateRecord]]:
+    """One problem's greedy spine record and its labelled, scored candidates
+    (none when the spine is wrong: the probe reads only correct spines)."""
+    problem = generate_problem(cfg, index)
+    trace = student_rollout(problem, mode="greedy")
+    spine_record = {
+        "problem_id": problem.problem_id,
+        "tokens": list(trace.tokens),
+        "correct": trace.correct,
+        "gold_answer": problem.gold_answer,
+    }
+    if not trace.correct:
+        return spine_record, []
+    spine = Spine(
+        problem_id=problem.problem_id,
+        tokens=trace.tokens,
+        gold_answer=problem.gold_answer,
+        correct=True,
+    )
+    valid_mask = np.ones(cfg.vocab_size, dtype=bool)  # every world token is valid
+    candidates = select_candidates(
+        spine,
+        trace.teacher_dists,
+        valid_mask,
+        filter_cfg,
+        answer_position=problem.answer_position,
+    )
+    for cand in candidates:
+        lane = trace.lanes[cand.spine_pos]
+        viabilities = []
+        for token, _prob in cand.children:
+            outcomes = forced_continuation(
+                problem,
+                trace,
+                cand.spine_pos,
+                token,
+                attempts=continuations_per_child,
+            )
+            viabilities.append(child_viability(outcomes))
+        cand.child_viabilities = viabilities
+        cand.label = label_candidate(viabilities, thresholds)
+        ensemble = teacher_ensemble(
+            problem, cand.spine_pos, lane, ensemble_members, perturb_scale
+        )
+        record = score_ensemble(ensemble, cand.truncated_entropy)
+        cand.scores = {
+            "oriented_position": cand.oriented_score,
+            **record.as_dict(),
+        }
+        state_kind = int(problem.kind[cand.spine_pos, lane])
+        cand.ground_truth_reliable = state_kind != UNRELIABLE
+    return spine_record, candidates
+
+
 def run_diagnostic(
     cfg: WorldConfig,
     n_problems: int = 60,
@@ -454,73 +517,37 @@ def run_diagnostic(
     perturb_scale: float = 0.1,
     continuations_per_child: int = 6,
     on_samples: Callable[[list[CandidateRecord], list[dict]], None] | None = None,
+    threads: int = 1,
 ) -> DiagnosticReport:
     """Full probe: greedy spines, candidate selection, forced continuations,
     labels, uncertainty scores, and residualized AUROC reports per score.
     `on_samples(candidates, spines)` runs before any statistic, so a caller
-    keeps the sampled data even when the statistics then fail."""
+    keeps the sampled data even when the statistics then fail. Problems are
+    probed on up to `threads` processes (`workers.map_sharded`) and merged in
+    problem order; the statistics run in this process, so the report does
+    not depend on `threads`."""
     if n_problems < 2:
         raise InvalidInputError(f"n_problems must be >= 2, got {n_problems}")
     filter_cfg = filter_cfg or default_filter_for_depth(cfg.depth)
     thresholds = thresholds or LabelThresholds()
     bootstrap_cfg = bootstrap_cfg or BootstrapConfig(seed=cfg.seed)
 
-    all_candidates: list[CandidateRecord] = []
-    spines: list[dict] = []
-    n_correct = 0
-    valid_mask = np.ones(cfg.vocab_size, dtype=bool)  # every world token is valid
-    for index in range(n_problems):
-        problem = generate_problem(cfg, index)
-        trace = student_rollout(problem, mode="greedy")
-        spines.append(
-            {
-                "problem_id": problem.problem_id,
-                "tokens": list(trace.tokens),
-                "correct": trace.correct,
-                "gold_answer": problem.gold_answer,
-            }
-        )
-        if not trace.correct:
-            continue  # the probe reads only correct spines
-        n_correct += 1
-        spine = Spine(
-            problem_id=problem.problem_id,
-            tokens=trace.tokens,
-            gold_answer=problem.gold_answer,
-            correct=True,
-        )
-        candidates = select_candidates(
-            spine,
-            trace.teacher_dists,
-            valid_mask,
+    probes = map_sharded(
+        lambda index: _probe_problem(
+            cfg,
+            index,
             filter_cfg,
-            answer_position=problem.answer_position,
-        )
-        for cand in candidates:
-            lane = trace.lanes[cand.spine_pos]
-            viabilities = []
-            for token, _prob in cand.children:
-                outcomes = forced_continuation(
-                    problem,
-                    trace,
-                    cand.spine_pos,
-                    token,
-                    attempts=continuations_per_child,
-                )
-                viabilities.append(child_viability(outcomes))
-            cand.child_viabilities = viabilities
-            cand.label = label_candidate(viabilities, thresholds)
-            ensemble = teacher_ensemble(
-                problem, cand.spine_pos, lane, ensemble_members, perturb_scale
-            )
-            record = score_ensemble(ensemble, cand.truncated_entropy)
-            cand.scores = {
-                "oriented_position": cand.oriented_score,
-                **record.as_dict(),
-            }
-            state_kind = int(problem.kind[cand.spine_pos, lane])
-            cand.ground_truth_reliable = state_kind != UNRELIABLE
-            all_candidates.append(cand)
+            thresholds,
+            ensemble_members,
+            perturb_scale,
+            continuations_per_child,
+        ),
+        range(n_problems),
+        threads,
+    )
+    spines = [spine for spine, _ in probes]
+    all_candidates = [cand for _, candidates in probes for cand in candidates]
+    n_correct = sum(1 for spine in spines if spine["correct"])
 
     if on_samples is not None:
         on_samples(all_candidates, spines)

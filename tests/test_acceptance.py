@@ -418,4 +418,13 @@ def test_criterion_12_cli_outputs_are_byte_identical(tmp_path, verdict):
         ref = (outs[0] / name).read_bytes()
         _check((outs[1] / name).read_bytes() == ref, f"diagnose {name}: two runs differ", failures)
         _check((outs[2] / name).read_bytes() == ref, f"diagnose {name}: threads 1 vs 8 differ", failures)
+    souts = []
+    for tag, threads in (("s1", "1"), ("s2", "2")):
+        out = tmp_path / tag
+        res = _run_cli(stdout_cases["sweep"][0] + ["--out", str(out), "--threads", threads])
+        _check(res.returncode == 0, f"sweep {tag}: exit {res.returncode}: {res.stderr.strip()}", failures)
+        souts.append(out)
+    for name in ("sweep.json", "summary.csv"):
+        same = (souts[0] / name).read_bytes() == (souts[1] / name).read_bytes()
+        _check(same, f"sweep {name}: threads 1 vs 2 differ", failures)
     verdict(12, "every CLI command is byte-identical across reruns and thread counts", failures)

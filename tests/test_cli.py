@@ -348,6 +348,20 @@ def test_sweep_writes_json_and_csv(tmp_path):
     assert len(csv_lines) == 9  # header + 4 factorial cells + 4 sweep rows
 
 
+def test_sweep_threads_flag_does_not_change_output(tmp_path):
+    base = ["sweep"] + TINY_WORLD + [
+        "--steps", "2", "--batch", "2", "--train-problems", "2",
+        "--eval-problems", "1", "--eval-samples", "2", "--sweep-seeds", "1",
+    ]
+    a = _run(base + ["--out", str(tmp_path / "a"), "--threads", "1"])
+    b = _run(base + ["--out", str(tmp_path / "b"), "--threads", "2"])
+    assert a.returncode == 0 and b.returncode == 0, a.stderr + b.stderr
+    for name in ("sweep.json", "summary.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    meta = json.loads((tmp_path / "a" / "run_meta.json").read_text(encoding="utf-8"))
+    assert meta["workers"] == 1
+
+
 def test_invalid_world_flag_value_exits_two():
     res = _run(["train"] + TINY_TRAIN + ["--vocab", "2"])
     assert res.returncode == 2

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import distillab.world as world_module
 from distillab.errors import InvalidInputError
 from distillab.seeding import derive_rng
+from distillab.stats import BootstrapConfig
 from distillab.uncertainty import mutual_information
 from distillab.world import (
     DIVERSE,
@@ -370,3 +373,21 @@ def test_diagnostic_is_deterministic():
     assert r1.label_counts == r2.label_counts
     assert [c.to_json_dict() for c in r1.candidates] == [c.to_json_dict() for c in r2.candidates]
     assert r1.reports == r2.reports
+
+
+def test_diagnostic_does_not_depend_on_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # fork even on a one-CPU host
+    cfg = _small_cfg(depth=24)
+    boot = BootstrapConfig(resamples=40, seed=0)
+    serial = run_diagnostic(cfg, n_problems=7, bootstrap_cfg=boot, continuations_per_child=3)
+    for threads in (2, 3, 8):
+        sharded = run_diagnostic(
+            cfg, n_problems=7, bootstrap_cfg=boot, continuations_per_child=3, threads=threads
+        )
+        assert sharded.spines == serial.spines
+        assert [c.to_json_dict() for c in sharded.candidates] == [
+            c.to_json_dict() for c in serial.candidates
+        ]
+        assert sharded.n_correct_spines == serial.n_correct_spines
+        assert sharded.reports == serial.reports
+        assert sharded.position_curve == serial.position_curve
