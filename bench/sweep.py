@@ -47,7 +47,6 @@ def tree_stamp(tree: Path) -> dict:
     for path in sorted((tree / "src").rglob("*.py")):
         src.update(path.relative_to(tree).as_posix().encode() + b"\0" + path.read_bytes())
     return {
-        "path": str(tree),
         "git_sha": git("rev-parse", "HEAD"),
         "uncommitted_src_changes": bool(git("status", "--porcelain", "--", "src")),
         "src_sha256": src.hexdigest(),
@@ -93,7 +92,12 @@ def main() -> int:
     def summary(runs: list[dict]) -> dict:
         walls = sorted(run["wall_s"] for run in runs)
         q = statistics.quantiles(walls, n=4) if len(walls) > 1 else [walls[0]] * 3
-        return {"median_s": q[1], "q1_s": q[0], "q3_s": q[2], "min_s": walls[0]}
+        return {
+            "median_s": round(q[1], 4),
+            "q1_s": round(q[0], 4),
+            "q3_s": round(q[2], 4),
+            "min_s": walls[0],
+        }
 
     result = {
         "command": "distillab sweep --out DIR --threads N (default flags, seed 0)",
