@@ -1,7 +1,6 @@
-"""Wall time of default `distillab sweep --out` at several `--threads` values.
+"""Wall time of default `distillab sweep --out` at `--threads 1` and `2`.
 
-    python3 bench/sweep.py [--tree NAME=DIR ...] [--threads 1,2] [--rounds 5]
-                           [--out BENCH_sweep.json]
+    python3 bench/sweep.py [--tree NAME=DIR ...] [--rounds 10] [--out BENCH_sweep.json]
 
 Each tree is a distillab checkout (default: this one, named `after`); give
 an older checkout as `--tree before=DIR` to compare. Every run is a fresh
@@ -28,6 +27,7 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+THREADS = (1, 2)
 DIGESTS = {
     "sweep.json": "f52b6dce1aea570138638b2d06b1458361a3f203e2e421da14e93dfa2fe47ca6",
     "summary.csv": "bbdbee8750585a5b3b5931e9ec3b18697f3ac0ceb025b776bddd3b59b5742acb",
@@ -72,18 +72,15 @@ def one_run(tree: Path, threads: int) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", default=[], help="NAME=DIR, repeatable")
-    parser.add_argument("--threads", default="1,2")
-    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--out", default=str(ROOT / "BENCH_sweep.json"))
     args = parser.parse_args()
     trees = dict(t.split("=", 1) for t in args.tree) or {"after": str(ROOT)}
     trees = {name: Path(d).resolve() for name, d in trees.items()}
-    threads = [int(t) for t in args.threads.split(",")]
-
-    samples = {name: {str(t): [] for t in threads} for name in trees}
+    samples = {name: {str(t): [] for t in THREADS} for name in trees}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for t in threads:
+        for t in THREADS:
             for name in order:
                 run = one_run(trees[name], t)
                 samples[name][str(t)].append(run)

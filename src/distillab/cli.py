@@ -45,14 +45,12 @@ from .seeding import RNG_ID, derive_rng
 from .stats import BootstrapConfig
 from .trainer import (
     TrainConfig,
-    factorial_and_sweep,
+    factorial_and_sweep_with_workers,
     run_training,
-    sweep_trainings,
     weighting_from_name,
 )
 from .uncertainty import score_ensemble
 from .viability import FilterConfig
-from .workers import worker_count
 from .world import WorldConfig, default_filter_for_depth, run_diagnostic
 
 
@@ -325,7 +323,7 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
                     else row["ground_truth_reliable_rate"],
                 ]
             )
-    _write_meta(out, argv, workers=worker_count(args.threads, args.problems))
+    _write_meta(out, argv, workers=report.workers)
     summary = {
         "out": str(out),
         "n_candidates": len(report.candidates),
@@ -442,14 +440,15 @@ def _sweep_csv(table: dict) -> str:
 
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     world, cfg = _train_config(args)
-    table = factorial_and_sweep(world, cfg, seeds=args.sweep_seeds, threads=args.threads)
+    table, workers = factorial_and_sweep_with_workers(
+        world, cfg, seeds=args.sweep_seeds, threads=args.threads
+    )
     text = _dump(table) + "\n"
     if args.out:
         out = Path(args.out)
         _write_text(out / "sweep.json", text)
         _write_text(out / "summary.csv", _sweep_csv(table))
-        trainings = sweep_trainings(world, cfg, args.sweep_seeds)
-        _write_meta(out, argv, workers=worker_count(args.threads, len(trainings)))
+        _write_meta(out, argv, workers=workers)
         print(_dump({"out": str(out)}))
     else:
         sys.stdout.write(text)

@@ -477,19 +477,6 @@ def _sweep_grid(
     }
 
 
-def sweep_trainings(
-    world_cfg: WorldConfig, base_cfg: TrainConfig, seeds: int = 3
-) -> list[TrainConfig]:
-    """The distinct configurations `factorial_and_sweep` trains, in first-use order."""
-    return _distinct(_sweep_grid(world_cfg, base_cfg, seeds))
-
-
-def _distinct(grid: dict[str, dict[str, list[TrainConfig]]]) -> list[TrainConfig]:
-    return list(
-        dict.fromkeys(cfg for cells in grid.values() for cfgs in cells.values() for cfg in cfgs)
-    )
-
-
 def factorial_and_sweep(
     world_cfg: WorldConfig, base_cfg: TrainConfig, seeds: int = 3, threads: int = 1
 ) -> dict:
@@ -500,9 +487,18 @@ def factorial_and_sweep(
     once and its report shared. The distinct trainings run on up to
     `threads` processes (`workers.map_sharded`); the table does not depend
     on `threads`."""
+    return factorial_and_sweep_with_workers(world_cfg, base_cfg, seeds, threads)[0]
+
+
+def factorial_and_sweep_with_workers(
+    world_cfg: WorldConfig, base_cfg: TrainConfig, seeds: int = 3, threads: int = 1
+) -> tuple[dict, int]:
+    """`factorial_and_sweep`'s table and the number of processes that trained it."""
     grid = _sweep_grid(world_cfg, base_cfg, seeds)
-    distinct = _distinct(grid)
-    reports = map_sharded(lambda cfg: run_training(cfg, world_cfg), distinct, threads)
+    distinct = list(  # in first-use order
+        dict.fromkeys(cfg for cells in grid.values() for cfgs in cells.values() for cfg in cfgs)
+    )
+    reports, workers = map_sharded(lambda cfg: run_training(cfg, world_cfg), distinct, threads)
     runs = dict(zip(distinct, reports))
     table: dict = {}
     for kind, cells in grid.items():
@@ -514,4 +510,4 @@ def factorial_and_sweep(
                 "summary": _cell_summary(cell),
             }
     table["seeds"] = seeds
-    return table
+    return table, workers

@@ -9,9 +9,12 @@ shard is re-raised in the caller with its class and message; the caller's
 own shard wins, then the lowest failing child. A child that ends without a
 result raises `ChildProcessError` naming its exit status. On any failure the
 remaining children are killed and every child is reaped. Without `os.fork`
-the shards run one after another. Shards must not depend on one another:
-every draw in this package comes from its own tag-path generator, so a
-result does not depend on which process computed it.
+the shards run one after another.
+
+`map_sharded(fn, items, threads)` deals the items out to shards and raises
+the error of the lowest failing item, as a serial run would. Shards must not
+depend on one another: every draw in this package comes from its own
+tag-path generator, so a result does not depend on which process computed it.
 
 Fork rather than a spawned pool: a child starts with the caller's imports
 and memory, so it re-imports nothing and adds little resident memory. The
@@ -23,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import signal
 from collections.abc import Callable, Iterable
 from typing import TypeVar
 
@@ -63,7 +67,7 @@ def _spawn(fn: Callable[[int], object], k: int) -> tuple[int, int]:
 
 def _result(k: int, pid: int, data: bytes, code: int):
     if code != 0 or not data:
-        how = f"signal {_signal().Signals(-code).name}" if code < 0 else f"exit status {code}"
+        how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
         raise ChildProcessError(f"worker for shard {k} (pid {pid}) ended without a result: {how}")
     ok, value = pickle.loads(data)
     if not ok:
@@ -95,25 +99,35 @@ def fan_out(fn: Callable[[int], T], n: int) -> list[T]:
 def _kill_and_reap(children: list[tuple[int, int, int]]) -> None:
     for _k, pid, read_fd in children:
         with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, _signal().SIGKILL)
+            os.kill(pid, signal.SIGKILL)
         with contextlib.suppress(OSError):
             os.close(read_fd)
         with contextlib.suppress(ChildProcessError):
             os.waitpid(pid, 0)
 
 
-def _signal():
-    import signal  # on failure only: its enum classes cost start-up time and memory
-
-    return signal
-
-
-def map_sharded(fn: Callable[[U], T], items: Iterable[U], threads: int) -> list[T]:
-    """[fn(x) for x in items] on `worker_count(threads, len(items))` processes;
-    item i goes to shard i % workers, and results come back in item order."""
+def map_sharded(fn: Callable[[U], T], items: Iterable[U], threads: int) -> tuple[list[T], int]:
+    """([fn(x) for x in items], workers), on `worker_count(threads, len(items))`
+    processes; item i goes to shard i % workers, and results come back in item
+    order. A shard stops at its first failing item, and the exception of the
+    lowest failing item is raised, as a serial run would raise it."""
     items = list(items)
     workers = worker_count(threads, len(items))
+
+    def shard(k: int) -> tuple[list[T], tuple[int, Exception] | None]:
+        done = []
+        for i in range(k, len(items), workers):
+            try:
+                done.append(fn(items[i]))
+            except Exception as exc:  # noqa: BLE001 - ordered against the other shards
+                return done, (i, exc)
+        return done, None
+
+    shards = fan_out(shard, workers)
+    failures = [failure for _, failure in shards if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     results: list = [None] * len(items)
-    for k, shard in enumerate(fan_out(lambda k: [fn(x) for x in items[k::workers]], workers)):
-        results[k::workers] = shard
-    return results
+    for k, (done, _) in enumerate(shards):
+        results[k::workers] = done
+    return results, workers

@@ -433,6 +433,7 @@ class DiagnosticReport:
     reports: dict
     position_curve: list[dict]
     params: dict = field(default_factory=dict)
+    workers: int = field(default=1, compare=False)  # processes that probed
 
 
 def default_filter_for_depth(depth: int) -> FilterConfig:
@@ -525,14 +526,14 @@ def run_diagnostic(
     keeps the sampled data even when the statistics then fail. Problems are
     probed on up to `threads` processes (`workers.map_sharded`) and merged in
     problem order; the statistics run in this process, so the report does
-    not depend on `threads`."""
+    not depend on `threads`. `report.workers` is the number of processes used."""
     if n_problems < 2:
         raise InvalidInputError(f"n_problems must be >= 2, got {n_problems}")
     filter_cfg = filter_cfg or default_filter_for_depth(cfg.depth)
     thresholds = thresholds or LabelThresholds()
     bootstrap_cfg = bootstrap_cfg or BootstrapConfig(seed=cfg.seed)
 
-    probes = map_sharded(
+    probes, workers = map_sharded(
         lambda index: _probe_problem(
             cfg,
             index,
@@ -625,4 +626,5 @@ def run_diagnostic(
             "perturb_scale": perturb_scale,
             "continuations_per_child": continuations_per_child,
         },
+        workers=workers,
     )

@@ -23,10 +23,10 @@ from distillab.trainer import (
     StudentParams,
     TrainConfig,
     factorial_and_sweep,
+    factorial_and_sweep_with_workers,
     gradient_norm_profile,
     init_student,
     run_training,
-    sweep_trainings,
     trace_stability,
     train_step,
     weighting_from_name,
@@ -348,10 +348,12 @@ def test_factorial_and_sweep_does_not_depend_on_threads(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # fork even on a one-CPU host
     world = _small_world()
     base = _small_cfg(steps=2, eval_problems=1, eval_samples=2)
-    serial = factorial_and_sweep(world, base, seeds=1)
-    assert factorial_and_sweep(world, base, seeds=1, threads=3) == serial
-    distinct = sweep_trainings(world, base, seeds=1)
-    assert len(distinct) == len(FACTORIAL_CELLS) + len(SWEEP_PRESETS) - 1
+    serial, one = factorial_and_sweep_with_workers(world, base, seeds=1)
+    sharded, workers = factorial_and_sweep_with_workers(world, base, seeds=1, threads=3)
+    assert sharded == serial == factorial_and_sweep(world, base, seeds=1, threads=3)
+    assert (one, workers) == (1, 3)
+    _, workers = factorial_and_sweep_with_workers(world, base, seeds=1, threads=100)
+    assert workers == len(FACTORIAL_CELLS) + len(SWEEP_PRESETS) - 1  # one per distinct config
 
 
 def test_factorial_and_sweep_trains_each_config_once(monkeypatch):
@@ -369,7 +371,6 @@ def test_factorial_and_sweep_trains_each_config_once(monkeypatch):
     cells = len(FACTORIAL_CELLS) + len(SWEEP_PRESETS)
     # moderate/per_sequence_mean is both a factorial cell and the moderate sweep cell
     assert len(configs) == len(set(configs)) == (cells - 1) * 2
-    assert configs == sweep_trainings(world, base, seeds=2)  # first-use order
     assert out["factorial"]["moderate/per_sequence_mean"]["reports"] == (
         out["sweep"]["moderate"]["reports"]
     )

@@ -47,10 +47,11 @@ def test_map_sharded_keeps_item_order(monkeypatch):
     parent = os.getpid()
     for n_items in (0, 1, 2, 5, 7):
         for threads in (1, 3, 8):
-            got = map_sharded(lambda x: (x * x, os.getpid()), range(n_items), threads)
+            got, workers = map_sharded(lambda x: (x * x, os.getpid()), range(n_items), threads)
             assert [sq for sq, _ in got] == [x * x for x in range(n_items)]
             pids = [pid for _, pid in got]
             assert len(set(pids)) == min(threads, 4, n_items)
+            assert workers == max(1, min(threads, 4, n_items))
             assert pids[:1] in ([], [parent])  # item 0 runs in the calling process
 
 
@@ -81,6 +82,21 @@ def test_lowest_failing_child_wins():
 
     with pytest.raises(InvalidInputError, match="^shard 1$"):
         fan_out(fn, 4)
+
+
+def test_map_sharded_raises_the_first_failing_item_at_any_thread_count(monkeypatch):
+    # at 2 workers item 1 fails in a child and item 2 in the caller's own shard
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    errors = {1: DegenerateInputError, 2: NumericDomainError, 4: InvalidInputError}
+
+    def fn(x):
+        if x in errors:
+            raise errors[x](f"item {x}")
+        return x
+
+    for threads in (1, 2, 3, 4):
+        with pytest.raises(DegenerateInputError, match="^item 1$"):
+            map_sharded(fn, range(6), threads)
 
 
 def test_child_exit_without_result_raises_child_process_error():
@@ -187,12 +203,11 @@ def test_run_meta_records_workers_used(monkeypatch, capsys, tmp_path):
     assert meta["workers"] == 6  # one per problem, never more
 
 
-def test_import_loads_no_process_pool_and_no_signal():
-    # `signal` is imported only when a worker fails: its enums cost start-up
+def test_import_loads_no_process_pool():
     code = (
         "import sys, distillab.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'signal')))"
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr

@@ -391,3 +391,4 @@ def test_diagnostic_does_not_depend_on_threads(monkeypatch):
         assert sharded.n_correct_spines == serial.n_correct_spines
         assert sharded.reports == serial.reports
         assert sharded.position_curve == serial.position_curve
+        assert (serial.workers, sharded.workers) == (1, min(threads, 7))
