@@ -8,8 +8,11 @@ invalid input, bad configuration, or numeric-domain failures, and 3 for
 degenerate inputs (not enough usable data to compute the request).
 
 `--config FILE` supplies defaults from a JSON object whose keys are flag
-names (dashes as underscores); flags given on the command line win. Unknown
-keys are rejected. `--threads N` shards work over forked processes in
+names (dashes as underscores); each entry is parsed as that flag, with its
+type and choice checks, and flags given on the command line win. Unknown
+keys and values other than numbers and strings (or lists of them for a
+flag taking several) are rejected; a worker that dies without a result is
+a WorkerError. `--threads N` shards work over forked processes in
 `diagnose` (its problems) and `sweep` (its distinct trainings), capped at the
 CPU count and the number of units; the other commands run serially. No
 output depends on it: `run_meta.json` records the workers actually used.
@@ -41,7 +44,7 @@ from .objectives import (
     RolloutBatch,
     finite_difference_check,
 )
-from .seeding import RNG_ID, derive_rng
+from .seeding import RNG_ID, TAG_GRADCHECK, derive_rng
 from .stats import BootstrapConfig
 from .trainer import (
     TrainConfig,
@@ -55,6 +58,15 @@ from .world import WorldConfig, default_filter_for_depth, run_diagnostic
 
 
 class _JsonArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        self.flags: dict[str, argparse.Action] = {}  # by dest, for --config
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags[action.dest] = action
+        return action
+
     def error(self, message):  # noqa: A003 - argparse API
         print(json.dumps({"error": "ConfigError", "message": message}), file=sys.stderr)
         raise SystemExit(2)
@@ -123,7 +135,26 @@ def _world_from(args: argparse.Namespace, seed_attr: str = "seed") -> WorldConfi
     )
 
 
-def _build_parser() -> _JsonArgumentParser:
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """World and training flags shared by train and sweep."""
+    _add_world_flags(p, seed_flag="--world-seed")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--batch", type=int, default=8)
+    p.add_argument("--lr", type=float, default=512.0)
+    p.add_argument("--decay", type=str, default="linear", choices=["linear", "constant"])
+    p.add_argument("--temperature", type=float, default=1.1)
+    p.add_argument("--clip", type=float, default=0.05)
+    p.add_argument("--train-problems", type=int, default=4)
+    p.add_argument("--eval-problems", type=int, default=8)
+    p.add_argument("--eval-samples", type=int, default=12)
+    p.add_argument("--init-noise", type=float, default=0.05)
+    p.add_argument("--out", type=str, default=None)
+    _add_common(p)
+
+
+def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = _JsonArgumentParser(prog="distillab")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_JsonArgumentParser)
@@ -147,14 +178,7 @@ def _build_parser() -> _JsonArgumentParser:
     _add_common(i)
 
     t = sub.add_parser("train", help="run the tabular distillation trainer")
-    _add_world_flags(t, seed_flag="--world-seed")
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--steps", type=int, default=100)
-    t.add_argument("--batch", type=int, default=8)
-    t.add_argument("--lr", type=float, default=512.0)
-    t.add_argument("--decay", type=str, default="linear", choices=["linear", "constant"])
-    t.add_argument("--temperature", type=float, default=1.1)
-    t.add_argument("--clip", type=float, default=0.05)
+    _add_train_flags(t)
     t.add_argument("--weighting", type=str, default="moderate")
     t.add_argument(
         "--reduction",
@@ -162,29 +186,10 @@ def _build_parser() -> _JsonArgumentParser:
         default="per_sequence_mean",
         choices=[r.value for r in Reduction],
     )
-    t.add_argument("--train-problems", type=int, default=4)
-    t.add_argument("--eval-problems", type=int, default=8)
-    t.add_argument("--eval-samples", type=int, default=12)
-    t.add_argument("--init-noise", type=float, default=0.05)
-    t.add_argument("--out", type=str, default=None)
-    _add_common(t)
 
     s = sub.add_parser("sweep", help="weighting-by-reduction factorial plus schedule sweep")
-    _add_world_flags(s, seed_flag="--world-seed")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--steps", type=int, default=100)
-    s.add_argument("--batch", type=int, default=8)
-    s.add_argument("--lr", type=float, default=512.0)
-    s.add_argument("--decay", type=str, default="linear", choices=["linear", "constant"])
-    s.add_argument("--temperature", type=float, default=1.1)
-    s.add_argument("--clip", type=float, default=0.05)
-    s.add_argument("--train-problems", type=int, default=4)
-    s.add_argument("--eval-problems", type=int, default=8)
-    s.add_argument("--eval-samples", type=int, default=12)
-    s.add_argument("--init-noise", type=float, default=0.05)
+    _add_train_flags(s)
     s.add_argument("--sweep-seeds", type=int, default=3)
-    s.add_argument("--out", type=str, default=None)
-    _add_common(s)
 
     m = sub.add_parser("metrics", help="grade multi-sample answer files")
     m.add_argument(
@@ -223,32 +228,40 @@ def _build_parser() -> _JsonArgumentParser:
     sc.add_argument("--top-m", type=int, default=16)
     _add_common(sc)
 
-    return parser
+    return parser, sub.choices
 
 
-def _merge_config(parser: _JsonArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _config_tokens(action: argparse.Action, key: str, value) -> list[str]:
+    """The command-line tokens that set `action` to a config file's value:
+    a number or a string, or a list of them for a flag that takes several."""
+    values = value if isinstance(value, list) and action.nargs is not None else [value]
+    if any(isinstance(v, bool) or not isinstance(v, (int, float, str)) for v in values):
+        raise InvalidInputError(f"config key {key!r}: {json.dumps(value)} is not a number or string")
+    flag = action.option_strings[0]
+    return [f"{flag}={values[0]}"] if action.nargs is None else [flag, *map(str, values)]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's entries become flags placed before the
+    user's own, so argparse checks them and explicit flags still win."""
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        raw = Path(args.config).read_text(encoding="utf-8")
         try:
-            overrides = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise InvalidInputError("config file must hold a JSON object")
-        known = set(vars(args))
-        cleaned = {}
+        flags = commands[args.command].flags
+        tokens = []
         for key, value in overrides.items():
             dest = key.replace("-", "_")
-            if dest == "config" or dest not in known:
+            if dest in ("config", "help") or dest not in flags:
                 raise InvalidInputError(f"unknown config key {key!r}")
-            cleaned[dest] = value
-        # reparse with config values as defaults so explicit flags still win
-        fresh = _build_parser()
-        for action in fresh._subparsers._group_actions:  # noqa: SLF001
-            for sub in action.choices.values():
-                sub.set_defaults(**{k: v for k, v in cleaned.items()})
-        args = fresh.parse_args(argv)
+            tokens += _config_tokens(flags[dest], key, value)
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
     if getattr(args, "threads", 1) < 1:
         raise InvalidInputError("--threads must be >= 1")
     return args
@@ -306,23 +319,12 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
     )
     curve_path = out / "position_curve.csv"
     curve_path.parent.mkdir(parents=True, exist_ok=True)
+    columns = ["bin_low", "bin_high", "n", "real_uncertain_rate", "ground_truth_reliable_rate"]
     with curve_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["bin_low", "bin_high", "n", "real_uncertain_rate", "ground_truth_reliable_rate"]
-        )
-        for row in report.position_curve:
-            writer.writerow(
-                [
-                    row["bin_low"],
-                    row["bin_high"],
-                    row["n"],
-                    "" if row["real_uncertain_rate"] is None else row["real_uncertain_rate"],
-                    ""
-                    if row["ground_truth_reliable_rate"] is None
-                    else row["ground_truth_reliable_rate"],
-                ]
-            )
+        writer.writerow(columns)
+        for row in report.position_curve:  # an empty bin's rates are None, written empty
+            writer.writerow(["" if row[c] is None else row[c] for c in columns])
     _write_meta(out, argv, workers=report.workers)
     summary = {
         "out": str(out),
@@ -499,24 +501,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         rows.append((source, "aggregate", agg["avg_at_n"], agg["pass_at_n"], agg["maj_at_n"]))
     if len(aggregates) > 1:
         spread = seed_spread(aggregates)
-        rows.append(
-            (
-                "across_seeds",
-                "mean",
-                spread["avg_at_n"][0],
-                spread["pass_at_n"][0],
-                spread["maj_at_n"][0],
-            )
-        )
-        rows.append(
-            (
-                "across_seeds",
-                "sd",
-                spread["avg_at_n"][1],
-                spread["pass_at_n"][1],
-                spread["maj_at_n"][1],
-            )
-        )
+        for i, stat in enumerate(("mean", "sd")):
+            metrics = (spread[name][i] for name in ("avg_at_n", "pass_at_n", "maj_at_n"))
+            rows.append(("across_seeds", stat, *metrics))
     text = "\n".join(",".join(_csv_cell(c) for c in row) for row in rows) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -539,7 +526,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     compared = 0
     skipped = 0
     for b in range(args.batches):
-        rng = derive_rng(args.seed, 9, b)
+        rng = derive_rng(args.seed, TAG_GRADCHECK, b)
         teacher = []
         logits = []
         for _ in range(args.batch_size):
@@ -593,9 +580,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = _merge_config(parser, argv)
+        args = _parse_args(argv)
         if args.command == "diagnose":
             return _cmd_diagnose(args, argv)
         if args.command == "identities":
@@ -620,7 +606,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInputError as exc:
         _print_error("InvalidInputError", exc)
         return 2
-    except OSError as exc:  # missing, unreadable or directory paths; a worker that died
+    except ChildProcessError as exc:  # a worker that died without a result
+        _print_error("WorkerError", exc)
+        return 2
+    except OSError as exc:  # missing, unreadable or directory paths
         _print_error("ConfigError", exc)
         return 2
 

@@ -40,6 +40,24 @@ def floored_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, PROB_FLOOR))
 
 
+def fkl_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Elementwise forward-KL terms q_j (ln q_j - ln p_j), 0 where q_j = 0.
+
+    Both logs are floored (floored_log); nothing is validated, and the terms
+    keep the inputs' dtype. Reverse-KL terms are fkl_terms(p, q).
+    """
+    return np.where(q > 0.0, q * (floored_log(q) - floored_log(p)), 0.0)
+
+
+def temperature_scaled(q: np.ndarray, temperature: float) -> np.ndarray:
+    """q^(1/T) renormalized along the last axis; exact zeros stay zero and
+    T = 1 returns `q` itself. Unvalidated: callers check T and q."""
+    if temperature == 1.0:
+        return q
+    scaled = np.where(q > 0.0, np.exp(floored_log(q) / temperature), 0.0)
+    return scaled / scaled.sum(axis=-1, keepdims=True)
+
+
 def softmax_with_temperature(logits, temperature: float) -> np.ndarray:
     """Row-wise softmax of logits / temperature, stabilized by max-shift.
 
@@ -111,20 +129,24 @@ def truncated_entropy(p, valid_mask, top_m: int) -> float:
     return float(-(top * np.log(top)).sum())
 
 
+def _as_pair(q, p, q_name: str, p_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two distributions over one vocabulary."""
+    qa, pa = as_distribution(q, q_name), as_distribution(p, p_name)
+    if qa.shape != pa.shape:
+        raise InvalidInputError(f"shape mismatch {qa.shape} vs {pa.shape}")
+    return qa, pa
+
+
 def clipped_fkl_terms(q, p, clip_threshold: float) -> np.ndarray:
     """Per-token terms min(q_j ln(q_j / p_j), clip_threshold), with q_j = 0 giving 0.
 
     `p` is floored inside the log only. The returned vector may sum to a
     negative number; clipping is one-sided from above.
     """
-    qa = as_distribution(q, "teacher distribution")
-    pa = as_distribution(p, "student distribution")
-    if qa.shape != pa.shape:
-        raise InvalidInputError(f"shape mismatch {qa.shape} vs {pa.shape}")
+    qa, pa = _as_pair(q, p, "teacher distribution", "student distribution")
     if not np.isfinite(clip_threshold) or clip_threshold <= 0.0:
         raise InvalidInputError(f"clip_threshold must be positive, got {clip_threshold!r}")
-    raw = np.where(qa > 0.0, qa * (np.log(np.maximum(qa, PROB_FLOOR)) - floored_log(pa)), 0.0)
-    return np.minimum(raw, clip_threshold)
+    return np.minimum(fkl_terms(qa, pa), clip_threshold)
 
 
 def forward_kl(q, p) -> float:
@@ -133,22 +155,14 @@ def forward_kl(q, p) -> float:
     Raises NumericDomainError when q places mass where p has none even after
     flooring (cannot happen for strictly positive floors, kept for masked use).
     """
-    qa = as_distribution(q, "forward-kl q")
-    pa = as_distribution(p, "forward-kl p")
-    if qa.shape != pa.shape:
-        raise InvalidInputError(f"shape mismatch {qa.shape} vs {pa.shape}")
+    qa, pa = _as_pair(q, p, "forward-kl q", "forward-kl p")
     support = qa > 0.0
     if np.any(support & ~np.isfinite(floored_log(pa))):
         raise NumericDomainError("q has mass where p has none after flooring")
-    terms = np.where(support, qa * (np.log(np.maximum(qa, PROB_FLOOR)) - floored_log(pa)), 0.0)
-    return float(terms.sum())
+    return float(fkl_terms(qa, pa).sum())
 
 
 def reverse_kl(q, p) -> float:
     """Reverse KL divergence sum_j p_j ln(p_j / q_j), q floored inside the log."""
-    qa = as_distribution(q, "reverse-kl q")
-    pa = as_distribution(p, "reverse-kl p")
-    if qa.shape != pa.shape:
-        raise InvalidInputError(f"shape mismatch {qa.shape} vs {pa.shape}")
-    terms = np.where(pa > 0.0, pa * (np.log(np.maximum(pa, PROB_FLOOR)) - floored_log(qa)), 0.0)
-    return float(terms.sum())
+    qa, pa = _as_pair(q, p, "reverse-kl q", "reverse-kl p")
+    return float(fkl_terms(pa, qa).sum())

@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dists import PROB_FLOOR, row_entropies, softmax_with_temperature
+from .dists import fkl_terms, floored_log, row_entropies, softmax_with_temperature
 from .errors import InvalidInputError
 from .schedules import PositionSchedule, weights_for_length
 
@@ -158,16 +158,7 @@ def token_weights(batch: RolloutBatch, weighting: Weighting) -> list[np.ndarray]
     return out
 
 
-def _fkl_raw_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    logp = np.log(np.maximum(p, PROB_FLOOR))
-    logq = np.log(np.maximum(q, PROB_FLOOR))
-    return np.where(q > 0.0, q * (logq - logp), 0.0)
-
-
-def _rkl_value(q_row: np.ndarray, p_row: np.ndarray) -> float:
-    logp = np.log(np.maximum(p_row, PROB_FLOOR))
-    logq = np.log(np.maximum(q_row, PROB_FLOOR))
-    return float(np.where(p_row > 0.0, p_row * (logp - logq), 0.0).sum())
+_fkl_raw_terms = fkl_terms  # the name the tests import
 
 
 def _gate_masks(batch: RolloutBatch, weighting: Weighting) -> list[np.ndarray] | None:
@@ -183,15 +174,11 @@ def per_token_losses(batch: RolloutBatch, cfg: ObjectiveConfig, weighting: Weigh
     out = []
     for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
         p = softmax_with_temperature(z, cfg.distill_temperature)
-        raw = _fkl_raw_terms(q, p)
-        fkl = np.minimum(raw, cfg.clip_threshold).sum(axis=1)
-        if gates is None:
-            out.append(fkl)
-        else:
-            losses = fkl.copy()
-            for t in np.nonzero(~gates[i])[0]:
-                losses[t] = _rkl_value(q[t], p[t])
-            out.append(losses)
+        losses = np.minimum(fkl_terms(q, p), cfg.clip_threshold).sum(axis=1)
+        if gates is not None:  # reverse KL on the closed-gate rows
+            closed = ~gates[i]
+            losses[closed] = fkl_terms(p[closed], q[closed]).sum(axis=1)
+        out.append(losses)
     return out
 
 
@@ -277,16 +264,14 @@ def loss_gradient_wrt_student_logits(
     grads = []
     for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
         p = softmax_with_temperature(z, T)
-        raw = _fkl_raw_terms(q, p)
-        unclipped = raw < cfg.clip_threshold
+        unclipped = fkl_terms(q, p) < cfg.clip_threshold
         q_mass_unclipped = np.where(unclipped, q, 0.0).sum(axis=1, keepdims=True)
         g = (p * q_mass_unclipped - np.where(unclipped, q, 0.0)) / T
         if gates is not None:
-            for t in np.nonzero(~gates[i])[0]:
-                logp = np.log(np.maximum(p[t], PROB_FLOOR))
-                logq = np.log(np.maximum(q[t], PROB_FLOOR))
-                rkl = _rkl_value(q[t], p[t])
-                g[t] = p[t] * ((logp - logq) - rkl) / T
+            closed = ~gates[i]
+            pc, qc = p[closed], q[closed]
+            rkl = fkl_terms(pc, qc).sum(axis=1, keepdims=True)
+            g[closed] = pc * ((floored_log(pc) - floored_log(qc)) - rkl) / T
         g *= (weights[i] * coefs[i])[:, None]
         grads.append(g)
     return grads
@@ -309,18 +294,13 @@ def _token_losses_extended(q_row, z_rows, cfg: ObjectiveConfig, fkl: bool) -> np
     per_token_losses row-wise for a single teacher row, in np.longdouble so
     that central differences of the result are not drowned by float64
     rounding of the loss values themselves."""
-    floor = np.longdouble(PROB_FLOOR)
     z = z_rows.astype(np.longdouble) / np.longdouble(cfg.distill_temperature)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     q = q_row.astype(np.longdouble)
-    logp = np.log(np.maximum(p, floor))
-    logq = np.log(np.maximum(q, floor))
-    zero = np.longdouble(0.0)
     if fkl:
-        terms = np.where(q > 0.0, q * (logq - logp), zero)
-        return np.minimum(terms, np.longdouble(cfg.clip_threshold)).sum(axis=-1)
-    return np.where(p > 0.0, p * (logp - logq), zero).sum(axis=-1)
+        return np.minimum(fkl_terms(q, p), np.longdouble(cfg.clip_threshold)).sum(axis=-1)
+    return fkl_terms(p, q).sum(axis=-1)
 
 
 def _fd_row(q_row, z_row, scale, cfg: ObjectiveConfig, fkl: bool, step: float) -> np.ndarray:
@@ -394,7 +374,7 @@ def finite_difference_check(
         if max_tokens is not None and tokens_done >= max_tokens:
             break
         p = softmax_with_temperature(z, cfg.distill_temperature)
-        raw = _fkl_raw_terms(batch.teacher_dists[i], p)
+        raw = fkl_terms(batch.teacher_dists[i], p)
         for t in range(z.shape[0]):
             if max_tokens is not None and tokens_done >= max_tokens:
                 break

@@ -15,6 +15,19 @@ from .errors import InvalidInputError
 
 RNG_ID = "numpy-pcg64/seedsequence"
 
+# Phase tags: the part after the root seed in every tagged path, one per kind
+# of draw, so no two kinds can share a path. 8 is unused. The bootstrap
+# (seed, resample) and identities (seed, trial) paths carry no tag.
+TAG_PROBLEM = 0  # world: generate_problem
+TAG_ROLLOUT = 1  # world: sampled student_rollout
+TAG_FORCE = 2  # world: forced_continuation attempts
+TAG_ENSEMBLE = 3  # world: teacher_ensemble members
+TAG_INIT = 4  # trainer: init_student noise
+TAG_TRAIN = 5  # trainer: training rollouts
+TAG_EVAL = 6  # trainer: evaluation rollouts
+TAG_NORM_PROFILE = 7  # trainer: gradient_norm_profile batch
+TAG_GRADCHECK = 9  # cli: gradcheck batches
+
 
 def derive_rng(*parts: int) -> np.random.Generator:
     """Return a fresh Generator for the integer path `parts`.

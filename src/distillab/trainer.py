@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dists import PROB_FLOOR, softmax_with_temperature
+from .dists import floored_log, softmax_with_temperature, temperature_scaled
 from .errors import DegenerateInputError, InvalidInputError, NumericDomainError
 from .metrics import aggregate_metrics, grade_and_cluster, problem_metrics, seed_spread
 from .objectives import (
@@ -39,13 +39,9 @@ from .objectives import (
     token_weights,
 )
 from .schedules import PRESETS, preset
-from .seeding import derive_rng
+from .seeding import TAG_EVAL, TAG_INIT, TAG_NORM_PROFILE, TAG_TRAIN, derive_rng
 from .workers import map_sharded
 from .world import ProblemInstance, WorldConfig, generate_problem, nucleus_sample
-
-_TAG_INIT = 4
-_TAG_TRAIN = 5
-_TAG_EVAL = 6
 
 
 def weighting_from_name(name: str, vocab_size: int | None = None) -> Weighting:
@@ -159,19 +155,10 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
     """Teacher log-probabilities plus seeded Gaussian noise, per problem."""
     tables = {}
     for problem in problems:
-        rng = derive_rng(cfg.seed, _TAG_INIT, problem.index)
-        base = np.log(np.maximum(problem.teacher, PROB_FLOOR))
+        rng = derive_rng(cfg.seed, TAG_INIT, problem.index)
+        base = floored_log(problem.teacher)
         tables[problem.problem_id] = base + cfg.init_noise * rng.standard_normal(base.shape)
     return StudentParams(tables=tables)
-
-
-def _temperature_scaled(q: np.ndarray, temperature: float) -> np.ndarray:
-    """Teacher target at the distillation temperature: q^(1/T), renormalized
-    row by row. Exact zeros stay zero."""
-    if temperature == 1.0:
-        return q
-    scaled = np.where(q > 0.0, np.exp(np.log(np.maximum(q, PROB_FLOOR)) / temperature), 0.0)
-    return scaled / scaled.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -210,7 +197,7 @@ def _collect_episodes(
     episodes = []
     for i in range(cfg.batch_sequences):
         problem = problems[(theta.step * cfg.batch_sequences + i) % len(problems)]
-        rng = derive_rng(cfg.seed, _TAG_TRAIN, theta.step, i)
+        rng = derive_rng(cfg.seed, TAG_TRAIN, theta.step, i)
         ep = rollout_from_params(problem, theta.tables[problem.problem_id], rng)
         if len(ep.tokens) == 0:
             continue
@@ -227,7 +214,7 @@ def _batch_from_episodes(
     student_rows = []
     for ep in episodes:
         visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
-        teacher_rows.append(_temperature_scaled(ep.problem.teacher[visited], temperature))
+        teacher_rows.append(temperature_scaled(ep.problem.teacher[visited], temperature))
         student_rows.append(theta.tables[ep.problem.problem_id][visited])
     return RolloutBatch(teacher_rows, student_rows)
 
@@ -266,7 +253,7 @@ def evaluate_policy(
     for problem in problems:
         texts = []
         for s in range(cfg.eval_samples):
-            rng = derive_rng(cfg.seed, _TAG_EVAL, eval_tag, problem.index, s)
+            rng = derive_rng(cfg.seed, TAG_EVAL, eval_tag, problem.index, s)
             ep = rollout_from_params(problem, tables[problem.problem_id], rng)
             texts.append(f"final \\boxed{{{ep.answer}}}")
         grades = grade_and_cluster(texts, problem.gold_answer)
@@ -288,33 +275,15 @@ class TrainReport:
     fd_spot: dict
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "losses": self.losses,
-            "grad_norm_profile": self.grad_norm_profile,
-            "heldout_eval": self.heldout_eval,
-            "train_eval_init": self.train_eval_init,
-            "train_eval_final": self.train_eval_final,
-            "fd_spot": self.fd_spot,
-        }
+        return dataclasses.asdict(self)
 
 
 def _config_echo(cfg: TrainConfig, world_cfg: WorldConfig) -> dict:
     return {
+        **{f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
         "world": world_cfg.as_dict(),
-        "learning_rate": cfg.learning_rate,
-        "steps": cfg.steps,
-        "batch_sequences": cfg.batch_sequences,
-        "distill_temperature": cfg.distill_temperature,
-        "clip_threshold": cfg.clip_threshold,
         "weighting": weighting_name(cfg.weighting),
         "reduction": cfg.reduction.value,
-        "seed": cfg.seed,
-        "lr_decay": cfg.lr_decay,
-        "train_problems": cfg.train_problems,
-        "eval_problems": cfg.eval_problems,
-        "eval_samples": cfg.eval_samples,
-        "init_noise": cfg.init_noise,
     }
 
 
@@ -404,7 +373,7 @@ def gradient_norm_profile(
         raise InvalidInputError(f"length must be >= 1, got {length}")
     weighting = weighting if weighting is not None else UniformWeighting()
     objective = objective if objective is not None else ObjectiveConfig()
-    rng = derive_rng(seed, 7, length, vocab)
+    rng = derive_rng(seed, TAG_NORM_PROFILE, length, vocab)
     q_row = rng.dirichlet(np.ones(vocab))
     z_row = rng.standard_normal(vocab)
     teacher = np.tile(q_row, (length, 1))

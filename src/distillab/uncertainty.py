@@ -13,6 +13,7 @@ e.g. repeated stochastic forward passes. From it we score:
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -86,12 +87,7 @@ class UncertaintyRecord:
     truncated_entropy: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "mean_entropy": self.mean_entropy,
-            "mutual_information": self.mutual_information,
-            "log_kappa": self.log_kappa,
-            "truncated_entropy": self.truncated_entropy,
-        }
+        return dataclasses.asdict(self)
 
 
 def score_ensemble(members, truncated_entropy_value: float, epsilon: float = DIRICHLET_EPSILON) -> UncertaintyRecord:

@@ -27,6 +27,7 @@ keeps greedy rollouts correct and makes nucleus continuations deterministic.
 """
 from __future__ import annotations
 
+import dataclasses
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -34,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dists import PROB_FLOOR, softmax_with_temperature
+from .dists import floored_log, softmax_with_temperature, temperature_scaled
 from .errors import DegenerateInputError, InvalidInputError
-from .seeding import derive_rng
+from .seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, derive_rng
 from .stats import BootstrapConfig, ScoredCandidate, score_report
 from .uncertainty import score_ensemble
 from .viability import (
@@ -60,12 +61,6 @@ TEACHER_BACKGROUND = 0.02
 STUDENT_BACKGROUND = 0.03
 # multiplicative jitter on the ambiguity mass, position-independent by design
 AMBIGUITY_JITTER = (0.85, 1.15)
-
-# phase tags for seed derivation
-_TAG_PROBLEM = 0
-_TAG_ROLLOUT = 1
-_TAG_FORCE = 2
-_TAG_ENSEMBLE = 3
 
 PLAIN, DIVERSE, UNRELIABLE = 0, 1, 2
 
@@ -99,15 +94,7 @@ class WorldConfig:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
 
     def as_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "depth": self.depth,
-            "branch_count": self.branch_count,
-            "early_dead_fraction": self.early_dead_fraction,
-            "late_dead_fraction": self.late_dead_fraction,
-            "ambiguity_mass": self.ambiguity_mass,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -188,7 +175,7 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
     """Deterministically build problem `index` of the world."""
     if index < 0:
         raise InvalidInputError(f"problem index must be non-negative, got {index}")
-    rng = derive_rng(cfg.seed, _TAG_PROBLEM, index)
+    rng = derive_rng(cfg.seed, TAG_PROBLEM, index)
     V = cfg.vocab_size
     B = cfg.branch_count
     dead = B
@@ -293,10 +280,7 @@ def _nucleus_prefix(
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Kept tokens of a row's nucleus, most probable first, and the cumulative
     renormalized mass over them."""
-    p = np.frombuffer(row)
-    if temperature != 1.0:
-        scaled = np.where(p > 0.0, np.exp(np.log(np.maximum(p, PROB_FLOOR)) / temperature), 0.0)
-        p = scaled / scaled.sum()
+    p = temperature_scaled(np.frombuffer(row), temperature)
     order = np.argsort(-p, kind="stable")
     cum = np.cumsum(p[order])
     cut = int(np.searchsorted(cum, top_p, side="left")) + 1
@@ -335,7 +319,7 @@ def student_rollout(
         raise InvalidInputError(f"mode must be 'greedy' or 'sample', got {mode!r}")
     rng = None
     if mode == "sample":
-        rng = derive_rng(problem.cfg.seed, _TAG_ROLLOUT, problem.index, attempt)
+        rng = derive_rng(problem.cfg.seed, TAG_ROLLOUT, problem.index, attempt)
     lane = 0
     tokens: list[int] = []
     lanes: list[int] = []
@@ -377,7 +361,7 @@ def forced_continuation(
     outcomes = []
     for a in range(attempts):
         rng = derive_rng(
-            problem.cfg.seed, _TAG_FORCE, problem.index, position, int(forced_token), a
+            problem.cfg.seed, TAG_FORCE, problem.index, position, int(forced_token), a
         )
         lane_now = problem.transition(position, lane, int(forced_token))
         token = None
@@ -407,8 +391,8 @@ def teacher_ensemble(
         return np.tile(q, (members, 1))
     rows = []
     for m in range(members):
-        rng = derive_rng(problem.cfg.seed, _TAG_ENSEMBLE, problem.index, position, m)
-        logits = np.log(np.maximum(q, PROB_FLOOR)) + perturb_scale * rng.standard_normal(q.size)
+        rng = derive_rng(problem.cfg.seed, TAG_ENSEMBLE, problem.index, position, m)
+        logits = floored_log(q) + perturb_scale * rng.standard_normal(q.size)
         rows.append(softmax_with_temperature(logits, 1.0))
     return np.array(rows)
 
@@ -604,24 +588,9 @@ def run_diagnostic(
         reports=reports,
         position_curve=curve,
         params={
-            "filter": {
-                "p2_min": filter_cfg.p2_min,
-                "ratio_min": filter_cfg.ratio_min,
-                "spacing": filter_cfg.spacing,
-                "max_candidates": filter_cfg.max_candidates,
-                "top_m": filter_cfg.top_m,
-                "top_children": filter_cfg.top_children,
-            },
-            "thresholds": {
-                "v_high": thresholds.v_high,
-                "v_low": thresholds.v_low,
-                "min_high_children": thresholds.min_high_children,
-            },
-            "bootstrap": {
-                "resamples": bootstrap_cfg.resamples,
-                "confidence": bootstrap_cfg.confidence,
-                "seed": bootstrap_cfg.seed,
-            },
+            "filter": dataclasses.asdict(filter_cfg),
+            "thresholds": dataclasses.asdict(thresholds),
+            "bootstrap": dataclasses.asdict(bootstrap_cfg),
             "ensemble_members": ensemble_members,
             "perturb_scale": perturb_scale,
             "continuations_per_child": continuations_per_child,

@@ -366,3 +366,46 @@ def test_invalid_world_flag_value_exits_two():
     res = _run(["train"] + TINY_TRAIN + ["--vocab", "2"])
     assert res.returncode == 2
     assert json.loads(res.stderr)["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [
+        ({"reduction": "bogus"}, "ConfigError"),  # not one of the flag's choices
+        ({"vocab": 12.5}, "ConfigError"),  # not an int
+        ({"threads": [2]}, "InvalidInputError"),  # a list for a one-value flag
+        ({"seed": True}, "InvalidInputError"),
+        ({"seed": None}, "InvalidInputError"),
+        ({"seed": {"value": 1}}, "InvalidInputError"),
+    ],
+)
+def test_config_values_pass_the_flag_checks(tmp_path, entry, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry), encoding="utf-8")
+    res = _run(["train"] + TINY_TRAIN + ["--config", str(cfg)])
+    _assert_json_error_exit_two(res)
+    assert json.loads(res.stderr)["error"] == kind
+    assert res.stdout == ""
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"temperature": 1, "eval-samples": "2"}), encoding="utf-8")
+    res = _run(["train"] + TINY_TRAIN[:-2] + ["--config", str(cfg)])
+    assert res.returncode == 0, res.stderr
+    config = json.loads(res.stdout)["config"]
+    assert config["eval_samples"] == 2
+    assert isinstance(config["distill_temperature"], float)
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"seed": "\xe9"}')
+    _assert_json_error_exit_two(_run(["identities", "--config", str(bad)]))
+
+
+def test_config_list_values_fill_a_flag_that_takes_several():
+    from distillab.cli import _build_parser, _config_tokens
+
+    _, commands = _build_parser()
+    in_paths = commands["metrics"].flags["in_paths"]
+    assert _config_tokens(in_paths, "in_paths", ["a.jsonl", "b.jsonl"]) == ["--in", "a.jsonl", "b.jsonl"]
+    assert _config_tokens(in_paths, "in_paths", "a.jsonl") == ["--in", "a.jsonl"]
+    assert _config_tokens(commands["train"].flags["lr"], "lr", 0.5) == ["--lr=0.5"]

@@ -10,11 +10,13 @@ from distillab.dists import (
     as_distribution,
     clipped_fkl_terms,
     entropy,
+    fkl_terms,
     floored_log,
     forward_kl,
     reverse_kl,
     row_entropies,
     softmax_with_temperature,
+    temperature_scaled,
     truncated_entropy,
 )
 from distillab.errors import DegenerateInputError, InvalidInputError
@@ -229,3 +231,97 @@ def test_row_entropies_validation():
     for bad in ([0.5, 0.5], [[0.5, 0.6]], [[1.5, -0.5]], [[np.nan, 1.0]], np.zeros((2, 0))):
         with pytest.raises(InvalidInputError):
             row_entropies(bad)
+
+
+# Reference copies of the term and temperature code that dists.fkl_terms and
+# dists.temperature_scaled replaced, kept as oracles for bit equality.
+def _ref_fkl_raw_terms(q, p):  # objectives._fkl_raw_terms
+    logp = np.log(np.maximum(p, PROB_FLOOR))
+    logq = np.log(np.maximum(q, PROB_FLOOR))
+    return np.where(q > 0.0, q * (logq - logp), 0.0)
+
+
+def _ref_clipped_terms(qa, pa, clip):  # the body of clipped_fkl_terms
+    raw = np.where(qa > 0.0, qa * (np.log(np.maximum(qa, PROB_FLOOR)) - floored_log(pa)), 0.0)
+    return np.minimum(raw, clip)
+
+
+def _ref_reverse_kl(qa, pa):  # the body of reverse_kl
+    terms = np.where(pa > 0.0, pa * (np.log(np.maximum(pa, PROB_FLOOR)) - floored_log(qa)), 0.0)
+    return float(terms.sum())
+
+
+def _ref_trainer_temperature_scaled(q, temperature):  # trainer._temperature_scaled
+    if temperature == 1.0:
+        return q
+    scaled = np.where(q > 0.0, np.exp(np.log(np.maximum(q, PROB_FLOOR)) / temperature), 0.0)
+    return scaled / scaled.sum(axis=-1, keepdims=True)
+
+
+def _ref_nucleus_scaling(p, temperature):  # the scaling inside world._nucleus_prefix
+    if temperature != 1.0:
+        scaled = np.where(p > 0.0, np.exp(np.log(np.maximum(p, PROB_FLOOR)) / temperature), 0.0)
+        p = scaled / scaled.sum()
+    return p
+
+
+def _identical(a, b):
+    """Equal values, signs of zero, dtype and shape: bit equality without
+    comparing the padding bytes of a longdouble."""
+    a, b = np.asarray(a), np.asarray(b)
+    same_meta = a.dtype == b.dtype and a.shape == b.shape
+    return same_meta and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _random_rows(rng, shape, zero_share):
+    mass = np.exp(6.0 * rng.standard_normal(shape))
+    mass[rng.random(shape) < zero_share] = 0.0
+    mass[..., 0] += 1.0  # no row is all zero
+    return mass / mass.sum(axis=-1, keepdims=True)
+
+
+_ROW_SHAPES = st.sampled_from([(1,), (2,), (12,), (129,), (1, 2), (5, 12), (7, 129), (3, 4, 9)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=_ROW_SHAPES,
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    dtype=st.sampled_from([np.float64, np.longdouble]),
+)
+def test_fkl_terms_equal_every_replaced_copy_bit_for_bit(seed, shape, zero_share, dtype):
+    rng = np.random.default_rng(seed)
+    q = _random_rows(rng, shape, zero_share).astype(dtype)
+    p = _random_rows(rng, shape, zero_share).astype(dtype)
+    got = fkl_terms(q, p)
+    assert got.dtype == dtype
+    assert _identical(got, _ref_fkl_raw_terms(q, p))
+    if dtype is np.longdouble:
+        return
+    rows = q.reshape(-1, shape[-1]), p.reshape(-1, shape[-1])
+    reverse = fkl_terms(rows[1], rows[0]).sum(axis=-1)  # the gate's masked row sums
+    for q_row, p_row, rkl in zip(*rows, reverse):
+        assert rkl == reverse_kl(q_row, p_row) == _ref_reverse_kl(q_row, p_row)
+        assert forward_kl(q_row, p_row) == float(_ref_fkl_raw_terms(q_row, p_row).sum())
+        for clip in (1e-3, 0.05, 1e6):
+            got_terms = clipped_fkl_terms(q_row, p_row, clip)
+            assert _identical(got_terms, _ref_clipped_terms(q_row, p_row, clip))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=_ROW_SHAPES,
+    zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+    temperature=st.sampled_from([1.0, 0.1, 0.7, 1.1, 2.5, 7.0]),
+)
+def test_temperature_scaled_equals_both_replaced_copies(seed, shape, zero_share, temperature):
+    rng = np.random.default_rng(seed)
+    q = _random_rows(rng, shape, zero_share)
+    got = temperature_scaled(q, temperature)
+    assert _identical(got, _ref_trainer_temperature_scaled(q, temperature))
+    if temperature == 1.0:
+        assert got is q
+    for row in q.reshape(-1, shape[-1]):
+        assert _identical(temperature_scaled(row, temperature), _ref_nucleus_scaling(row, temperature))

@@ -427,3 +427,129 @@ def test_per_token_losses_shapes_and_order():
     batch = _random_batch(derive_rng(18), n_seqs=3, vocab=5, max_len=7)
     losses = per_token_losses(batch, ObjectiveConfig(), UniformWeighting())
     assert [l.shape[0] for l in losses] == batch.lengths
+
+
+# Reference copies of the code that the shared kernels replaced: the per-row
+# reverse-KL loops over closed-gate tokens, and the longdouble term code.
+def _ref_rkl_value(q_row, p_row):
+    logp = np.log(np.maximum(p_row, PROB_FLOOR))
+    logq = np.log(np.maximum(q_row, PROB_FLOOR))
+    return float(np.where(p_row > 0.0, p_row * (logp - logq), 0.0).sum())
+
+
+def _ref_per_token_losses(batch, cfg, weighting):
+    gates = _gate_masks(batch, weighting)
+    out = []
+    for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
+        p = softmax_with_temperature(z, cfg.distill_temperature)
+        fkl = np.minimum(_fkl_raw_terms(q, p), cfg.clip_threshold).sum(axis=1)
+        losses = fkl.copy()
+        if gates is not None:
+            for t in np.nonzero(~gates[i])[0]:
+                losses[t] = _ref_rkl_value(q[t], p[t])
+        out.append(losses)
+    return out
+
+
+def _ref_gradient(batch, cfg, weighting, reduction):
+    T = cfg.distill_temperature
+    weights = token_weights(batch, weighting)
+    gates = _gate_masks(batch, weighting)
+    if reduction is Reduction.GLOBAL_TOKEN_MEAN:
+        coefs = [1.0 / batch.total_tokens] * len(batch)
+    else:
+        coefs = [1.0 / (len(batch) * L) for L in batch.lengths]
+    grads = []
+    for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
+        p = softmax_with_temperature(z, T)
+        unclipped = _fkl_raw_terms(q, p) < cfg.clip_threshold
+        q_mass_unclipped = np.where(unclipped, q, 0.0).sum(axis=1, keepdims=True)
+        g = (p * q_mass_unclipped - np.where(unclipped, q, 0.0)) / T
+        if gates is not None:
+            for t in np.nonzero(~gates[i])[0]:
+                logp = np.log(np.maximum(p[t], PROB_FLOOR))
+                logq = np.log(np.maximum(q[t], PROB_FLOOR))
+                g[t] = p[t] * ((logp - logq) - _ref_rkl_value(q[t], p[t])) / T
+        g *= (weights[i] * coefs[i])[:, None]
+        grads.append(g)
+    return grads
+
+
+def _ref_token_losses_extended(q_row, z_rows, cfg, fkl):
+    floor = np.longdouble(PROB_FLOOR)
+    z = z_rows.astype(np.longdouble) / np.longdouble(cfg.distill_temperature)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    q = q_row.astype(np.longdouble)
+    logp = np.log(np.maximum(p, floor))
+    logq = np.log(np.maximum(q, floor))
+    zero = np.longdouble(0.0)
+    if fkl:
+        terms = np.where(q > 0.0, q * (logq - logp), zero)
+        return np.minimum(terms, np.longdouble(cfg.clip_threshold)).sum(axis=-1)
+    return np.where(p > 0.0, p * (logp - logq), zero).sum(axis=-1)
+
+
+def _identical(a, b):  # equal values and zero signs, without a longdouble's padding bytes
+    same_meta = a.dtype == b.dtype and a.shape == b.shape
+    return same_meta and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vocab=st.sampled_from([2, 3, 12, 129]),
+    zeros=st.booleans(),
+    gate_at=st.floats(0.0, 1.0),
+    temperature=st.sampled_from([0.5, 1.0, 1.1, 2.5]),
+    reduction=st.sampled_from(list(Reduction)),
+)
+def test_masked_gate_rows_equal_per_row_loops(seed, vocab, zeros, gate_at, temperature, reduction):
+    rng = np.random.default_rng(seed)
+    teachers, logits = [], []
+    for _ in range(int(rng.integers(1, 4))):
+        L = int(rng.integers(1, 9))
+        q = rng.dirichlet(np.full(vocab, 0.3), size=L)
+        if zeros and vocab > 2:  # exact zeros in the teacher rows
+            q[rng.random(q.shape) < 0.3] = 0.0
+            q[:, 0] += 0.1
+            q /= q.sum(axis=1, keepdims=True)
+        teachers.append(q)
+        z = 3.0 * rng.standard_normal((L, vocab))
+        if zeros:  # a logit this far below the rest gives an exact student zero
+            z[:, -1] = -5000.0
+        logits.append(z)
+    batch = RolloutBatch(teachers, logits)
+    entropies = sorted(entropy(row) for q in teachers for row in q)
+    # a threshold at a token's entropy: open and closed rows mixed, or all closed
+    weighting = EntropyGateWeighting(entropies[int(gate_at * (len(entropies) - 1))])
+    cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=0.05)
+    for got, want in zip(per_token_losses(batch, cfg, weighting), _ref_per_token_losses(batch, cfg, weighting)):
+        assert _identical(got, want)
+    got_grads = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
+    for got, want in zip(got_grads, _ref_gradient(batch, cfg, weighting, reduction)):
+        assert _identical(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vocab=st.sampled_from([2, 3, 12, 129]),
+    stack=st.sampled_from([(), (1,), (5,), (4, 3)]),
+    zeros=st.booleans(),
+    fkl=st.booleans(),
+    temperature=st.sampled_from([0.5, 1.1, 2.5]),
+)
+def test_extended_token_losses_equal_longdouble_reference(seed, vocab, stack, zeros, fkl, temperature):
+    rng = np.random.default_rng(seed)
+    q_row = rng.dirichlet(np.full(vocab, 0.5))
+    if zeros:
+        q_row[q_row.argmin()] = 0.0
+        q_row /= q_row.sum()
+    z_rows = 30.0 * rng.standard_normal(stack + (vocab,))  # large logits give student zeros
+    cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=0.05)
+    got = objectives_module._token_losses_extended(q_row, z_rows, cfg, fkl)
+    assert _identical(got, _ref_token_losses_extended(q_row, z_rows, cfg, fkl))
+    for index in np.ndindex(stack):  # one row alone, as the scalar stencil took it
+        one = _reference_token_loss(q_row, z_rows[index], temperature, 0.05, fkl)
+        assert _identical(np.asarray(got[index]), np.asarray(one))

@@ -188,7 +188,7 @@ def test_cli_reports_a_dead_child_as_one_json_line(monkeypatch, capsys, tmp_path
     code = main(TINY_DIAGNOSE + ["--out", str(tmp_path / "d"), "--threads", "2"])
     assert code == 2
     err = _one_json_error(capsys)
-    assert err["error"] == "ConfigError"
+    assert err["error"] == "WorkerError"
     assert "shard 1" in err["message"] and "exit status 1" in err["message"]
 
 
