@@ -7,9 +7,9 @@ Errors are reported as single-line JSON on stderr with exit code 2 for
 invalid input, bad configuration, or numeric-domain failures, and 3 for
 degenerate inputs (not enough usable data to compute the request).
 
-`--config FILE` supplies defaults from a JSON object whose keys are flag
-names (dashes as underscores); each entry is parsed as that flag, with its
-type and choice checks, and flags given on the command line win. Unknown
+`--config FILE` supplies flags, required ones too, from a JSON object keyed
+by flag destination (dashes as underscores); each entry is parsed as that
+flag, with its checks, and flags given on the command line win. Unknown
 keys and values other than numbers and strings (or lists of them for a
 flag taking several) are rejected; a worker that dies without a result is
 a WorkerError. `--threads N` shards work over forked processes in
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -78,12 +79,6 @@ def _print_error(kind: str, exc: Exception) -> None:
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True)
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -243,9 +238,16 @@ def _config_tokens(action: argparse.Action, key: str, value) -> list[str]:
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Parse argv; a --config file's entries become flags placed before the
-    user's own, so argparse checks them and explicit flags still win."""
+    user's own, so argparse checks them, explicit flags still win, and a
+    required flag may come from the file (the first parse relaxes it)."""
     parser, commands = _build_parser()
+    required = [a for sub in commands.values() for a in sub.flags.values() if a.required]
+    for action in required:
+        action.required = False
     args = parser.parse_args(argv)
+    for action in required:
+        action.required = True
+    tokens = []
     if getattr(args, "config", None):
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -254,14 +256,13 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         if not isinstance(overrides, dict):
             raise InvalidInputError("config file must hold a JSON object")
         flags = commands[args.command].flags
-        tokens = []
         for key, value in overrides.items():
             dest = key.replace("-", "_")
             if dest in ("config", "help") or dest not in flags:
                 raise InvalidInputError(f"unknown config key {key!r}")
             tokens += _config_tokens(flags[dest], key, value)
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+    at = argv.index(args.command) + 1
+    args = parser.parse_args(argv[:at] + tokens + argv[at:])
     if getattr(args, "threads", 1) < 1:
         raise InvalidInputError("--threads must be >= 1")
     return args
@@ -401,8 +402,6 @@ def _cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _sweep_csv(table: dict) -> str:
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -504,7 +503,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for i, stat in enumerate(("mean", "sd")):
             metrics = (spread[name][i] for name in ("avg_at_n", "pass_at_n", "maj_at_n"))
             rows.append(("across_seeds", stat, *metrics))
-    text = "\n".join(",".join(_csv_cell(c) for c in row) for row in rows) + "\n"
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError, NumericDomainError
+from .errors import DegenerateInputError, InvalidInputError
 
 PROB_FLOOR = 1e-12
 
@@ -152,13 +152,10 @@ def clipped_fkl_terms(q, p, clip_threshold: float) -> np.ndarray:
 def forward_kl(q, p) -> float:
     """Unclipped forward KL divergence sum_j q_j ln(q_j / p_j).
 
-    Raises NumericDomainError when q places mass where p has none even after
-    flooring (cannot happen for strictly positive floors, kept for masked use).
+    Always finite: p is floored inside the log, so where q has mass and p has
+    none the term is q_j (ln q_j - ln PROB_FLOOR).
     """
     qa, pa = _as_pair(q, p, "forward-kl q", "forward-kl p")
-    support = qa > 0.0
-    if np.any(support & ~np.isfinite(floored_log(pa))):
-        raise NumericDomainError("q has mass where p has none after flooring")
     return float(fkl_terms(qa, pa).sum())
 
 

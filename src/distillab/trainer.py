@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dists import floored_log, softmax_with_temperature, temperature_scaled
-from .errors import DegenerateInputError, InvalidInputError, NumericDomainError
+from .errors import InvalidInputError, NumericDomainError
 from .metrics import aggregate_metrics, grade_and_cluster, problem_metrics, seed_spread
 from .objectives import (
     ObjectiveConfig,
@@ -41,7 +41,7 @@ from .objectives import (
 from .schedules import PRESETS, preset
 from .seeding import TAG_EVAL, TAG_INIT, TAG_NORM_PROFILE, TAG_TRAIN, derive_rng
 from .workers import map_sharded
-from .world import ProblemInstance, WorldConfig, generate_problem, nucleus_sample
+from .world import Episode, ProblemInstance, WorldConfig, generate_problem, nucleus_sample, walk
 
 
 def weighting_from_name(name: str, vocab_size: int | None = None) -> Weighting:
@@ -161,62 +161,34 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
     return StudentParams(tables=tables)
 
 
-@dataclass
-class Episode:
-    problem: ProblemInstance
-    tokens: list[int]
-    lanes: list[int]
-    answer: str
-    correct: bool
-
-
 def rollout_from_params(
     problem: ProblemInstance, theta: np.ndarray, rng: np.random.Generator
 ) -> Episode:
     """Sample one episode from softmax(theta) (plain categorical at T = 1)."""
     probs = softmax_with_temperature(theta, 1.0)
-    lane = 0
-    tokens: list[int] = []
-    lanes: list[int] = []
-    for t in range(problem.length):
-        token = nucleus_sample(rng, probs[t, lane], temperature=1.0, top_p=1.0)
-        tokens.append(token)
-        lanes.append(lane)
-        if t < problem.length - 1:
-            lane = problem.transition(t, lane, token)
-    answer = str(tokens[-1])
-    return Episode(problem, tokens, lanes, answer, answer == problem.gold_answer)
+    return walk(problem, 0, 0, lambda t, z: nucleus_sample(rng, probs[t, z], 1.0, 1.0))
 
 
 def _collect_episodes(
     theta: StudentParams, problems: list[ProblemInstance], cfg: TrainConfig
 ) -> list[Episode]:
     """The batch of on-policy rollouts for the current step: the training pool
-    is visited round-robin so every problem refreshes at the same rate.
-    Zero-length episodes are skipped; an all-skipped batch is degenerate."""
+    is visited round-robin so every problem refreshes at the same rate."""
     episodes = []
     for i in range(cfg.batch_sequences):
         problem = problems[(theta.step * cfg.batch_sequences + i) % len(problems)]
         rng = derive_rng(cfg.seed, TAG_TRAIN, theta.step, i)
-        ep = rollout_from_params(problem, theta.tables[problem.problem_id], rng)
-        if len(ep.tokens) == 0:
-            continue
-        episodes.append(ep)
-    if not episodes:
-        raise DegenerateInputError("every rollout in the batch was empty")
+        episodes.append(rollout_from_params(problem, theta.tables[problem.problem_id], rng))
     return episodes
 
 
 def _batch_from_episodes(
     episodes: list[Episode], theta: StudentParams, temperature: float
 ) -> RolloutBatch:
-    teacher_rows = []
-    student_rows = []
-    for ep in episodes:
-        visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
-        teacher_rows.append(temperature_scaled(ep.problem.teacher[visited], temperature))
-        student_rows.append(theta.tables[ep.problem.problem_id][visited])
-    return RolloutBatch(teacher_rows, student_rows)
+    return RolloutBatch(
+        [temperature_scaled(ep.rows(ep.problem.teacher), temperature) for ep in episodes],
+        [ep.rows(theta.tables[ep.problem.problem_id]) for ep in episodes],
+    )
 
 
 def train_step(
@@ -233,10 +205,7 @@ def train_step(
     grads = loss_gradient_wrt_student_logits(batch, cfg.objective, cfg.weighting, cfg.reduction)
     lr = cfg.step_size(theta.step)
     for ep, g in zip(episodes, grads):
-        table = theta.tables[ep.problem.problem_id]
-        t_idx = np.arange(len(ep.tokens))
-        lane_idx = np.array(ep.lanes)
-        np.subtract.at(table, (t_idx, lane_idx), lr * g)
+        np.subtract.at(theta.tables[ep.problem.problem_id], ep.states, lr * g)
     theta.step += 1
     return theta, loss, grads, batch
 

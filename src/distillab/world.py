@@ -151,18 +151,56 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
-class EpisodeTrace:
-    problem_id: str
+class Episode:
+    """One walk through a problem to its answer: the token emitted at each
+    layer and the lane occupied when it was emitted."""
+
+    problem: ProblemInstance
     tokens: tuple[int, ...]
-    lanes: tuple[int, ...]  # lane occupied when each token was emitted
-    teacher_dists: np.ndarray  # (length, vocab)
-    student_dists: np.ndarray  # (length, vocab)
-    answer: str
-    correct: bool
+    lanes: tuple[int, ...]
 
     @property
-    def length(self) -> int:
-        return len(self.tokens)
+    def answer(self) -> str:
+        return str(self.tokens[-1])
+
+    @property
+    def correct(self) -> bool:
+        return self.answer == self.problem.gold_answer
+
+    @property
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """(layer, lane) index arrays of the visited states."""
+        first = self.problem.length - len(self.lanes)  # every walk ends at the answer
+        return np.arange(first, self.problem.length), np.array(self.lanes)
+
+    def rows(self, table: np.ndarray) -> np.ndarray:
+        """The visited rows of a (layer, lane, ...) table, in walk order."""
+        return table[self.states]
+
+    @property
+    def teacher_dists(self) -> np.ndarray:
+        return self.rows(self.problem.teacher)
+
+
+EpisodeTrace = Episode
+
+
+def walk(
+    problem: ProblemInstance, start: int, lane: int, draw: Callable[[int, int], int]
+) -> Episode:
+    """The one rollout loop: from layer `start` in `lane`, emit `draw(t, lane)`
+    at every layer to the answer, moving lanes with `problem.transition` after
+    each layer but the answer's."""
+    tokens: list[int] = []
+    lanes: list[int] = []
+    last = problem.answer_position
+    for t in range(start, last + 1):
+        token = draw(t, lane)
+        tokens.append(token)
+        lanes.append(lane)
+        if t < last:
+            lane = problem.transition(t, lane, token)
+    return Episode(problem, tuple(tokens), tuple(lanes))
 
 
 def _concentrated(vocab: int, token: int, top_mass: float) -> np.ndarray:
@@ -265,7 +303,7 @@ def nucleus_sample(rng: np.random.Generator, probs: np.ndarray, temperature: flo
     so it can never serve a stale prefix."""
     if not (0.0 < top_p <= 1.0):
         raise InvalidInputError(f"top_p must lie in (0, 1], got {top_p!r}")
-    if temperature != 1.0 and temperature <= 0.0:
+    if not temperature > 0.0:
         raise InvalidInputError(f"temperature must be positive, got {temperature!r}")
     kept, cum = _nucleus_prefix(np.asarray(probs, dtype=float).tobytes(), temperature, top_p)
     return kept[min(bisect_right(cum, rng.random()), len(kept) - 1)]
@@ -290,19 +328,11 @@ def _nucleus_prefix(
     return tuple(kept.tolist()), tuple(np.cumsum(kp).tolist())
 
 
-def _trace(problem: ProblemInstance, tokens: list[int], lanes: list[int]) -> EpisodeTrace:
-    t_rows = np.array([problem.teacher[t, lane] for t, lane in enumerate(lanes)])
-    s_rows = np.array([problem.student[t, lane] for t, lane in enumerate(lanes)])
-    answer = str(tokens[-1])
-    return EpisodeTrace(
-        problem_id=problem.problem_id,
-        tokens=tuple(tokens),
-        lanes=tuple(lanes),
-        teacher_dists=t_rows,
-        student_dists=s_rows,
-        answer=answer,
-        correct=answer == problem.gold_answer,
-    )
+def _nucleus_draw(
+    rng: np.random.Generator, table: np.ndarray, temperature: float, top_p: float
+) -> Callable[[int, int], int]:
+    """A walk policy that nucleus-samples the occupied state's row of `table`."""
+    return lambda t, z: nucleus_sample(rng, table[t, z], temperature, top_p)
 
 
 def student_rollout(
@@ -311,34 +341,21 @@ def student_rollout(
     attempt: int = 0,
     temperature: float = 1.0,
     top_p: float = 0.95,
-) -> EpisodeTrace:
+) -> Episode:
     """Roll the world student policy from the root. Greedy breaks ties toward
     the lowest token index; sampling is nucleus sampling with the given
     temperature and top_p, seeded by (world seed, problem index, attempt)."""
     if mode not in ("greedy", "sample"):
         raise InvalidInputError(f"mode must be 'greedy' or 'sample', got {mode!r}")
-    rng = None
-    if mode == "sample":
-        rng = derive_rng(problem.cfg.seed, TAG_ROLLOUT, problem.index, attempt)
-    lane = 0
-    tokens: list[int] = []
-    lanes: list[int] = []
-    for t in range(problem.length):
-        p = problem.student[t, lane]
-        if mode == "greedy":
-            token = int(np.argmax(p))  # argmax returns the lowest tied index
-        else:
-            token = nucleus_sample(rng, p, temperature, top_p)
-        tokens.append(token)
-        lanes.append(lane)
-        if t < problem.length - 1:
-            lane = problem.transition(t, lane, token)
-    return _trace(problem, tokens, lanes)
+    if mode == "greedy":  # argmax returns the lowest tied index
+        return walk(problem, 0, 0, lambda t, z: int(np.argmax(problem.student[t, z])))
+    rng = derive_rng(problem.cfg.seed, TAG_ROLLOUT, problem.index, attempt)
+    return walk(problem, 0, 0, _nucleus_draw(rng, problem.student, temperature, top_p))
 
 
 def forced_continuation(
     problem: ProblemInstance,
-    spine: EpisodeTrace,
+    spine: Episode,
     position: int,
     forced_token: int,
     attempts: int = 6,
@@ -358,18 +375,14 @@ def forced_continuation(
         raise InvalidInputError(
             f"token {forced_token} is not a child of layer {position} lane {lane}"
         )
+    after = problem.transition(position, lane, int(forced_token))
     outcomes = []
     for a in range(attempts):
         rng = derive_rng(
             problem.cfg.seed, TAG_FORCE, problem.index, position, int(forced_token), a
         )
-        lane_now = problem.transition(position, lane, int(forced_token))
-        token = None
-        for t in range(position + 1, problem.length):
-            token = nucleus_sample(rng, problem.student[t, lane_now], temperature, top_p)
-            if t < problem.length - 1:
-                lane_now = problem.transition(t, lane_now, token)
-        outcomes.append(str(token) == problem.gold_answer)
+        draw = _nucleus_draw(rng, problem.student, temperature, top_p)
+        outcomes.append(walk(problem, position + 1, after, draw).correct)
     return outcomes
 
 
@@ -460,7 +473,7 @@ def _probe_problem(
     valid_mask = np.ones(cfg.vocab_size, dtype=bool)  # every world token is valid
     candidates = select_candidates(
         spine,
-        trace.teacher_dists,
+        trace.rows(problem.teacher),
         valid_mask,
         filter_cfg,
         answer_position=problem.answer_position,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -88,6 +90,22 @@ def test_metrics_single_file_csv(tmp_path):
     assert lines[2] == "seed0.jsonl,b,1.0,1.0,1.0"
     assert lines[3] == "seed0.jsonl,aggregate,0.75,1.0,1.0"
     assert len(lines) == 4
+
+
+def test_metrics_csv_quotes_fields_that_need_it(tmp_path):
+    ids = ["a,b", 'q"x', "line\nbreak", "plain"]
+    lines = [
+        {"problem_id": pid, "gold": "7", "samples": ["\\boxed{7}", "\\boxed{8}"]} for pid in ids
+    ]
+    path = _seed_file(tmp_path, "odd,name.jsonl", lines)
+    res = _run(["metrics", "--in", str(path)])
+    assert res.returncode == 0, res.stderr
+    rows = list(csv.reader(io.StringIO(res.stdout, newline="")))
+    assert rows[0] == ["source", "problem_id", "avg", "pass", "maj"]
+    assert all(len(row) == 5 for row in rows)
+    assert [row[1] for row in rows[1:]] == ids + ["aggregate"]
+    assert {row[0] for row in rows[1:]} == {"odd,name.jsonl"}
+    assert '"odd,name.jsonl",plain,0.5,1.0,1.0\n' in res.stdout
 
 
 def test_metrics_multi_file_adds_seed_spread(tmp_path):
@@ -290,6 +308,40 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     notjson.write_text("{", encoding="utf-8")
     res4 = _run(["train"] + TINY_TRAIN + ["--config", str(notjson)])
     assert res4.returncode == 2
+
+
+def test_config_file_can_supply_a_required_flag(tmp_path):
+    args = ["diagnose"] + TINY_WORLD + [
+        "--problems", "4", "--resamples", "20", "--members", "3", "--continuations", "2",
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": str(tmp_path / "from_config")}), encoding="utf-8")
+    res = _run(args + ["--config", str(cfg)])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["out"] == str(tmp_path / "from_config")
+    for name in ("candidates.jsonl", "spines.jsonl", "report.json", "position_curve.csv"):
+        assert (tmp_path / "from_config" / name).is_file()
+    # an explicit --out still wins over the file
+    res = _run(args + ["--config", str(cfg), "--out", str(tmp_path / "explicit")])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["out"] == str(tmp_path / "explicit")
+    assert (tmp_path / "explicit" / "report.json").is_file()
+    # the same for metrics' --in, whose config key is its dest
+    answers = _seed_file(tmp_path, "seed0.jsonl", SEED0)
+    cfg.write_text(json.dumps({"in_paths": [str(answers)]}), encoding="utf-8")
+    res = _run(["metrics", "--config", str(cfg)])
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == _run(["metrics", "--in", str(answers)]).stdout
+    # given neither on the command line nor in the file, it is still required
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"problems": 4}), encoding="utf-8")
+    for argv in (args + ["--config", str(other)], args):
+        res = _run(argv)
+        assert res.returncode == 2
+        assert json.loads(res.stderr) == {
+            "error": "ConfigError",
+            "message": "the following arguments are required: --out",
+        }
 
 
 def test_diagnose_writes_all_artifacts(tmp_path):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distillab.trainer as trainer_module
 import distillab.world as world_module
+from distillab.dists import floored_log, softmax_with_temperature, temperature_scaled
 from distillab.errors import InvalidInputError
-from distillab.seeding import derive_rng
+from distillab.seeding import TAG_FORCE, TAG_ROLLOUT, derive_rng
 from distillab.stats import BootstrapConfig
+from distillab.trainer import TrainConfig
 from distillab.uncertainty import mutual_information
 from distillab.world import (
     DIVERSE,
@@ -179,6 +182,11 @@ def test_nucleus_sample_properties():
         nucleus_sample(rng, p, 1.0, 0.0)
     with pytest.raises(InvalidInputError):
         nucleus_sample(rng, p, -1.0, 0.9)
+    for bad in (0.0, float("nan")):
+        with pytest.raises(InvalidInputError):
+            nucleus_sample(rng, p, bad, 0.9)
+    with pytest.raises(InvalidInputError):
+        student_rollout(generate_problem(_small_cfg(), 0), "sample", temperature=float("nan"))
 
 
 def _reference_nucleus_sample(rng, probs, temperature, top_p):
@@ -392,3 +400,185 @@ def test_diagnostic_does_not_depend_on_threads(monkeypatch):
         assert sharded.reports == serial.reports
         assert sharded.position_curve == serial.position_curve
         assert (serial.workers, sharded.workers) == (1, min(threads, 7))
+
+
+# Reference copies of the rollout loops that `world.walk` replaced: the world
+# student (greedy and sampled), the forced continuation and the trainer's
+# rollout, with the trace builder they shared. Each records its lanes too.
+
+
+def _reference_trace(problem, tokens, lanes):
+    t_rows = np.array([problem.teacher[t, lane] for t, lane in enumerate(lanes)])
+    s_rows = np.array([problem.student[t, lane] for t, lane in enumerate(lanes)])
+    answer = str(tokens[-1])
+    return tuple(tokens), tuple(lanes), t_rows, s_rows, answer, answer == problem.gold_answer
+
+
+def _reference_student_rollout(problem, mode, attempt, temperature, top_p):
+    rng = None
+    if mode == "sample":
+        rng = derive_rng(problem.cfg.seed, TAG_ROLLOUT, problem.index, attempt)
+    lane = 0
+    tokens, lanes = [], []
+    for t in range(problem.length):
+        p = problem.student[t, lane]
+        if mode == "greedy":
+            token = int(np.argmax(p))
+        else:
+            token = nucleus_sample(rng, p, temperature, top_p)
+        tokens.append(token)
+        lanes.append(lane)
+        if t < problem.length - 1:
+            lane = problem.transition(t, lane, token)
+    return _reference_trace(problem, tokens, lanes)
+
+
+def _reference_forced_attempts(problem, lane, position, forced_token, attempts, temperature, top_p):
+    walks = []
+    for a in range(attempts):
+        rng = derive_rng(
+            problem.cfg.seed, TAG_FORCE, problem.index, position, int(forced_token), a
+        )
+        lane_now = problem.transition(position, lane, int(forced_token))
+        token = None
+        tokens, lanes = [], []
+        for t in range(position + 1, problem.length):
+            token = nucleus_sample(rng, problem.student[t, lane_now], temperature, top_p)
+            tokens.append(token)
+            lanes.append(lane_now)
+            if t < problem.length - 1:
+                lane_now = problem.transition(t, lane_now, token)
+        walks.append((tuple(tokens), tuple(lanes), str(token) == problem.gold_answer))
+    return walks
+
+
+def _reference_rollout_from_params(problem, theta, rng):
+    probs = softmax_with_temperature(theta, 1.0)
+    lane = 0
+    tokens, lanes = [], []
+    for t in range(problem.length):
+        token = nucleus_sample(rng, probs[t, lane], temperature=1.0, top_p=1.0)
+        tokens.append(token)
+        lanes.append(lane)
+        if t < problem.length - 1:
+            lane = problem.transition(t, lane, token)
+    answer = str(tokens[-1])
+    return tokens, lanes, answer, answer == problem.gold_answer
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _assert_matches_trace(episode, reference):
+    tokens, lanes, t_rows, s_rows, answer, correct = reference
+    assert episode.tokens == tokens
+    assert episode.lanes == lanes
+    assert _bits(episode.teacher_dists) == _bits(t_rows)
+    assert _bits(episode.rows(episode.problem.student)) == _bits(s_rows)
+    assert (episode.answer, episode.correct) == (answer, correct)
+
+
+_worlds = st.builds(
+    WorldConfig,
+    vocab_size=st.integers(4, 12),
+    depth=st.integers(4, 24),
+    branch_count=st.integers(1, 4),
+    early_dead_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    late_dead_fraction=st.sampled_from([0.0, 0.05, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cfg=_worlds,
+    index=st.integers(0, 5),
+    attempt=st.integers(0, 3),
+    temperature=_temperatures,
+    top_p=_top_ps,
+    data=st.data(),
+)
+def test_walk_equals_the_replaced_world_loops(cfg, index, attempt, temperature, top_p, data):
+    p = generate_problem(cfg, index)
+    _assert_matches_trace(
+        student_rollout(p, "greedy"), _reference_student_rollout(p, "greedy", 0, 1.0, 1.0)
+    )
+    spine = student_rollout(p, "sample", attempt, temperature, top_p)
+    _assert_matches_trace(
+        spine, _reference_student_rollout(p, "sample", attempt, temperature, top_p)
+    )
+    # every child of a spine state, forced, then sampled to the answer
+    position = data.draw(st.integers(0, p.length - 2), label="position")
+    lane = spine.lanes[position]
+    attempts = data.draw(st.integers(1, 4), label="attempts")
+    for token in p.children(position, lane):
+        reference = _reference_forced_attempts(
+            p, lane, position, token, attempts, temperature, top_p
+        )
+        outcomes = forced_continuation(p, spine, position, token, attempts, temperature, top_p)
+        assert outcomes == [correct for _, _, correct in reference]
+        after = p.transition(position, lane, token)
+        for a, (tokens, lanes, correct) in enumerate(reference):
+            rng = derive_rng(cfg.seed, TAG_FORCE, index, position, token, a)
+            draw = world_module._nucleus_draw(rng, p.student, temperature, top_p)
+            episode = world_module.walk(p, position + 1, after, draw)
+            assert (episode.tokens, episode.lanes, episode.correct) == (tokens, lanes, correct)
+            rows = np.array([p.teacher[position + 1 + k, z] for k, z in enumerate(lanes)])
+            assert _bits(episode.teacher_dists) == _bits(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cfg=_worlds,
+    index=st.integers(0, 5),
+    noise=st.sampled_from([0.0, 0.05, 1.0, 4.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_trainer_rollout_equals_the_replaced_loop(cfg, index, noise, seed):
+    p = generate_problem(cfg, index)
+    theta = floored_log(p.teacher) + noise * derive_rng(seed, 1).standard_normal(p.teacher.shape)
+    episode = trainer_module.rollout_from_params(p, theta, derive_rng(seed, 2))
+    tokens, lanes, answer, correct = _reference_rollout_from_params(p, theta, derive_rng(seed, 2))
+    assert (list(episode.tokens), list(episode.lanes)) == (tokens, lanes)
+    assert (episode.answer, episode.correct) == (answer, correct)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cfg=_worlds,
+    step=st.integers(0, 4),
+    batch=st.integers(1, 6),
+    train_problems=st.integers(1, 3),
+    temperature=_temperatures,
+    noise=st.sampled_from([0.05, 2.0]),
+)
+def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
+    cfg, step, batch, train_problems, temperature, noise
+):
+    tcfg = TrainConfig(
+        batch_sequences=batch,
+        train_problems=train_problems,
+        init_noise=noise,
+        distill_temperature=temperature,
+    )
+    problems = [generate_problem(cfg, i) for i in range(train_problems)]
+    theta = trainer_module.init_student(tcfg, problems)
+    theta.step = step
+    episodes = trainer_module._collect_episodes(theta, problems, tcfg)
+    assert len(episodes) == batch
+    got = trainer_module._batch_from_episodes(episodes, theta, tcfg.distill_temperature)
+    for ep, q, z in zip(episodes, got.teacher_dists, got.student_logits, strict=True):
+        visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
+        expected_q = temperature_scaled(ep.problem.teacher[visited], temperature)
+        expected_z = theta.tables[ep.problem.problem_id][visited]
+        assert _bits(q) == _bits(expected_q)
+        assert _bits(z) == _bits(expected_z)
+    # the update's scatter, against the old per-episode index
+    before = {pid: t.copy() for pid, t in theta.tables.items()}
+    lr = tcfg.step_size(step)
+    theta, _, grads, _ = trainer_module.train_step(theta, problems, tcfg)
+    for ep, g in zip(episodes, grads, strict=True):
+        visited = (np.arange(len(ep.tokens)), np.array(ep.lanes))
+        np.subtract.at(before[ep.problem.problem_id], visited, lr * g)
+    assert all(before[pid].tobytes() == t.tobytes() for pid, t in theta.tables.items())
