@@ -58,6 +58,12 @@ from .viability import FilterConfig
 from .world import WorldConfig, default_filter_for_depth, run_diagnostic
 
 
+# Bound on gradcheck's batches * batch_size * max_len * vocab^2: a token costs about
+# 1 us per vocab^2 on a 2-vCPU x86 host (0.98 s at vocab 1024, 3.9 s at 2048), so an
+# allowed run takes at most about 100 s there.
+GRADCHECK_WORK_LIMIT = 10**8
+
+
 class _JsonArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         self.flags: dict[str, argparse.Action] = {}  # by dest, for --config
@@ -200,7 +206,11 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
     m.add_argument("--out", type=str, default=None, help="CSV file (default: stdout)")
     _add_common(m)
 
-    g = sub.add_parser("gradcheck", help="finite-difference check of the analytic gradient")
+    g = sub.add_parser(
+        "gradcheck",
+        help="finite-difference check of the analytic gradient",
+        description=f"Exits 2 if batches * batch_size * max_len * vocab^2 > {GRADCHECK_WORK_LIMIT:,}.",
+    )
     g.add_argument("--batches", type=int, default=5)
     g.add_argument("--batch-size", type=int, default=4)
     g.add_argument("--vocab", type=int, default=32)
@@ -519,6 +529,11 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         raise InvalidInputError("--batches must be >= 1")
     if args.vocab < 2 or args.max_len < 1 or args.batch_size < 1:
         raise InvalidInputError("--vocab must be >= 2, --max-len and --batch-size >= 1")
+    work = args.batches * args.batch_size * args.max_len * args.vocab**2
+    if work > GRADCHECK_WORK_LIMIT:
+        raise InvalidInputError(
+            f"batches * batch_size * max_len * vocab^2 = {work:,} exceeds {GRADCHECK_WORK_LIMIT:,}"
+        )
     objective = ObjectiveConfig(distill_temperature=args.temperature, clip_threshold=args.clip)
     weighting = weighting_from_name(args.weighting, args.vocab)
     reduction = Reduction(args.reduction)

@@ -94,7 +94,9 @@ def default_gate_threshold(vocab_size: int) -> float:
 
 
 class RolloutBatch:
-    """Ragged batch of (teacher distribution rows, student logit rows) pairs."""
+    """Ragged batch of (teacher distribution rows, student logit rows) pairs,
+    packed: `teacher` and `student` are (N_tokens, vocab) arrays, and sequence
+    i is their rows offsets[i]:offsets[i+1]."""
 
     def __init__(self, teacher_dists, student_logits):
         if len(teacher_dists) != len(student_logits):
@@ -103,8 +105,8 @@ class RolloutBatch:
             )
         if len(teacher_dists) == 0:
             raise InvalidInputError("batch must contain at least one sequence")
-        self.teacher_dists: list[np.ndarray] = []
-        self.student_logits: list[np.ndarray] = []
+        teacher: list[np.ndarray] = []
+        student: list[np.ndarray] = []
         vocab = None
         for i, (q, z) in enumerate(zip(teacher_dists, student_logits)):
             qa = np.asarray(q, dtype=float)
@@ -130,56 +132,69 @@ class RolloutBatch:
             sums = qa.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > 1e-9):
                 raise InvalidInputError(f"sequence {i}: teacher rows do not sum to 1")
-            self.teacher_dists.append(qa)
-            self.student_logits.append(za)
+            teacher.append(qa)
+            student.append(za)
+        self.teacher: np.ndarray = np.concatenate(teacher)
+        self.student: np.ndarray = np.concatenate(student)
+        self.lengths: list[int] = [q.shape[0] for q in teacher]
+        self.offsets: np.ndarray = np.cumsum([0, *self.lengths])
         self.vocab_size: int = int(vocab)
 
+    def split(self, packed: np.ndarray) -> list[np.ndarray]:
+        """Per-sequence views of an array whose rows are the batch's tokens."""
+        return [packed[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
+
     @property
-    def lengths(self) -> list[int]:
-        return [q.shape[0] for q in self.teacher_dists]
+    def teacher_dists(self) -> list[np.ndarray]:
+        return self.split(self.teacher)
+
+    @property
+    def student_logits(self) -> list[np.ndarray]:
+        return self.split(self.student)
 
     @property
     def total_tokens(self) -> int:
-        return sum(self.lengths)
+        return self.teacher.shape[0]
 
     def __len__(self) -> int:
-        return len(self.teacher_dists)
+        return len(self.lengths)
+
+
+def _weights(batch: RolloutBatch, weighting: Weighting) -> np.ndarray:
+    """Per-token scalar weights, packed (entropy gating weighs 1)."""
+    if isinstance(weighting, PositionWeighting):
+        return np.concatenate([weights_for_length(L, weighting.schedule) for L in batch.lengths])
+    return np.ones(batch.total_tokens)
 
 
 def token_weights(batch: RolloutBatch, weighting: Weighting) -> list[np.ndarray]:
     """Per-token scalar weights for each sequence (entropy gating weighs 1)."""
-    out = []
-    for q in batch.teacher_dists:
-        L = q.shape[0]
-        if isinstance(weighting, PositionWeighting):
-            out.append(weights_for_length(L, weighting.schedule))
-        else:
-            out.append(np.ones(L))
-    return out
+    return batch.split(_weights(batch, weighting))
 
 
-_fkl_raw_terms = fkl_terms  # the name the tests import
+def _gate_open(batch: RolloutBatch, weighting: Weighting) -> np.ndarray | None:
+    """For entropy gating: a packed boolean per token, True = forward KL."""
+    if not isinstance(weighting, EntropyGateWeighting):
+        return None
+    return row_entropies(batch.teacher) > weighting.gate_threshold
 
 
 def _gate_masks(batch: RolloutBatch, weighting: Weighting) -> list[np.ndarray] | None:
     """For entropy gating: per-sequence boolean rows, True = forward KL."""
-    if not isinstance(weighting, EntropyGateWeighting):
-        return None
-    return [row_entropies(q) > weighting.gate_threshold for q in batch.teacher_dists]
+    gates = _gate_open(batch, weighting)
+    return None if gates is None else batch.split(gates)
 
 
 def per_token_losses(batch: RolloutBatch, cfg: ObjectiveConfig, weighting: Weighting) -> list[np.ndarray]:
     """Unweighted per-token losses, one (length,) array per sequence."""
-    gates = _gate_masks(batch, weighting)
-    out = []
-    for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
-        p = softmax_with_temperature(z, cfg.distill_temperature)
-        losses = np.minimum(fkl_terms(q, p), cfg.clip_threshold).sum(axis=1)
-        if gates is not None:  # reverse KL on the closed-gate rows
-            closed = ~gates[i]
-            losses[closed] = fkl_terms(p[closed], q[closed]).sum(axis=1)
-        out.append(losses)
-    return out
+    q = batch.teacher
+    p = softmax_with_temperature(batch.student, cfg.distill_temperature)
+    losses = np.minimum(fkl_terms(q, p), cfg.clip_threshold).sum(axis=1)
+    gates = _gate_open(batch, weighting)
+    if gates is not None:  # reverse KL on the closed-gate rows
+        closed = ~gates
+        losses[closed] = fkl_terms(p[closed], q[closed]).sum(axis=1)
+    return batch.split(losses)
 
 
 def weighted_reduction(losses: list[np.ndarray], weights: list[np.ndarray], reduction: Reduction) -> float:
@@ -217,26 +232,6 @@ def distillation_loss(
     return weighted_reduction(losses, weights, reduction)
 
 
-def entropy_gated_loss(
-    batch: RolloutBatch,
-    cfg: ObjectiveConfig,
-    gate_threshold: float,
-    reduction: Reduction,
-) -> float:
-    """Loss that applies clipped forward KL above the entropy gate, reverse KL below."""
-    return distillation_loss(batch, cfg, EntropyGateWeighting(gate_threshold), reduction)
-
-
-def _reduction_coefficients(batch: RolloutBatch, reduction: Reduction) -> list[float]:
-    if reduction is Reduction.GLOBAL_TOKEN_MEAN:
-        total = batch.total_tokens
-        return [1.0 / total] * len(batch)
-    if reduction is Reduction.PER_SEQUENCE_MEAN:
-        B = len(batch)
-        return [1.0 / (B * L) for L in batch.lengths]
-    raise InvalidInputError(f"unknown reduction {reduction!r}")
-
-
 def loss_gradient_wrt_student_logits(
     batch: RolloutBatch,
     cfg: ObjectiveConfig,
@@ -254,27 +249,30 @@ def loss_gradient_wrt_student_logits(
 
         g_k = (p_k / T) * (ln(p_k/q_k) - RKL(p, q)).
 
-    Every token's gradient is scaled by its weight and reduction coefficient,
-    so the result is the exact gradient of distillation_loss.
+    Every token's gradient is scaled by its weight times its reduction
+    coefficient (1 / total tokens, or 1 / (B * its sequence's length)), so the
+    result is the exact gradient of distillation_loss.
     """
+    if reduction is Reduction.GLOBAL_TOKEN_MEAN:
+        coef = 1.0 / batch.total_tokens
+    elif reduction is Reduction.PER_SEQUENCE_MEAN:
+        coef = np.repeat(1.0 / (len(batch) * np.array(batch.lengths)), batch.lengths)
+    else:
+        raise InvalidInputError(f"unknown reduction {reduction!r}")
     T = cfg.distill_temperature
-    weights = token_weights(batch, weighting)
-    gates = _gate_masks(batch, weighting)
-    coefs = _reduction_coefficients(batch, reduction)
-    grads = []
-    for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
-        p = softmax_with_temperature(z, T)
-        unclipped = fkl_terms(q, p) < cfg.clip_threshold
-        q_mass_unclipped = np.where(unclipped, q, 0.0).sum(axis=1, keepdims=True)
-        g = (p * q_mass_unclipped - np.where(unclipped, q, 0.0)) / T
-        if gates is not None:
-            closed = ~gates[i]
-            pc, qc = p[closed], q[closed]
-            rkl = fkl_terms(pc, qc).sum(axis=1, keepdims=True)
-            g[closed] = pc * ((floored_log(pc) - floored_log(qc)) - rkl) / T
-        g *= (weights[i] * coefs[i])[:, None]
-        grads.append(g)
-    return grads
+    q = batch.teacher
+    p = softmax_with_temperature(batch.student, T)
+    unclipped = fkl_terms(q, p) < cfg.clip_threshold
+    q_mass_unclipped = np.where(unclipped, q, 0.0).sum(axis=1, keepdims=True)
+    g = (p * q_mass_unclipped - np.where(unclipped, q, 0.0)) / T
+    gates = _gate_open(batch, weighting)
+    if gates is not None:
+        closed = ~gates
+        pc, qc = p[closed], q[closed]
+        rkl = fkl_terms(pc, qc).sum(axis=1, keepdims=True)
+        g[closed] = pc * ((floored_log(pc) - floored_log(qc)) - rkl) / T
+    g *= (_weights(batch, weighting) * coef)[:, None]
+    return batch.split(g)
 
 
 @dataclass(frozen=True)
@@ -359,41 +357,36 @@ def finite_difference_check(
         raise InvalidInputError(f"step must be positive, got {step!r}")
     if max_tokens is not None and max_tokens < 1:
         raise InvalidInputError(f"max_tokens must be >= 1, got {max_tokens}")
-    analytic = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
-    weights = token_weights(batch, weighting)
-    gates = _gate_masks(batch, weighting)
+    analytic = np.concatenate(loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction))
+    # weighted_reduction of each token's indicator, less its exact-zero terms
+    weights = _weights(batch, weighting)
+    if reduction is Reduction.GLOBAL_TOKEN_MEAN:
+        scales = weights / batch.total_tokens
+    else:
+        scales = weights / np.repeat(batch.lengths, batch.lengths) / len(batch)
+    gates = _gate_open(batch, weighting)
     margin = 10.0 * step
-    total = batch.total_tokens
+    raw = fkl_terms(batch.teacher, softmax_with_temperature(batch.student, cfg.distill_temperature))
 
     max_rel = 0.0
     max_abs = 0.0
     compared = 0
     skipped = 0
     tokens_done = 0
-    for i, z in enumerate(batch.student_logits):
+    for t in range(batch.total_tokens):
         if max_tokens is not None and tokens_done >= max_tokens:
             break
-        p = softmax_with_temperature(z, cfg.distill_temperature)
-        raw = fkl_terms(batch.teacher_dists[i], p)
-        for t in range(z.shape[0]):
-            if max_tokens is not None and tokens_done >= max_tokens:
-                break
-            fkl_token = gates is None or gates[i][t]
-            if fkl_token and np.any(np.abs(raw[t] - cfg.clip_threshold) <= margin):
-                skipped += 1
-                continue
-            tokens_done += 1
-            # weighted_reduction of the token's indicator, less its exact-zero terms
-            w = float(weights[i][t])
-            if reduction is Reduction.GLOBAL_TOKEN_MEAN:
-                scale = np.longdouble(w / total)
-            else:
-                scale = np.longdouble(w / z.shape[0] / len(batch))
-            fd = _fd_row(batch.teacher_dists[i][t], z[t], scale, cfg, fkl_token, step)
-            a = analytic[i][t]
-            err = np.abs(fd - a)
-            rel = np.abs(a) > rel_floor
-            max_rel = np.max(err[rel] / np.abs(a[rel]), initial=max_rel)
-            max_abs = np.max(err[~rel], initial=max_abs)
-            compared += fd.size
+        fkl_token = gates is None or gates[t]
+        if fkl_token and np.any(np.abs(raw[t] - cfg.clip_threshold) <= margin):
+            skipped += 1
+            continue
+        tokens_done += 1
+        scale = np.longdouble(scales[t])
+        fd = _fd_row(batch.teacher[t], batch.student[t], scale, cfg, fkl_token, step)
+        a = analytic[t]
+        err = np.abs(fd - a)
+        rel = np.abs(a) > rel_floor
+        max_rel = np.max(err[rel] / np.abs(a[rel]), initial=max_rel)
+        max_abs = np.max(err[~rel], initial=max_abs)
+        compared += fd.size
     return FiniteDifferenceReport(float(max_rel), float(max_abs), compared, skipped)

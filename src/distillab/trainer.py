@@ -268,8 +268,8 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
     train_eval_init = evaluate_policy(cfg, problems, init_tables, eval_tag=0)
 
     losses: list[float] = []
-    norm_sums: list[float] = []
-    norm_counts: list[int] = []
+    norms: list[np.ndarray] = []  # per step, the packed tokens' gradient norms
+    positions: list[np.ndarray] = []  # and each token's position in its sequence
     for step in range(cfg.steps):
         theta, loss, grads, batch = train_step(theta, problems, cfg)
         if step == 0:  # one-token gradient spot check
@@ -277,16 +277,13 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
                 batch, cfg.objective, cfg.weighting, cfg.reduction, max_tokens=1
             )
         losses.append(loss)
-        for g in grads:
-            norms = np.linalg.norm(g, axis=1)
-            for t, n in enumerate(norms):
-                if t >= len(norm_sums):
-                    norm_sums.append(0.0)
-                    norm_counts.append(0)
-                norm_sums[t] += float(n)
-                norm_counts[t] += 1
+        norms.append(np.linalg.norm(np.concatenate(grads), axis=1))
+        positions.append(np.arange(batch.total_tokens) - np.repeat(batch.offsets[:-1], batch.lengths))
     if not theta.logits_finite():
         raise NumericDomainError(f"student logits left the finite range in {cfg.steps} steps")
+    # bincount adds each position's norms in step, sequence, token order
+    at = np.concatenate(positions)
+    norm_profile = np.bincount(at, weights=np.concatenate(norms)) / np.bincount(at)
 
     train_eval_final = evaluate_policy(cfg, problems, theta.tables, eval_tag=1)
 
@@ -301,7 +298,7 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
     return TrainReport(
         config=_config_echo(cfg, world_cfg),
         losses=losses,
-        grad_norm_profile=[s / c for s, c in zip(norm_sums, norm_counts)],
+        grad_norm_profile=norm_profile.tolist(),
         heldout_eval=heldout_eval,
         train_eval_init=train_eval_init,
         train_eval_final=train_eval_final,

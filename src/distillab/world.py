@@ -97,7 +97,7 @@ class WorldConfig:
         return dataclasses.asdict(self)
 
 
-@dataclass
+@dataclass(eq=False)  # compared and hashed by identity: its fields hold arrays
 class ProblemInstance:
     problem_id: str
     index: int
@@ -180,9 +180,6 @@ class Episode:
     @property
     def teacher_dists(self) -> np.ndarray:
         return self.rows(self.problem.teacher)
-
-
-EpisodeTrace = Episode
 
 
 def walk(

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -66,6 +67,26 @@ def test_gradcheck_command_meets_tolerance():
     out = json.loads(res.stdout)
     assert out["max_rel_err"] < 1e-6
     assert out["compared"] > 0
+
+
+def test_gradcheck_rejects_work_above_the_limit(capsys):
+    # about 3 hours of stencil work: refused before any of it starts
+    from distillab.cli import GRADCHECK_WORK_LIMIT, main
+
+    start = time.perf_counter()
+    code = main(["gradcheck", "--vocab", "100000", "--max-len", "1", "--batch-size", "1", "--batches", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "InvalidInputError"
+    assert f"{GRADCHECK_WORK_LIMIT:,}" in err["message"]
+    assert captured.out == ""
+    # the defaults and the benchmark's --batches 40 stay far below the limit
+    assert 40 * 4 * 16 * 32**2 * 10 < GRADCHECK_WORK_LIMIT
 
 
 def test_score_command_from_file_and_stdin(tmp_path):

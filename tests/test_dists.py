@@ -235,7 +235,7 @@ def test_row_entropies_validation():
 
 # Reference copies of the term and temperature code that dists.fkl_terms and
 # dists.temperature_scaled replaced, kept as oracles for bit equality.
-def _ref_fkl_raw_terms(q, p):  # objectives._fkl_raw_terms
+def _ref_fkl_raw_terms(q, p):  # the former objectives._fkl_raw_terms
     logp = np.log(np.maximum(p, PROB_FLOOR))
     logq = np.log(np.maximum(q, PROB_FLOOR))
     return np.where(q > 0.0, q * (logq - logp), 0.0)

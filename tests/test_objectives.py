@@ -4,11 +4,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import distillab.objectives as objectives_module
-from distillab.dists import PROB_FLOOR, entropy, forward_kl, reverse_kl, softmax_with_temperature
+from distillab.dists import (
+    PROB_FLOOR,
+    entropy,
+    fkl_terms,
+    floored_log,
+    forward_kl,
+    reverse_kl,
+    row_entropies,
+    softmax_with_temperature,
+)
 from distillab.errors import InvalidInputError
 from distillab.objectives import (
     EntropyGateWeighting,
@@ -20,14 +29,13 @@ from distillab.objectives import (
     UniformWeighting,
     default_gate_threshold,
     distillation_loss,
-    entropy_gated_loss,
     finite_difference_check,
     loss_gradient_wrt_student_logits,
     per_token_losses,
     token_weights,
     weighted_reduction,
 )
-from distillab.objectives import _fkl_raw_terms, _gate_masks
+from distillab.objectives import _gate_masks
 from distillab.schedules import PRESETS, PositionSchedule, preset, weights_for_length
 from distillab.seeding import derive_rng
 
@@ -181,7 +189,7 @@ def test_entropy_gate_routes_tokens():
     tok0 = float(np.minimum(q_hi * (np.log(q_hi) - np.log(p[0])), 0.05).sum())
     tok1 = reverse_kl(q_lo, p[1])
     expected = (tok0 + tok1) / 2.0
-    got = entropy_gated_loss(batch, cfg, gate, Reduction.GLOBAL_TOKEN_MEAN)
+    got = distillation_loss(batch, cfg, EntropyGateWeighting(gate), Reduction.GLOBAL_TOKEN_MEAN)
     assert abs(got - expected) < 1e-12
     assert entropy(q_hi) > gate > entropy(q_lo)
 
@@ -272,7 +280,7 @@ def _reference_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1
     for i, z in enumerate(batch.student_logits):
         if max_tokens is not None and tokens_done >= max_tokens:
             break
-        raw = _fkl_raw_terms(batch.teacher_dists[i], softmax_with_temperature(z, cfg.distill_temperature))
+        raw = fkl_terms(batch.teacher_dists[i], softmax_with_temperature(z, cfg.distill_temperature))
         for t in range(z.shape[0]):
             if max_tokens is not None and tokens_done >= max_tokens:
                 break
@@ -336,7 +344,7 @@ def _fd_cases(draw):
     clip = draw(st.sampled_from([0.01, 0.05, 0.3]))
     if draw(st.booleans()):  # put the first token's largest term at the clip: a skipped token
         p = softmax_with_temperature(logits[0][:1], temperature)
-        clip = max(float(_fkl_raw_terms(teachers[0][:1], p).max()), 1e-3)
+        clip = max(float(fkl_terms(teachers[0][:1], p).max()), 1e-3)
     cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=clip)
     # a block budget that splits a token's coordinates into chunks, or the default
     budget = draw(st.one_of(st.none(), st.integers(1, 4 * vocab * vocab)))
@@ -442,7 +450,7 @@ def _ref_per_token_losses(batch, cfg, weighting):
     out = []
     for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
         p = softmax_with_temperature(z, cfg.distill_temperature)
-        fkl = np.minimum(_fkl_raw_terms(q, p), cfg.clip_threshold).sum(axis=1)
+        fkl = np.minimum(fkl_terms(q, p), cfg.clip_threshold).sum(axis=1)
         losses = fkl.copy()
         if gates is not None:
             for t in np.nonzero(~gates[i])[0]:
@@ -462,7 +470,7 @@ def _ref_gradient(batch, cfg, weighting, reduction):
     grads = []
     for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
         p = softmax_with_temperature(z, T)
-        unclipped = _fkl_raw_terms(q, p) < cfg.clip_threshold
+        unclipped = fkl_terms(q, p) < cfg.clip_threshold
         q_mass_unclipped = np.where(unclipped, q, 0.0).sum(axis=1, keepdims=True)
         g = (p * q_mass_unclipped - np.where(unclipped, q, 0.0)) / T
         if gates is not None:
@@ -553,3 +561,254 @@ def test_extended_token_losses_equal_longdouble_reference(seed, vocab, stack, ze
     for index in np.ndindex(stack):  # one row alone, as the scalar stencil took it
         one = _reference_token_loss(q_row, z_rows[index], temperature, 0.05, fkl)
         assert _identical(np.asarray(got[index]), np.asarray(one))
+
+
+# Reference copies of the per-sequence code the packed (N_tokens, V) batch
+# replaced, run on the old layout: one (L_i, V) array per sequence.
+class _ListBatch:
+    def __init__(self, teacher_dists, student_logits):
+        self.teacher_dists = [np.asarray(q, dtype=float) for q in teacher_dists]
+        self.student_logits = [np.asarray(z, dtype=float) for z in student_logits]
+
+    @property
+    def lengths(self):
+        return [q.shape[0] for q in self.teacher_dists]
+
+    @property
+    def total_tokens(self):
+        return sum(self.lengths)
+
+    def __len__(self):
+        return len(self.teacher_dists)
+
+
+def _seq_token_weights(batch, weighting):
+    out = []
+    for q in batch.teacher_dists:
+        L = q.shape[0]
+        if isinstance(weighting, PositionWeighting):
+            out.append(weights_for_length(L, weighting.schedule))
+        else:
+            out.append(np.ones(L))
+    return out
+
+
+def _seq_gate_masks(batch, weighting):
+    if not isinstance(weighting, EntropyGateWeighting):
+        return None
+    return [row_entropies(q) > weighting.gate_threshold for q in batch.teacher_dists]
+
+
+def _seq_per_token_losses(batch, cfg, weighting):
+    gates = _seq_gate_masks(batch, weighting)
+    out = []
+    for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
+        p = softmax_with_temperature(z, cfg.distill_temperature)
+        losses = np.minimum(fkl_terms(q, p), cfg.clip_threshold).sum(axis=1)
+        if gates is not None:  # reverse KL on the closed-gate rows
+            closed = ~gates[i]
+            losses[closed] = fkl_terms(p[closed], q[closed]).sum(axis=1)
+        out.append(losses)
+    return out
+
+
+def _seq_reduction_coefficients(batch, reduction):
+    if reduction is Reduction.GLOBAL_TOKEN_MEAN:
+        total = batch.total_tokens
+        return [1.0 / total] * len(batch)
+    if reduction is Reduction.PER_SEQUENCE_MEAN:
+        B = len(batch)
+        return [1.0 / (B * L) for L in batch.lengths]
+    raise InvalidInputError(f"unknown reduction {reduction!r}")
+
+
+def _seq_gradient(batch, cfg, weighting, reduction):
+    T = cfg.distill_temperature
+    weights = _seq_token_weights(batch, weighting)
+    gates = _seq_gate_masks(batch, weighting)
+    coefs = _seq_reduction_coefficients(batch, reduction)
+    grads = []
+    for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
+        p = softmax_with_temperature(z, T)
+        unclipped = fkl_terms(q, p) < cfg.clip_threshold
+        q_mass_unclipped = np.where(unclipped, q, 0.0).sum(axis=1, keepdims=True)
+        g = (p * q_mass_unclipped - np.where(unclipped, q, 0.0)) / T
+        if gates is not None:
+            closed = ~gates[i]
+            pc, qc = p[closed], q[closed]
+            rkl = fkl_terms(pc, qc).sum(axis=1, keepdims=True)
+            g[closed] = pc * ((floored_log(pc) - floored_log(qc)) - rkl) / T
+        g *= (weights[i] * coefs[i])[:, None]
+        grads.append(g)
+    return grads
+
+
+def _seq_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1e-8, max_tokens=None):
+    analytic = _seq_gradient(batch, cfg, weighting, reduction)
+    weights = _seq_token_weights(batch, weighting)
+    gates = _seq_gate_masks(batch, weighting)
+    margin = 10.0 * step
+    total = batch.total_tokens
+
+    max_rel = 0.0
+    max_abs = 0.0
+    compared = 0
+    skipped = 0
+    tokens_done = 0
+    for i, z in enumerate(batch.student_logits):
+        if max_tokens is not None and tokens_done >= max_tokens:
+            break
+        p = softmax_with_temperature(z, cfg.distill_temperature)
+        raw = fkl_terms(batch.teacher_dists[i], p)
+        for t in range(z.shape[0]):
+            if max_tokens is not None and tokens_done >= max_tokens:
+                break
+            fkl_token = gates is None or gates[i][t]
+            if fkl_token and np.any(np.abs(raw[t] - cfg.clip_threshold) <= margin):
+                skipped += 1
+                continue
+            tokens_done += 1
+            w = float(weights[i][t])
+            if reduction is Reduction.GLOBAL_TOKEN_MEAN:
+                scale = np.longdouble(w / total)
+            else:
+                scale = np.longdouble(w / z.shape[0] / len(batch))
+            fd = objectives_module._fd_row(batch.teacher_dists[i][t], z[t], scale, cfg, fkl_token, step)
+            a = analytic[i][t]
+            err = np.abs(fd - a)
+            rel = np.abs(a) > rel_floor
+            max_rel = np.max(err[rel] / np.abs(a[rel]), initial=max_rel)
+            max_abs = np.max(err[~rel], initial=max_abs)
+            compared += fd.size
+    return FiniteDifferenceReport(float(max_rel), float(max_abs), compared, skipped)
+
+
+@st.composite
+def _ragged_cases(draw, max_vocab=129, max_len=40, max_cells=None):
+    """Random ragged sequences, with exact teacher and student zeros, every
+    weighting kind (gate thresholds exactly at one token's entropy), both
+    reductions and every temperature the CLI defaults use. `max_cells`
+    bounds length * vocab^2, a sequence's finite-difference work."""
+    vocab = draw(st.integers(2, max_vocab))
+    if max_cells is not None:
+        max_len = max(1, min(max_len, max_cells // vocab**2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.booleans())
+    teachers, logits = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        L = draw(st.integers(1, max_len))
+        q = rng.dirichlet(np.full(vocab, draw(st.sampled_from([0.05, 0.3, 1.0]))), size=L)
+        z = draw(st.sampled_from([0.5, 1.0, 4.0])) * rng.standard_normal((L, vocab))
+        if zeros and vocab > 2:
+            q[rng.random(q.shape) < 0.3] = 0.0  # exact teacher zeros
+            q[:, 0] += 0.1
+            q /= q.sum(axis=1, keepdims=True)
+            z[:, -1] = -5000.0  # an exact student zero
+        teachers.append(q)
+        logits.append(z)
+    kind = draw(st.sampled_from(["uniform", "position", "gate"]))
+    if kind == "uniform":
+        weighting = UniformWeighting()
+    elif kind == "position":
+        weighting = PositionWeighting(preset(draw(st.sampled_from(sorted(PRESETS)))))
+    else:
+        entropies = sorted(entropy(row) for q in teachers for row in q)
+        weighting = EntropyGateWeighting(draw(st.sampled_from(entropies)))
+    cfg = ObjectiveConfig(
+        distill_temperature=draw(st.sampled_from([0.5, 0.7, 1.0, 1.1, 2.5])),
+        clip_threshold=draw(st.sampled_from([0.01, 0.05, 0.3])),
+    )
+    reduction = draw(st.sampled_from(list(Reduction)))
+    total = sum(q.shape[0] for q in teachers)
+    return teachers, logits, cfg, weighting, reduction, draw(st.sampled_from([None, *range(1, total + 1)]))
+
+
+# five sequences of 7, 9 and 11 tokens: 1/9/5 != 1/(9*5) and 1/(5*L) != 1/5/L
+# for L = 7, 11, so the finite-difference scale and the gradient coefficient
+# must each keep their own float operations
+_FIVE_RAGGED = (
+    [np.full((L, 3), 1.0 / 3.0) for L in (7, 9, 11, 9, 7)],
+    [np.arange(3.0 * L).reshape(L, 3) / 10.0 for L in (7, 9, 11, 9, 7)],
+    ObjectiveConfig(),
+    UniformWeighting(),
+    Reduction.PER_SEQUENCE_MEAN,
+    None,
+)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_ragged_cases())
+@example(case=_FIVE_RAGGED)
+def test_packed_objective_equals_per_sequence_reference(case):
+    teachers, logits, cfg, weighting, reduction, _ = case
+    batch, ref = RolloutBatch(teachers, logits), _ListBatch(teachers, logits)
+    pairs = [
+        (token_weights(batch, weighting), _seq_token_weights(ref, weighting)),
+        (per_token_losses(batch, cfg, weighting), _seq_per_token_losses(ref, cfg, weighting)),
+        (
+            loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction),
+            _seq_gradient(ref, cfg, weighting, reduction),
+        ),
+    ]
+    gates, ref_gates = _gate_masks(batch, weighting), _seq_gate_masks(ref, weighting)
+    assert (gates is None) == (ref_gates is None)
+    if gates is not None:
+        pairs.append((gates, ref_gates))
+    for got, want in pairs:
+        assert len(got) == len(want)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+    loss = distillation_loss(batch, cfg, weighting, reduction)
+    want = weighted_reduction(
+        _seq_per_token_losses(ref, cfg, weighting), _seq_token_weights(ref, weighting), reduction
+    )
+    assert np.float64(loss).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_ragged_cases(max_len=12, max_cells=10_000))
+@example(case=_FIVE_RAGGED)
+def test_packed_fd_check_equals_nested_loop_reference(case):
+    teachers, logits, cfg, weighting, reduction, max_tokens = case
+    batch, ref = RolloutBatch(teachers, logits), _ListBatch(teachers, logits)
+    fd_row = objectives_module._fd_row
+
+    def recorded(calls):
+        def spy(q_row, z_row, scale, *rest):
+            calls.append((q_row.tobytes(), z_row.tobytes(), scale, fd_row(q_row, z_row, scale, *rest)))
+            return calls[-1][-1]
+
+        return mock.patch.object(objectives_module, "_fd_row", spy)
+
+    got_calls, want_calls = [], []
+    with recorded(got_calls):
+        got = finite_difference_check(batch, cfg, weighting, reduction, max_tokens=max_tokens)
+    with recorded(want_calls):
+        want = _seq_fd_check(ref, cfg, weighting, reduction, max_tokens=max_tokens)
+    assert got == want
+    assert len(got_calls) == len(want_calls)
+    for (q, z, scale, fd), (q_ref, z_ref, scale_ref, fd_ref) in zip(got_calls, want_calls):
+        assert (q, z) == (q_ref, z_ref)
+        assert scale.dtype == scale_ref.dtype and scale == scale_ref
+        assert _same_bits(fd, fd_ref)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_ragged_cases(max_vocab=8))
+def test_split_views_cover_the_packed_rows_once(case):
+    teachers, logits = case[:2]
+    batch = RolloutBatch(teachers, logits)
+    covered = np.zeros(batch.total_tokens, dtype=int)
+    row_bytes = batch.teacher.strides[0]
+    for view, q in zip(batch.split(batch.teacher), teachers, strict=True):
+        assert view.base is batch.teacher  # a view, not a copy
+        assert np.array_equal(view, q)
+        start = (view.__array_interface__["data"][0] - batch.teacher.__array_interface__["data"][0]) // row_bytes
+        covered[start : start + view.shape[0]] += 1
+    assert np.all(covered == 1)
+    assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.total_tokens
+    assert batch.lengths == [q.shape[0] for q in teachers]
+    assert all(np.array_equal(z, want) for z, want in zip(batch.student_logits, logits, strict=True))

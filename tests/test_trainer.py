@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import distillab.trainer as trainer_module
 from distillab.errors import InvalidInputError
@@ -270,6 +273,61 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
         "skipped_boundary_tokens": spot.skipped_boundary_tokens,
     }
     assert report.grad_norm_profile == [s / c for s, c in zip(norm_sums, norm_counts)]
+
+
+def _loop_norm_profile(step_grads):
+    """run_training's per-token accumulation loop that the bincount replaced."""
+    norm_sums: list[float] = []
+    norm_counts: list[int] = []
+    for grads in step_grads:
+        for g in grads:
+            norms = np.linalg.norm(g, axis=1)
+            for t, n in enumerate(norms):
+                if t >= len(norm_sums):
+                    norm_sums.append(0.0)
+                    norm_counts.append(0)
+                norm_sums[t] += float(n)
+                norm_counts[t] += 1
+    return [s / c for s, c in zip(norm_sums, norm_counts)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    steps=st.integers(1, 4),
+    batch_sequences=st.integers(1, 5),
+    train_problems=st.integers(1, 3),
+    depth=st.integers(4, 14),
+    vocab=st.integers(4, 10),
+    weighting=st.sampled_from(["uniform", "moderate", "aggressive", "entropy_gate"]),
+    reduction=st.sampled_from(list(Reduction)),
+    seed=st.integers(0, 1000),
+)
+def test_norm_profile_equals_the_per_token_loop(
+    steps, batch_sequences, train_problems, depth, vocab, weighting, reduction, seed
+):
+    world = WorldConfig(vocab_size=vocab, depth=depth, seed=seed)
+    cfg = TrainConfig(
+        steps=steps,
+        batch_sequences=batch_sequences,
+        train_problems=train_problems,
+        eval_problems=0,
+        eval_samples=1,
+        weighting=weighting_from_name(weighting, vocab),
+        reduction=reduction,
+        seed=seed,
+    )
+    step_grads = []
+    step = trainer_module.train_step
+
+    def spy(*args):
+        out = step(*args)
+        step_grads.append(out[2])
+        return out
+
+    with mock.patch.object(trainer_module, "train_step", spy):
+        report = run_training(cfg, world)
+    want = _loop_norm_profile(step_grads)
+    assert [x.hex() for x in report.grad_norm_profile] == [x.hex() for x in want]
 
 
 def test_run_training_skips_heldout_when_disabled():

@@ -35,6 +35,15 @@ def _small_cfg(**kw):
     return WorldConfig(**base)
 
 
+def test_problems_compare_and_hash_by_identity():
+    cfg = _small_cfg()
+    a, b = generate_problem(cfg, 0), generate_problem(cfg, 0)
+    # a field-wise comparison raised ValueError on the array fields
+    assert a == a and a != b
+    episodes = {student_rollout(a), student_rollout(a), student_rollout(b)}
+    assert len(episodes) == 2
+
+
 def test_problem_generation_is_deterministic():
     cfg = _small_cfg()
     a = generate_problem(cfg, 3)
