@@ -1,195 +1,7 @@
 """distillab: a desk-scale laboratory for position-weighted on-policy
-distillation, branch-viability probing, and uncertainty-score baselines."""
+distillation, branch-viability probing, and uncertainty-score baselines.
 
-from .dists import (
-    PROB_FLOOR,
-    as_distribution,
-    clipped_fkl_terms,
-    entropy,
-    forward_kl,
-    reverse_kl,
-    softmax_with_temperature,
-    truncated_entropy,
-)
-from .errors import DegenerateInputError, InvalidInputError, NumericDomainError
-from .identities import (
-    BranchMixture,
-    BranchSequenceModel,
-    conditional_mutual_information,
-    sequence_identity_gap,
-    token_identity_gap,
-)
-from .metrics import (
-    INVALID,
-    ProblemMetrics,
-    aggregate_metrics,
-    extract_final_answer,
-    grade_and_cluster,
-    problem_metrics,
-    score_problem,
-    seed_spread,
-)
-from .objectives import (
-    EntropyGateWeighting,
-    FiniteDifferenceReport,
-    ObjectiveConfig,
-    PositionWeighting,
-    Reduction,
-    RolloutBatch,
-    UniformWeighting,
-    default_gate_threshold,
-    distillation_loss,
-    finite_difference_check,
-    loss_gradient_wrt_student_logits,
-    per_token_losses,
-    token_weights,
-    weighted_reduction,
-)
-from .schedules import (
-    PRESETS,
-    PositionSchedule,
-    position_fraction,
-    preset,
-    weight,
-    weights_for_length,
-)
-from .seeding import RNG_ID, derive_rng
-from .stats import (
-    BootstrapConfig,
-    BootstrapResult,
-    ScoredCandidate,
-    auprc,
-    auroc,
-    cluster_bootstrap_auroc,
-    residualize_within_problem,
-    score_report,
-)
-from .trainer import (
-    StudentParams,
-    TrainConfig,
-    TrainReport,
-    factorial_and_sweep,
-    gradient_norm_profile,
-    init_student,
-    run_training,
-    trace_stability,
-    train_step,
-    weighting_from_name,
-)
-from .uncertainty import (
-    UncertaintyRecord,
-    dirichlet_precision,
-    mean_predictive_entropy,
-    mutual_information,
-    score_ensemble,
-)
-from .viability import (
-    CandidateRecord,
-    FilterConfig,
-    Label,
-    LabelThresholds,
-    Spine,
-    child_viability,
-    label_candidate,
-    select_candidates,
-)
-from .world import (
-    DiagnosticReport,
-    ProblemInstance,
-    WorldConfig,
-    forced_continuation,
-    generate_problem,
-    run_diagnostic,
-    student_rollout,
-    teacher_ensemble,
-)
+The package root exports nothing but `__version__`; import from the modules
+(`distillab.objectives`, `distillab.trainer`, `distillab.world`, ...)."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PROB_FLOOR",
-    "as_distribution",
-    "clipped_fkl_terms",
-    "entropy",
-    "forward_kl",
-    "reverse_kl",
-    "softmax_with_temperature",
-    "truncated_entropy",
-    "DegenerateInputError",
-    "InvalidInputError",
-    "NumericDomainError",
-    "BranchMixture",
-    "BranchSequenceModel",
-    "conditional_mutual_information",
-    "sequence_identity_gap",
-    "token_identity_gap",
-    "INVALID",
-    "ProblemMetrics",
-    "aggregate_metrics",
-    "extract_final_answer",
-    "grade_and_cluster",
-    "problem_metrics",
-    "score_problem",
-    "seed_spread",
-    "EntropyGateWeighting",
-    "FiniteDifferenceReport",
-    "ObjectiveConfig",
-    "PositionWeighting",
-    "Reduction",
-    "RolloutBatch",
-    "UniformWeighting",
-    "default_gate_threshold",
-    "distillation_loss",
-    "finite_difference_check",
-    "loss_gradient_wrt_student_logits",
-    "per_token_losses",
-    "token_weights",
-    "weighted_reduction",
-    "PRESETS",
-    "PositionSchedule",
-    "position_fraction",
-    "preset",
-    "weight",
-    "weights_for_length",
-    "RNG_ID",
-    "derive_rng",
-    "BootstrapConfig",
-    "BootstrapResult",
-    "ScoredCandidate",
-    "auprc",
-    "auroc",
-    "cluster_bootstrap_auroc",
-    "residualize_within_problem",
-    "score_report",
-    "StudentParams",
-    "TrainConfig",
-    "TrainReport",
-    "factorial_and_sweep",
-    "gradient_norm_profile",
-    "init_student",
-    "run_training",
-    "trace_stability",
-    "train_step",
-    "weighting_from_name",
-    "UncertaintyRecord",
-    "dirichlet_precision",
-    "mean_predictive_entropy",
-    "mutual_information",
-    "score_ensemble",
-    "CandidateRecord",
-    "FilterConfig",
-    "Label",
-    "LabelThresholds",
-    "Spine",
-    "child_viability",
-    "label_candidate",
-    "select_candidates",
-    "DiagnosticReport",
-    "ProblemInstance",
-    "WorldConfig",
-    "forced_continuation",
-    "generate_problem",
-    "run_diagnostic",
-    "student_rollout",
-    "teacher_ensemble",
-]

@@ -49,12 +49,12 @@ from .seeding import RNG_ID, TAG_GRADCHECK, derive_rng
 from .stats import BootstrapConfig
 from .trainer import (
     TrainConfig,
-    factorial_and_sweep_with_workers,
+    factorial_and_sweep,
     run_training,
     weighting_from_name,
 )
 from .uncertainty import score_ensemble
-from .viability import FilterConfig
+from .viability import FilterConfig, write_candidates_jsonl
 from .world import WorldConfig, default_filter_for_depth, run_diagnostic
 
 
@@ -89,7 +89,7 @@ def _dump(obj) -> str:
 
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))  # text UTF-8 cannot hold fails before the file opens
 
 
 def _write_meta(out_dir: Path, argv: list[str], **extra) -> None:
@@ -170,6 +170,7 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
     d.add_argument("--perturb", type=float, default=0.1, help="ensemble logit noise scale")
     d.add_argument("--continuations", type=int, default=6, help="continuations per child")
     _add_common(d)
+    d.set_defaults(run=_cmd_diagnose)
 
     i = sub.add_parser("identities", help="check mixture information identities on random models")
     i.add_argument("--trials", type=int, default=20)
@@ -177,6 +178,7 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
     i.add_argument("--alphabet", type=int, default=2)
     i.add_argument("--seed", type=int, default=0)
     _add_common(i)
+    i.set_defaults(run=_cmd_identities)
 
     t = sub.add_parser("train", help="run the tabular distillation trainer")
     _add_train_flags(t)
@@ -187,10 +189,12 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
         default="per_sequence_mean",
         choices=[r.value for r in Reduction],
     )
+    t.set_defaults(run=_cmd_train)
 
     s = sub.add_parser("sweep", help="weighting-by-reduction factorial plus schedule sweep")
     _add_train_flags(s)
     s.add_argument("--sweep-seeds", type=int, default=3)
+    s.set_defaults(run=_cmd_sweep)
 
     m = sub.add_parser("metrics", help="grade multi-sample answer files")
     m.add_argument(
@@ -205,11 +209,14 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
     m.add_argument("--marker", type=str, default="\\boxed{")
     m.add_argument("--out", type=str, default=None, help="CSV file (default: stdout)")
     _add_common(m)
+    m.set_defaults(run=_cmd_metrics)
 
     g = sub.add_parser(
         "gradcheck",
         help="finite-difference check of the analytic gradient",
-        description=f"Exits 2 if batches * batch_size * max_len * vocab^2 > {GRADCHECK_WORK_LIMIT:,}.",
+        description="Exits 2 if batches * batch_size * max_len * vocab^2 > "
+        f"{GRADCHECK_WORK_LIMIT:,} or --step is not a positive finite number, and 3 if "
+        "nothing was compared (every token has a term within 10 * step of the clip).",
     )
     g.add_argument("--batches", type=int, default=5)
     g.add_argument("--batch-size", type=int, default=4)
@@ -227,11 +234,13 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
         choices=[r.value for r in Reduction],
     )
     _add_common(g)
+    g.set_defaults(run=_cmd_gradcheck)
 
     sc = sub.add_parser("score", help="uncertainty scores for one teacher ensemble")
     sc.add_argument("--in", dest="in_path", type=str, required=True, help="JSON file or -")
     sc.add_argument("--top-m", type=int, default=16)
     _add_common(sc)
+    sc.set_defaults(run=_cmd_score)
 
     return parser, sub.choices
 
@@ -261,7 +270,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     if getattr(args, "config", None):
         try:
             overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deep
             raise InvalidInputError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise InvalidInputError("config file must hold a JSON object")
@@ -298,10 +307,9 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
 
     def write_samples(candidates, spines) -> None:
         # written before the statistics, so a late failure keeps them
-        lines = [_dump(c.to_json_dict()) for c in candidates]
-        _write_text(out / "candidates.jsonl", "".join(line + "\n" for line in lines))
-        spine_lines = [_dump(s) for s in spines]
-        _write_text(out / "spines.jsonl", "".join(line + "\n" for line in spine_lines))
+        out.mkdir(parents=True, exist_ok=True)
+        write_candidates_jsonl(out / "candidates.jsonl", candidates)
+        _write_text(out / "spines.jsonl", "".join(_dump(s) + "\n" for s in spines))
 
     report = run_diagnostic(
         world,
@@ -347,7 +355,7 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def _cmd_identities(args: argparse.Namespace) -> int:
+def _cmd_identities(args: argparse.Namespace, argv: list[str]) -> int:
     if args.trials < 1:
         raise InvalidInputError("--trials must be >= 1")
     max_token_gap = 0.0
@@ -451,7 +459,7 @@ def _sweep_csv(table: dict) -> str:
 
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     world, cfg = _train_config(args)
-    table, workers = factorial_and_sweep_with_workers(
+    table, workers = factorial_and_sweep(
         world, cfg, seeds=args.sweep_seeds, threads=args.threads
     )
     text = _dump(table) + "\n"
@@ -475,7 +483,7 @@ def _grade_file(raw: str, source: str, gold_field: str, marker: str) -> tuple[li
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInputError(f"{source} line {lineno} is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict) or "samples" not in obj or gold_field not in obj:
             raise InvalidInputError(
@@ -494,7 +502,7 @@ def _grade_file(raw: str, source: str, gold_field: str, marker: str) -> tuple[li
     return rows, per_problem
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_metrics(args: argparse.Namespace, argv: list[str]) -> int:
     if len(args.in_paths) > 1 and "-" in args.in_paths:
         raise InvalidInputError("stdin (-) can only be used as the single input")
     rows = [("source", "problem_id", "avg", "pass", "maj")]
@@ -524,7 +532,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
+def _cmd_gradcheck(args: argparse.Namespace, argv: list[str]) -> int:
     if args.batches < 1:
         raise InvalidInputError("--batches must be >= 1")
     if args.vocab < 2 or args.max_len < 1 or args.batch_size < 1:
@@ -555,6 +563,10 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         worst_abs = max(worst_abs, report.max_abs_err)
         compared += report.compared
         skipped += report.skipped_boundary_tokens
+    if compared == 0:
+        raise DegenerateInputError(
+            f"nothing compared: each of the {skipped} tokens has a term within 10 * step of the clip"
+        )
     print(
         _dump(
             {
@@ -569,27 +581,36 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
+def _json_array(value, dtype, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # strings, objects, ragged rows
+        raise InvalidInputError(f"{name} is not a rectangular array of numbers: {exc}") from exc
+
+
+def _cmd_score(args: argparse.Namespace, argv: list[str]) -> int:
     raw = _read_input(args.in_path)
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidInputError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "members" not in obj:
         raise InvalidInputError("input must be a JSON object with a members field")
-    members = np.asarray(obj["members"], dtype=float)
+    members = _json_array(obj["members"], float, "members")
     if members.ndim != 2:
         raise InvalidInputError("members must be a 2-D array of distributions")
     mask = obj.get("valid_mask")
-    valid = (
-        np.ones(members.shape[1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    )
+    if mask is None:
+        valid = np.ones(members.shape[1], dtype=bool)
+    else:
+        valid = _json_array(mask, bool, "valid_mask")
     if valid.shape != (members.shape[1],):
         raise InvalidInputError("valid_mask length must match the vocabulary")
-    mean_dist = members.mean(axis=0)
-    mean_dist = mean_dist / mean_dist.sum()
-    h_trunc = truncated_entropy(mean_dist, valid, args.top_m)
-    record = score_ensemble(members, h_trunc)
+    with np.errstate(all="ignore"):  # non-finite members or means are refused, without a warning
+        mean_dist = members.mean(axis=0)
+        mean_dist = mean_dist / mean_dist.sum()
+        h_trunc = truncated_entropy(mean_dist, valid, args.top_m)
+        record = score_ensemble(members, h_trunc)
     print(_dump(record.as_dict()))
     return 0
 
@@ -598,28 +619,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _parse_args(argv)
-        if args.command == "diagnose":
-            return _cmd_diagnose(args, argv)
-        if args.command == "identities":
-            return _cmd_identities(args)
-        if args.command == "train":
-            return _cmd_train(args, argv)
-        if args.command == "sweep":
-            return _cmd_sweep(args, argv)
-        if args.command == "metrics":
-            return _cmd_metrics(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
-        if args.command == "score":
-            return _cmd_score(args)
-        raise InvalidInputError(f"unknown command {args.command!r}")
+        return args.run(args, argv)
     except DegenerateInputError as exc:
         _print_error("DegenerateInputError", exc)
         return 3
     except NumericDomainError as exc:
         _print_error("NumericDomainError", exc)
         return 2
-    except InvalidInputError as exc:
+    except (InvalidInputError, UnicodeEncodeError) as exc:  # or input text UTF-8 cannot hold
         _print_error("InvalidInputError", exc)
         return 2
     except ChildProcessError as exc:  # a worker that died without a result

@@ -62,16 +62,9 @@ class BranchSequenceModel:
 
     def __post_init__(self) -> None:
         prior = as_distribution(self.prior, "branch prior")
-        if len(self.levels) < 1:
-            raise InvalidInputError("sequence model needs depth >= 1")
-        if len(self.levels) > MAX_DEPTH:
-            raise InvalidInputError(f"depth {len(self.levels)} exceeds hard limit {MAX_DEPTH}")
         levels = tuple(np.asarray(lv, dtype=float) for lv in self.levels)
-        alphabet = levels[0].shape[-1]
-        if alphabet < 2 or alphabet > MAX_ALPHABET:
-            raise InvalidInputError(
-                f"alphabet size {alphabet} outside [2, {MAX_ALPHABET}]"
-            )
+        alphabet = levels[0].shape[-1] if levels else 0
+        _check_size(len(levels), alphabet)
         for t, lv in enumerate(levels):
             expect = (prior.size, alphabet**t, alphabet)
             if lv.shape != expect:
@@ -87,6 +80,16 @@ class BranchSequenceModel:
     @property
     def alphabet(self) -> int:
         return self.levels[0].shape[-1]
+
+
+def _check_size(depth: int, alphabet: int) -> None:
+    """Refuse a tree too large to enumerate, before anything is allocated."""
+    if depth < 1:
+        raise InvalidInputError("sequence model needs depth >= 1")
+    if depth > MAX_DEPTH:
+        raise InvalidInputError(f"depth {depth} exceeds hard limit {MAX_DEPTH}")
+    if alphabet < 2 or alphabet > MAX_ALPHABET:
+        raise InvalidInputError(f"alphabet size {alphabet} outside [2, {MAX_ALPHABET}]")
 
 
 def _check_rows(arr: np.ndarray, name: str) -> None:
@@ -196,7 +199,9 @@ def random_branch_mixture(rng: np.random.Generator, max_branches: int = 5, max_v
 def random_sequence_model(
     rng: np.random.Generator, depth: int = 3, alphabet: int = 2, max_branches: int = 3
 ) -> tuple[BranchSequenceModel, tuple[np.ndarray, ...]]:
-    """A random branch-sequence model plus a random student tree of the same shape."""
+    """A random branch-sequence model plus a random student tree of the same
+    shape. Depth and alphabet are checked before the first draw."""
+    _check_size(depth, alphabet)
     z = int(rng.integers(2, max_branches + 1))
     prior = rng.dirichlet(np.ones(z))
     levels = tuple(

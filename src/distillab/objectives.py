@@ -138,7 +138,6 @@ class RolloutBatch:
         self.student: np.ndarray = np.concatenate(student)
         self.lengths: list[int] = [q.shape[0] for q in teacher]
         self.offsets: np.ndarray = np.cumsum([0, *self.lengths])
-        self.vocab_size: int = int(vocab)
 
     def split(self, packed: np.ndarray) -> list[np.ndarray]:
         """Per-sequence views of an array whose rows are the batch's tokens."""
@@ -160,16 +159,11 @@ class RolloutBatch:
         return len(self.lengths)
 
 
-def _weights(batch: RolloutBatch, weighting: Weighting) -> np.ndarray:
-    """Per-token scalar weights, packed (entropy gating weighs 1)."""
+def token_weights(batch: RolloutBatch, weighting: Weighting) -> np.ndarray:
+    """Per-token scalar weights, packed (N_tokens,) (entropy gating weighs 1)."""
     if isinstance(weighting, PositionWeighting):
         return np.concatenate([weights_for_length(L, weighting.schedule) for L in batch.lengths])
     return np.ones(batch.total_tokens)
-
-
-def token_weights(batch: RolloutBatch, weighting: Weighting) -> list[np.ndarray]:
-    """Per-token scalar weights for each sequence (entropy gating weighs 1)."""
-    return batch.split(_weights(batch, weighting))
 
 
 def _gate_open(batch: RolloutBatch, weighting: Weighting) -> np.ndarray | None:
@@ -179,14 +173,8 @@ def _gate_open(batch: RolloutBatch, weighting: Weighting) -> np.ndarray | None:
     return row_entropies(batch.teacher) > weighting.gate_threshold
 
 
-def _gate_masks(batch: RolloutBatch, weighting: Weighting) -> list[np.ndarray] | None:
-    """For entropy gating: per-sequence boolean rows, True = forward KL."""
-    gates = _gate_open(batch, weighting)
-    return None if gates is None else batch.split(gates)
-
-
-def per_token_losses(batch: RolloutBatch, cfg: ObjectiveConfig, weighting: Weighting) -> list[np.ndarray]:
-    """Unweighted per-token losses, one (length,) array per sequence."""
+def per_token_losses(batch: RolloutBatch, cfg: ObjectiveConfig, weighting: Weighting) -> np.ndarray:
+    """Unweighted per-token losses, packed (N_tokens,)."""
     q = batch.teacher
     p = softmax_with_temperature(batch.student, cfg.distill_temperature)
     losses = np.minimum(fkl_terms(q, p), cfg.clip_threshold).sum(axis=1)
@@ -194,7 +182,7 @@ def per_token_losses(batch: RolloutBatch, cfg: ObjectiveConfig, weighting: Weigh
     if gates is not None:  # reverse KL on the closed-gate rows
         closed = ~gates
         losses[closed] = fkl_terms(p[closed], q[closed]).sum(axis=1)
-    return batch.split(losses)
+    return losses
 
 
 def weighted_reduction(losses: list[np.ndarray], weights: list[np.ndarray], reduction: Reduction) -> float:
@@ -226,9 +214,10 @@ def distillation_loss(
     weighting: Weighting,
     reduction: Reduction,
 ) -> float:
-    """Scalar training loss for the batch under the given weighting and reduction."""
-    losses = per_token_losses(batch, cfg, weighting)
-    weights = token_weights(batch, weighting)
+    """Scalar training loss for the batch under the given weighting and reduction,
+    summed sequence by sequence."""
+    losses = batch.split(per_token_losses(batch, cfg, weighting))
+    weights = batch.split(token_weights(batch, weighting))
     return weighted_reduction(losses, weights, reduction)
 
 
@@ -237,8 +226,8 @@ def loss_gradient_wrt_student_logits(
     cfg: ObjectiveConfig,
     weighting: Weighting,
     reduction: Reduction,
-) -> list[np.ndarray]:
-    """d(loss)/d(student logits), one (length, vocab) array per sequence.
+) -> np.ndarray:
+    """d(loss)/d(student logits), packed (N_tokens, vocab) like batch.student.
 
     Forward-KL tokens: with U = {j : q_j ln(q_j/p_j) < clip} (boundary counts
     as clipped) and Q_U = sum of teacher mass on U,
@@ -271,8 +260,8 @@ def loss_gradient_wrt_student_logits(
         pc, qc = p[closed], q[closed]
         rkl = fkl_terms(pc, qc).sum(axis=1, keepdims=True)
         g[closed] = pc * ((floored_log(pc) - floored_log(qc)) - rkl) / T
-    g *= (_weights(batch, weighting) * coef)[:, None]
-    return batch.split(g)
+    g *= (token_weights(batch, weighting) * coef)[:, None]
+    return g
 
 
 @dataclass(frozen=True)
@@ -353,13 +342,13 @@ def finite_difference_check(
     pairwise reduction as its 1-D sum, so this is bit-identical to one call
     per perturbed row.
     """
-    if step <= 0.0:
-        raise InvalidInputError(f"step must be positive, got {step!r}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidInputError(f"step must be positive and finite, got {step!r}")
     if max_tokens is not None and max_tokens < 1:
         raise InvalidInputError(f"max_tokens must be >= 1, got {max_tokens}")
-    analytic = np.concatenate(loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction))
+    analytic = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
     # weighted_reduction of each token's indicator, less its exact-zero terms
-    weights = _weights(batch, weighting)
+    weights = token_weights(batch, weighting)
     if reduction is Reduction.GLOBAL_TOKEN_MEAN:
         scales = weights / batch.total_tokens
     else:

@@ -6,8 +6,8 @@ student begins life as a perturbed copy of the policy it is distilling), then
 follow the exact analytic gradient of the clipped forward-KL objective on
 resampled on-policy rollouts, with a linearly decaying step size so the trace
 settles instead of rattling inside the gradient-noise ball. Each step samples
-and differentiates one batch: `train_step` returns the gradients it applied,
-and `run_training` builds the gradient-norm profile from them.
+and differentiates one batch: `train_step` returns the packed gradient it
+applied, and `run_training` builds the gradient-norm profile from it.
 
 Evaluation samples the tabular policy with fresh seeds and pushes terminal
 answers through the multi-sample metrics pipeline. Held-out problems are
@@ -193,21 +193,21 @@ def _batch_from_episodes(
 
 def train_step(
     theta: StudentParams, problems: list[ProblemInstance], cfg: TrainConfig
-) -> tuple[StudentParams, float, list[np.ndarray], RolloutBatch]:
+) -> tuple[StudentParams, float, np.ndarray, RolloutBatch]:
     """One batch of rollouts (treated as fixed examples) and one exact-gradient
     descent update to visited-state logits only. Returns the updated params,
-    the pre-update loss, the per-sequence (length, vocab) gradients the
-    update applied (before scaling by the step size) and their batch, whose
-    gathered rows the update leaves as sampled."""
+    the pre-update loss, the packed (N_tokens, vocab) gradient the update
+    applied (before scaling by the step size) and its batch, whose gathered
+    rows the update leaves as sampled."""
     episodes = _collect_episodes(theta, problems, cfg)
     batch = _batch_from_episodes(episodes, theta, cfg.distill_temperature)
     loss = distillation_loss(batch, cfg.objective, cfg.weighting, cfg.reduction)
-    grads = loss_gradient_wrt_student_logits(batch, cfg.objective, cfg.weighting, cfg.reduction)
+    grad = loss_gradient_wrt_student_logits(batch, cfg.objective, cfg.weighting, cfg.reduction)
     lr = cfg.step_size(theta.step)
-    for ep, g in zip(episodes, grads):
+    for ep, g in zip(episodes, batch.split(grad)):
         np.subtract.at(theta.tables[ep.problem.problem_id], ep.states, lr * g)
     theta.step += 1
-    return theta, loss, grads, batch
+    return theta, loss, grad, batch
 
 
 def evaluate_policy(
@@ -271,13 +271,13 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
     norms: list[np.ndarray] = []  # per step, the packed tokens' gradient norms
     positions: list[np.ndarray] = []  # and each token's position in its sequence
     for step in range(cfg.steps):
-        theta, loss, grads, batch = train_step(theta, problems, cfg)
+        theta, loss, grad, batch = train_step(theta, problems, cfg)
         if step == 0:  # one-token gradient spot check
             spot = finite_difference_check(
                 batch, cfg.objective, cfg.weighting, cfg.reduction, max_tokens=1
             )
         losses.append(loss)
-        norms.append(np.linalg.norm(np.concatenate(grads), axis=1))
+        norms.append(np.linalg.norm(grad, axis=1))
         positions.append(np.arange(batch.total_tokens) - np.repeat(batch.offsets[:-1], batch.lengths))
     if not theta.logits_finite():
         raise NumericDomainError(f"student logits left the finite range in {cfg.steps} steps")
@@ -345,9 +345,9 @@ def gradient_norm_profile(
     teacher = np.tile(q_row, (length, 1))
     logits = np.tile(z_row, (length, 1))
     batch = RolloutBatch([teacher], [logits])
-    grads = loss_gradient_wrt_student_logits(batch, objective, weighting, reduction)[0]
-    weights = token_weights(batch, weighting)[0]
-    norms = np.linalg.norm(grads, axis=1)
+    grad = loss_gradient_wrt_student_logits(batch, objective, weighting, reduction)
+    weights = token_weights(batch, weighting)
+    norms = np.linalg.norm(grad, axis=1)
     positions = (np.arange(1, length + 1) - 0.5) / length
     return {
         "positions": positions.tolist(),
@@ -414,21 +414,14 @@ def _sweep_grid(
 
 def factorial_and_sweep(
     world_cfg: WorldConfig, base_cfg: TrainConfig, seeds: int = 3, threads: int = 1
-) -> dict:
+) -> tuple[dict, int]:
     """The 2x2 weighting-by-reduction factorial and the four-preset schedule
     sweep, each cell trained at `seeds` consecutive seeds; per-cell mean and
     sample standard deviation of the evaluation metrics. A configuration that
     appears in both (the moderate preset at the base reduction) is trained
     once and its report shared. The distinct trainings run on up to
-    `threads` processes (`workers.map_sharded`); the table does not depend
-    on `threads`."""
-    return factorial_and_sweep_with_workers(world_cfg, base_cfg, seeds, threads)[0]
-
-
-def factorial_and_sweep_with_workers(
-    world_cfg: WorldConfig, base_cfg: TrainConfig, seeds: int = 3, threads: int = 1
-) -> tuple[dict, int]:
-    """`factorial_and_sweep`'s table and the number of processes that trained it."""
+    `threads` processes (`workers.map_sharded`); returns the table, which
+    does not depend on `threads`, and the number of processes that trained it."""
     grid = _sweep_grid(world_cfg, base_cfg, seeds)
     distinct = list(  # in first-use order
         dict.fromkeys(cfg for cells in grid.values() for cfgs in cells.values() for cfg in cfgs)

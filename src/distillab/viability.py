@@ -256,7 +256,7 @@ def label_candidate(child_viabilities, thresholds: LabelThresholds) -> Label:
 def write_candidates_jsonl(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json_dict()) + "\n")
+            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
 
 
 def read_candidates_jsonl(path) -> list[CandidateRecord]:

@@ -337,7 +337,7 @@ def test_criterion_11_trainer_default_run_and_factorial_consistency(verdict):
            f"tail mean {tail:.3e} is not half of initial {first:.3e} (ratio {tail / first:.3f})", failures)
 
     base = TrainConfig()
-    table = factorial_and_sweep(WorldConfig(), base, seeds=1)
+    table, _ = factorial_and_sweep(WorldConfig(), base, seeds=1)
     cell = table["factorial"]["uniform/global_token_mean"]["reports"][0]
     standalone = run_training(
         dataclasses.replace(

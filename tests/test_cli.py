@@ -89,6 +89,63 @@ def test_gradcheck_rejects_work_above_the_limit(capsys):
     assert 40 * 4 * 16 * 32**2 * 10 < GRADCHECK_WORK_LIMIT
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000  # nested past the JSON decoder's recursion limit
+BAD_REQUESTS = {
+    "gradcheck-step-nan": (["gradcheck", "--step", "nan"], "", 2, "InvalidInputError"),
+    "gradcheck-step-inf": (["gradcheck", "--step", "inf"], "", 2, "InvalidInputError"),
+    # every token lies within 10 * step of the clip: nothing is compared
+    "gradcheck-step-1e300": (
+        ["gradcheck", "--step", "1e300", "--batches", "1"], "", 3, "DegenerateInputError"
+    ),
+    "score-string-member": (
+        ["score", "--in", "-"], '{"members": [[0.5, "x"], [0.5, 0.5]]}', 2, "InvalidInputError"
+    ),
+    "score-object-members": (["score", "--in", "-"], '{"members": {"a": 1}}', 2, "InvalidInputError"),
+    "score-deep-json": (["score", "--in", "-"], _DEEP, 2, "InvalidInputError"),
+    "metrics-deep-json": (["metrics", "--in", "-"], _DEEP, 2, "InvalidInputError"),
+    "identities-negative-alphabet": (["identities", "--alphabet", "-1"], "", 2, "InvalidInputError"),
+    # a problem id that UTF-8 cannot encode
+    "metrics-lone-surrogate": (
+        ["metrics", "--in", "-"], '{"gold": 1, "samples": ["a"], "problem_id": "\\ud800"}', 2,
+        "InvalidInputError",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, code, kind", BAD_REQUESTS.values(), ids=BAD_REQUESTS.keys())
+def test_bad_requests_exit_with_one_json_line(monkeypatch, capsys, argv, stdin, code, kind):
+    from distillab.cli import main
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == kind
+    assert captured.out == ""
+
+
+def test_config_nested_too_deep_exits_two(tmp_path, capsys):
+    from distillab.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": ' + _DEEP + "}", encoding="utf-8")
+    assert main(["identities", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "InvalidInputError"
+    assert captured.out == ""
+
+
+def test_unencodable_output_leaves_no_file(tmp_path, monkeypatch, capsys):
+    from distillab.cli import main
+
+    out = tmp_path / "rows.csv"
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"gold": 1, "samples": ["a"], "problem_id": "\\ud800"}'))
+    assert main(["metrics", "--in", "-", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidInputError"
+    assert not out.exists()
+
+
 def test_score_command_from_file_and_stdin(tmp_path):
     payload = json.dumps({"members": [[0.6, 0.4], [0.5, 0.5], [0.7, 0.3]]})
     path = tmp_path / "ens.json"

@@ -20,7 +20,7 @@ from distillab.dists import (
     truncated_entropy,
 )
 from distillab.errors import DegenerateInputError, InvalidInputError
-from distillab.objectives import EntropyGateWeighting, RolloutBatch, _gate_masks
+from distillab.objectives import EntropyGateWeighting, RolloutBatch, _gate_open
 
 
 def test_softmax_two_point_fixture():
@@ -222,7 +222,7 @@ def test_row_entropies_equal_per_row_entropy_bit_for_bit(seed, rows, vocab, kind
         # the gate on the same rows, with the threshold exactly at one row's entropy
         threshold = float(expected[rng.integers(rows)])
         batch = RolloutBatch([table], [np.zeros((rows, vocab))])
-        (mask,) = _gate_masks(batch, EntropyGateWeighting(threshold))
+        mask = _gate_open(batch, EntropyGateWeighting(threshold))
         assert mask.tolist() == [h > threshold for h in expected]
 
 

@@ -18,6 +18,29 @@ from distillab.identities import (
 from distillab.seeding import derive_rng
 
 
+class _DrawSpy:
+    """A generator that records the name of every method it is asked for."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+def test_random_sequence_model_checks_its_size_before_any_draw():
+    # at depth 12 and alphabet 9 the levels alone would be about 52 GiB
+    for depth, alphabet in [(MAX_DEPTH + 1, 2), (3, MAX_ALPHABET + 1), (0, 2), (3, -1)]:
+        spy = _DrawSpy(derive_rng(0))
+        with pytest.raises(InvalidInputError):
+            random_sequence_model(spy, depth=depth, alphabet=alphabet)
+        assert spy.calls == [], (depth, alphabet)
+    spy = _DrawSpy(derive_rng(0))  # the spy does see the draws of a valid model
+    random_sequence_model(spy, depth=MAX_DEPTH, alphabet=MAX_ALPHABET)
+    assert "dirichlet" in spy.calls
+
+
 def test_mutual_information_hand_value():
     # two equally likely branches emitting opposite deltas: I = ln 2
     mix = BranchMixture(prior=np.array([0.5, 0.5]),

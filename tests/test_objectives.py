@@ -35,9 +35,14 @@ from distillab.objectives import (
     token_weights,
     weighted_reduction,
 )
-from distillab.objectives import _gate_masks
+from distillab.objectives import _gate_open
 from distillab.schedules import PRESETS, PositionSchedule, preset, weights_for_length
 from distillab.seeding import derive_rng
+
+
+def _gate_masks(batch, weighting):
+    gates = _gate_open(batch, weighting)
+    return None if gates is None else batch.split(gates)
 
 
 def _random_batch(rng, n_seqs=4, vocab=32, max_len=16):
@@ -70,7 +75,7 @@ def test_hand_fixture_loss_and_gradient():
 
     g = loss_gradient_wrt_student_logits(
         batch, cfg, UniformWeighting(), Reduction.GLOBAL_TOKEN_MEAN
-    )[0][0]
+    )[0]
     expected_g0 = (p[0] * 0.5 - 0.5) / 1.1
     expected_g1 = (p[1] * 0.5) / 1.1
     assert abs(g[0] - expected_g0) < 1e-14
@@ -100,7 +105,7 @@ def test_gradient_zero_at_teacher_match_with_large_clip():
     loss = distillation_loss(batch, cfg, UniformWeighting(), Reduction.GLOBAL_TOKEN_MEAN)
     g = loss_gradient_wrt_student_logits(
         batch, cfg, UniformWeighting(), Reduction.GLOBAL_TOKEN_MEAN
-    )[0]
+    )
     assert abs(loss) < 1e-14
     assert np.abs(g).max() < 1e-14
 
@@ -118,7 +123,7 @@ def test_boundary_term_counts_as_clipped():
     batch = _single_token_batch(q, z)
     g = loss_gradient_wrt_student_logits(
         batch, cfg, UniformWeighting(), Reduction.GLOBAL_TOKEN_MEAN
-    )[0][0]
+    )[0]
     # U = {1} only: Q_U = 0.5; g0 = p0 * 0.5, g1 = p1 * 0.5 - 0.5
     assert abs(g[0] - (p[0] * 0.5)) < 1e-14
     assert abs(g[1] - (p[1] * 0.5 - 0.5)) < 1e-14
@@ -171,7 +176,7 @@ def test_position_weighting_w_min_one_equals_uniform():
 def test_position_weights_match_schedule():
     batch = _random_batch(derive_rng(13), n_seqs=2, vocab=6, max_len=9)
     sched = preset("moderate")
-    weights = token_weights(batch, PositionWeighting(sched))
+    weights = batch.split(token_weights(batch, PositionWeighting(sched)))
     for q, w in zip(batch.teacher_dists, weights):
         assert np.allclose(w, weights_for_length(q.shape[0], sched), atol=0, rtol=0)
 
@@ -270,8 +275,8 @@ def _reference_token_loss(q_row, z_row, temperature, clip_threshold, fkl):
 def _reference_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1e-8, max_tokens=None):
     """The scalar per-coordinate, per-probe finite-difference loop: the report
     and, for each compared token, its vector of fd values."""
-    analytic = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
-    weights = token_weights(batch, weighting)
+    analytic = batch.split(loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction))
+    weights = batch.split(token_weights(batch, weighting))
     gates = _gate_masks(batch, weighting)
     h = np.longdouble(step)
     max_rel = max_abs = 0.0
@@ -409,11 +414,11 @@ def test_gradient_scales_with_weights_and_reduction():
     batch = RolloutBatch([q], [z])
     g_uniform = loss_gradient_wrt_student_logits(
         batch, cfg, UniformWeighting(), Reduction.PER_SEQUENCE_MEAN
-    )[0]
+    )
     sched = PositionSchedule(w_min=0.5, midpoint=0.5, steepness=0.1)
     g_sched = loss_gradient_wrt_student_logits(
         batch, cfg, PositionWeighting(sched), Reduction.PER_SEQUENCE_MEAN
-    )[0]
+    )
     w = weights_for_length(3, sched)
     for t in range(3):
         assert np.allclose(g_sched[t], w[t] * g_uniform[t], rtol=0, atol=1e-15)
@@ -433,7 +438,7 @@ def test_batch_validation():
 
 def test_per_token_losses_shapes_and_order():
     batch = _random_batch(derive_rng(18), n_seqs=3, vocab=5, max_len=7)
-    losses = per_token_losses(batch, ObjectiveConfig(), UniformWeighting())
+    losses = batch.split(per_token_losses(batch, ObjectiveConfig(), UniformWeighting()))
     assert [l.shape[0] for l in losses] == batch.lengths
 
 
@@ -461,7 +466,7 @@ def _ref_per_token_losses(batch, cfg, weighting):
 
 def _ref_gradient(batch, cfg, weighting, reduction):
     T = cfg.distill_temperature
-    weights = token_weights(batch, weighting)
+    weights = batch.split(token_weights(batch, weighting))
     gates = _gate_masks(batch, weighting)
     if reduction is Reduction.GLOBAL_TOKEN_MEAN:
         coefs = [1.0 / batch.total_tokens] * len(batch)
@@ -532,9 +537,9 @@ def test_masked_gate_rows_equal_per_row_loops(seed, vocab, zeros, gate_at, tempe
     # a threshold at a token's entropy: open and closed rows mixed, or all closed
     weighting = EntropyGateWeighting(entropies[int(gate_at * (len(entropies) - 1))])
     cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=0.05)
-    for got, want in zip(per_token_losses(batch, cfg, weighting), _ref_per_token_losses(batch, cfg, weighting)):
+    for got, want in zip(batch.split(per_token_losses(batch, cfg, weighting)), _ref_per_token_losses(batch, cfg, weighting)):
         assert _identical(got, want)
-    got_grads = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
+    got_grads = batch.split(loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction))
     for got, want in zip(got_grads, _ref_gradient(batch, cfg, weighting, reduction)):
         assert _identical(got, want)
 
@@ -747,10 +752,10 @@ def test_packed_objective_equals_per_sequence_reference(case):
     teachers, logits, cfg, weighting, reduction, _ = case
     batch, ref = RolloutBatch(teachers, logits), _ListBatch(teachers, logits)
     pairs = [
-        (token_weights(batch, weighting), _seq_token_weights(ref, weighting)),
-        (per_token_losses(batch, cfg, weighting), _seq_per_token_losses(ref, cfg, weighting)),
+        (batch.split(token_weights(batch, weighting)), _seq_token_weights(ref, weighting)),
+        (batch.split(per_token_losses(batch, cfg, weighting)), _seq_per_token_losses(ref, cfg, weighting)),
         (
-            loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction),
+            batch.split(loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)),
             _seq_gradient(ref, cfg, weighting, reduction),
         ),
     ]

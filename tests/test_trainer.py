@@ -26,7 +26,6 @@ from distillab.trainer import (
     StudentParams,
     TrainConfig,
     factorial_and_sweep,
-    factorial_and_sweep_with_workers,
     gradient_norm_profile,
     init_student,
     run_training,
@@ -247,7 +246,10 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
         theta, loss, grads, used = train_step(theta, problems, cfg)
         # the returned gradients are the pre-update ones the step applied, on
         # the returned batch, whose rows the update left as sampled
-        assert all(np.array_equal(g, e) for g, e in zip(grads, expected, strict=True))
+        assert all(
+            np.array_equal(g, e)
+            for g, e in zip(used.split(grads), batch.split(expected), strict=True)
+        )
         assert all(np.array_equal(u, z) for u, z in zip(used.student_logits, before, strict=True))
         assert all(
             np.array_equal(u, q)
@@ -258,7 +260,7 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
                 used, cfg.objective, cfg.weighting, cfg.reduction, max_tokens=1
             )
         manual.append(loss)
-        for g in grads:
+        for g in used.split(grads):
             for t, n in enumerate(np.linalg.norm(g, axis=1)):
                 if t == len(norm_sums):
                     norm_sums.append(0.0)
@@ -321,7 +323,7 @@ def test_norm_profile_equals_the_per_token_loop(
 
     def spy(*args):
         out = step(*args)
-        step_grads.append(out[2])
+        step_grads.append(out[3].split(out[2]))
         return out
 
     with mock.patch.object(trainer_module, "train_step", spy):
@@ -380,7 +382,7 @@ def test_gradient_norm_profile_tracks_weights():
 def test_factorial_and_sweep_structure_and_cell_identity():
     world = _small_world()
     base = _small_cfg(steps=4, eval_problems=2)
-    out = factorial_and_sweep(world, base, seeds=1)
+    out, _ = factorial_and_sweep(world, base, seeds=1)
     assert out["seeds"] == 1
     expected_cells = {f"{w}/{r.value}" for w, r in FACTORIAL_CELLS}
     assert set(out["factorial"]) == expected_cells
@@ -406,11 +408,11 @@ def test_factorial_and_sweep_does_not_depend_on_threads(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # fork even on a one-CPU host
     world = _small_world()
     base = _small_cfg(steps=2, eval_problems=1, eval_samples=2)
-    serial, one = factorial_and_sweep_with_workers(world, base, seeds=1)
-    sharded, workers = factorial_and_sweep_with_workers(world, base, seeds=1, threads=3)
-    assert sharded == serial == factorial_and_sweep(world, base, seeds=1, threads=3)
+    serial, one = factorial_and_sweep(world, base, seeds=1)
+    sharded, workers = factorial_and_sweep(world, base, seeds=1, threads=3)
+    assert sharded == serial == factorial_and_sweep(world, base, seeds=1, threads=3)[0]
     assert (one, workers) == (1, 3)
-    _, workers = factorial_and_sweep_with_workers(world, base, seeds=1, threads=100)
+    _, workers = factorial_and_sweep(world, base, seeds=1, threads=100)
     assert workers == len(FACTORIAL_CELLS) + len(SWEEP_PRESETS) - 1  # one per distinct config
 
 
@@ -425,7 +427,7 @@ def test_factorial_and_sweep_trains_each_config_once(monkeypatch):
         return real(cfg, world_cfg)
 
     monkeypatch.setattr(trainer_module, "run_training", spy)
-    out = factorial_and_sweep(world, base, seeds=2)
+    out, _ = factorial_and_sweep(world, base, seeds=2)
     cells = len(FACTORIAL_CELLS) + len(SWEEP_PRESETS)
     # moderate/per_sequence_mean is both a factorial cell and the moderate sweep cell
     assert len(configs) == len(set(configs)) == (cells - 1) * 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from distillab.cli import main
 from distillab.errors import DegenerateInputError, InvalidInputError
 from distillab.seeding import derive_rng
 from distillab.viability import (
@@ -195,7 +196,7 @@ def test_spine_validation():
         Spine(problem_id="p", tokens=(), gold_answer="1", correct=True)
 
 
-def test_candidate_record_roundtrip(tmp_path):
+def test_candidate_record_roundtrip(tmp_path, capsys):
     recs = [
         CandidateRecord(
             problem_id="p0", spine_pos=3, normalized_position=0.21875,
@@ -223,6 +224,16 @@ def test_candidate_record_roundtrip(tmp_path):
         assert a.label == b.label
         assert a.scores == b.scores
         assert a.ground_truth_reliable == b.ground_truth_reliable
+    # the file diagnose writes reads back, and writing it again gives the same bytes
+    out = tmp_path / "diag"
+    argv = ["diagnose", "--vocab", "10", "--depth", "24", "--problems", "6", "--resamples", "30",
+            "--members", "3", "--continuations", "2", "--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    written = (out / "candidates.jsonl").read_bytes()
+    back = read_candidates_jsonl(out / "candidates.jsonl")
+    assert len(back) == written.count(b"\n") > 0
+    write_candidates_jsonl(tmp_path / "again.jsonl", back)
+    assert (tmp_path / "again.jsonl").read_bytes() == written
 
 
 def test_candidate_json_dict_uses_h_trunc_key():

@@ -586,8 +586,8 @@ def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
     # the update's scatter, against the old per-episode index
     before = {pid: t.copy() for pid, t in theta.tables.items()}
     lr = tcfg.step_size(step)
-    theta, _, grads, _ = trainer_module.train_step(theta, problems, tcfg)
-    for ep, g in zip(episodes, grads, strict=True):
+    theta, _, grad, used = trainer_module.train_step(theta, problems, tcfg)
+    for ep, g in zip(episodes, used.split(grad), strict=True):
         visited = (np.arange(len(ep.tokens)), np.array(ep.lanes))
         np.subtract.at(before[ep.problem.problem_id], visited, lr * g)
     assert all(before[pid].tobytes() == t.tobytes() for pid, t in theta.tables.items())
