@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dists import truncated_entropy
+from .dists import as_distribution, truncated_entropy
 from .errors import DegenerateInputError, InvalidInputError, NumericDomainError
 from .identities import (
     random_branch_mixture,
@@ -62,6 +62,8 @@ from .world import WorldConfig, default_filter_for_depth, run_diagnostic
 # 1 us per vocab^2 on a 2-vCPU x86 host (0.98 s at vocab 1024, 3.9 s at 2048), so an
 # allowed run takes at most about 100 s there.
 GRADCHECK_WORK_LIMIT = 10**8
+# Largest relative error a gradient check may report and pass (acceptance criterion 1).
+GRADCHECK_TOLERANCE = 1e-6
 
 
 class _JsonArgumentParser(argparse.ArgumentParser):
@@ -215,7 +217,8 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
         "gradcheck",
         help="finite-difference check of the analytic gradient",
         description="Exits 2 if batches * batch_size * max_len * vocab^2 > "
-        f"{GRADCHECK_WORK_LIMIT:,} or --step is not a positive finite number, and 3 if "
+        f"{GRADCHECK_WORK_LIMIT:,} or --step is not a positive finite number, 2 if "
+        f"max_rel_err exceeds {GRADCHECK_TOLERANCE:g}, and 3 if "
         "nothing was compared (every token has a term within 10 * step of the clip).",
     )
     g.add_argument("--batches", type=int, default=5)
@@ -567,6 +570,11 @@ def _cmd_gradcheck(args: argparse.Namespace, argv: list[str]) -> int:
         raise DegenerateInputError(
             f"nothing compared: each of the {skipped} tokens has a term within 10 * step of the clip"
         )
+    if not worst_rel <= GRADCHECK_TOLERANCE:
+        raise NumericDomainError(
+            f"gradient check failed: max_rel_err {worst_rel!r} exceeds {GRADCHECK_TOLERANCE!r} "
+            f"over {compared} compared coordinates"
+        )
     print(
         _dump(
             {
@@ -607,6 +615,8 @@ def _cmd_score(args: argparse.Namespace, argv: list[str]) -> int:
     if valid.shape != (members.shape[1],):
         raise InvalidInputError("valid_mask length must match the vocabulary")
     with np.errstate(all="ignore"):  # non-finite members or means are refused, without a warning
+        for i, row in enumerate(members):  # before their mean is normalized
+            as_distribution(row, f"members[{i}]")
         mean_dist = members.mean(axis=0)
         mean_dist = mean_dist / mean_dist.sum()
         h_trunc = truncated_entropy(mean_dist, valid, args.top_m)

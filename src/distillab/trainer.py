@@ -164,9 +164,10 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
 def rollout_from_params(
     problem: ProblemInstance, theta: np.ndarray, rng: np.random.Generator
 ) -> Episode:
-    """Sample one episode from softmax(theta) (plain categorical at T = 1)."""
+    """Sample one episode from softmax(theta) (plain categorical at T = 1): one
+    table draw, then a walk over the drawn tokens."""
     probs = softmax_with_temperature(theta, 1.0)
-    return walk(problem, 0, 0, lambda t, z: nucleus_sample(rng, probs[t, z], 1.0, 1.0))
+    return walk(problem, 0, 0, nucleus_sample(rng, probs, 1.0, 1.0))
 
 
 def _collect_episodes(

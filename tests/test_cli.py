@@ -97,6 +97,14 @@ BAD_REQUESTS = {
     "gradcheck-step-1e300": (
         ["gradcheck", "--step", "1e300", "--batches", "1"], "", 3, "DegenerateInputError"
     ),
+    # a gradient check that misses criterion 1's tolerance is not a success
+    "gradcheck-failed-check": (
+        ["gradcheck", "--temperature", "1e-300", "--batches", "1"], "", 2, "NumericDomainError"
+    ),
+    "gradcheck-failed-check-clip": (
+        ["gradcheck", "--clip", "1e-300", "--temperature", "1e-5", "--batches", "1"], "", 2,
+        "NumericDomainError",
+    ),
     "score-string-member": (
         ["score", "--in", "-"], '{"members": [[0.5, "x"], [0.5, 0.5]]}', 2, "InvalidInputError"
     ),
@@ -123,6 +131,33 @@ def test_bad_requests_exit_with_one_json_line(monkeypatch, capsys, argv, stdin, 
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == kind
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "members, complaint",
+    [
+        ("[[0, 0], [0, 0]]", "members[0] sums to 0.0"),
+        ("[[Infinity, 1], [0.5, 0.5]]", "members[0] contains non-finite entries"),
+        ("[[0.5, 0.5], [-0.5, 1.5]]", "members[1] contains negative entries"),
+    ],
+)
+def test_score_names_members_that_are_not_distributions(monkeypatch, capsys, members, complaint):
+    # checked before the mean is normalized, whose failure named the truncated entropy
+    from distillab.cli import main
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"members": ' + members + "}"))
+    assert main(["score", "--in", "-"]) == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "InvalidInputError"
+    assert err["message"].startswith(complaint)
+    assert captured.out == ""
+
+
+def test_gradcheck_tolerance_is_criterion_one():
+    from distillab.cli import GRADCHECK_TOLERANCE
+
+    assert GRADCHECK_TOLERANCE == 1e-6
 
 
 def test_config_nested_too_deep_exits_two(tmp_path, capsys):

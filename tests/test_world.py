@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import distillab.trainer as trainer_module
@@ -248,21 +248,102 @@ def test_memoised_nucleus_sample_equals_reference(case, seed):
         assert nucleus_sample(fast_rng, rows[i], temperature, top_p) == expected
 
 
+class _GivenUniforms:
+    """A generator stand-in whose `random()` returns the first given uniform
+    and `random(size)` all of them in that shape."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=float)
+
+    def random(self, size=None):
+        return float(self.uniforms[0]) if size is None else self.uniforms.reshape(size)
+
+
+def _assert_table_draw_equals_reference(tokens, table, temperature, top_p, uniforms):
+    """Each row of a (L, K, V) table, drawn with its layer's uniform by the
+    reference, gives the token the table draw gave it."""
+    assert tokens.shape == table.shape[:-1]
+    for t, u in enumerate(uniforms):
+        for lane, row in enumerate(table[t]):
+            expected = _reference_nucleus_sample(_GivenUniforms([u]), row, temperature, top_p)
+            assert tokens[t, lane] == expected
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32), vocab=st.integers(2, 12), temperature=_temperatures, top_p=_top_ps)
 def test_memoised_nucleus_sample_survives_eviction(seed, vocab, temperature, top_p):
-    memo = world_module._nucleus_prefix
-    size = world_module._NUCLEUS_MEMO_SIZE
-    rows = derive_rng(seed).dirichlet(np.full(vocab, 0.5), size=size + 7)
+    memo = world_module._nucleus_table
+    size = world_module._TABLE_MEMO_SIZE
+    tables = derive_rng(seed).dirichlet(np.full(vocab, 0.5), size=(size + 7, 3, 2))
     memo.cache_clear()
     fast_rng, slow_rng = derive_rng(seed, 1), derive_rng(seed, 1)
-    for _ in range(2):  # a cycle longer than the memo evicts every row before its reuse
-        for row in rows:
-            expected = _reference_nucleus_sample(slow_rng, row, temperature, top_p)
-            assert nucleus_sample(fast_rng, row, temperature, top_p) == expected
+    for _ in range(2):  # a cycle longer than the memo evicts every table before its reuse
+        for table in tables:
+            uniforms = [slow_rng.random() for _ in range(len(table))]
+            tokens = nucleus_sample(fast_rng, table, temperature, top_p)
+            _assert_table_draw_equals_reference(tokens, table, temperature, top_p, uniforms)
     info = memo.cache_info()
     assert info.currsize == size
-    assert (info.hits, info.misses) == (0, 2 * len(rows))
+    assert (info.hits, info.misses) == (0, 2 * len(tables))
+
+
+# Row entries with exact zeros, ties, and masses far apart: a row like
+# (0.5, 0.5, 1e-18) has a cumulative sum that reaches 1.0 before its last
+# token, so even top_p = 1 cuts its nucleus inside the row.
+_row_entries = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, 1e-18, 1e-300, 1e17])
+
+
+@st.composite
+def _tables(draw):
+    layers, lanes, vocab = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        rows = st.lists(_row_entries, min_size=vocab, max_size=vocab).filter(any)
+        mass = np.array(draw(st.lists(rows, min_size=layers * lanes, max_size=layers * lanes)))
+    else:
+        alpha = draw(st.sampled_from([0.05, 0.5, 5.0]))
+        mass = np.random.default_rng(draw(st.integers(0, 2**32))).dirichlet(
+            np.full(vocab, alpha), size=layers * lanes
+        )
+    table = (mass / mass.sum(axis=1, keepdims=True)).reshape(layers, lanes, vocab)
+    return table, draw(st.integers(0, layers - 1))
+
+
+# dyadic top_p and uniforms: cumulative sums of rows like (1, 1, 2) / 4 hit
+# them exactly, where `<` against `<=` decides the nucleus and the draw
+_table_top_ps = st.sampled_from([1.0, 0.999, 0.95, 0.75, 0.6, 0.5, 0.3, 0.25, 1e-6])
+_boundary_uniforms = st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1 - 2**-53])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=_tables(),
+    temperature=_temperatures,
+    top_p=_table_top_ps,
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_table_draw_equals_the_reference_row_by_row(case, temperature, top_p, seed, data):
+    table, start = case
+    rest = table[start:]  # a walk that starts past layer 0 draws from the rest
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):  # repeated draws from one table hit the memo
+        uniforms = [slow_rng.random() for _ in range(len(rest))]  # one per layer
+        tokens = nucleus_sample(fast_rng, rest, temperature, top_p)
+        _assert_table_draw_equals_reference(tokens, rest, temperature, top_p, uniforms)
+        assert fast_rng.random() == slow_rng.random()  # both consumed the same uniforms
+    # uniforms exactly on a cumulative mass: the draw is bisect_right
+    uniforms = data.draw(st.lists(_boundary_uniforms, min_size=len(rest), max_size=len(rest)))
+    tokens = nucleus_sample(_GivenUniforms(uniforms), rest, temperature, top_p)
+    _assert_table_draw_equals_reference(tokens, rest, temperature, top_p, uniforms)
+    # a (K, V) table shares one uniform, a (V,) row draws one token
+    u = slow_rng.random()
+    assert _reference_nucleus_sample(_GivenUniforms([u]), rest[0, 0], temperature, top_p) == (
+        nucleus_sample(fast_rng, rest[0, 0], temperature, top_p)
+    )
+    uniforms = [slow_rng.random()]
+    _assert_table_draw_equals_reference(
+        nucleus_sample(fast_rng, rest[0], temperature, top_p)[None], rest[:1], temperature, top_p, uniforms
+    )
 
 
 def test_nucleus_low_temperature_sharpens():
@@ -499,6 +580,38 @@ _worlds = st.builds(
 )
 
 
+def _reference_transition(problem, t, lane, token):
+    # the scan that the next-lane table replaced
+    if lane == problem.dead_lane:
+        return problem.dead_lane
+    if token == problem.canon[t, lane]:
+        return lane
+    for tok, target in problem.alts[t][lane]:
+        if token == tok:
+            return target
+    return problem.dead_lane
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=_worlds, index=st.integers(0, 5))
+@example(cfg=WorldConfig(vocab_size=4, depth=4, branch_count=255), index=0)  # lanes fill a byte
+@example(cfg=WorldConfig(vocab_size=4, depth=4, branch_count=256), index=0)  # they do not
+def test_next_lane_table_equals_the_replaced_transition(cfg, index):
+    p = generate_problem(cfg, index)
+    B, V = cfg.branch_count, cfg.vocab_size
+    assert len(p.next_lane) == p.length - 1
+    assert all(len(rows) == B + 1 and all(len(row) == V for row in rows) for rows in p.next_lane)
+    for t in range(p.length - 1):
+        for lane in range(B + 1):
+            for token in range(V):
+                expected = _reference_transition(p, t, lane, token)
+                assert p.next_lane[t][lane][token] == expected
+                assert p.transition(t, lane, token) == expected
+                assert p.child_viable(t, lane, token) == (expected != p.dead_lane)
+            for token in (-1, V):  # outside the vocabulary
+                assert p.transition(t, lane, token) == _reference_transition(p, t, lane, token)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cfg=_worlds,
@@ -530,7 +643,7 @@ def test_walk_equals_the_replaced_world_loops(cfg, index, attempt, temperature, 
         after = p.transition(position, lane, token)
         for a, (tokens, lanes, correct) in enumerate(reference):
             rng = derive_rng(cfg.seed, TAG_FORCE, index, position, token, a)
-            draw = world_module._nucleus_draw(rng, p.student, temperature, top_p)
+            draw = nucleus_sample(rng, p.student[position + 1 :], temperature, top_p)
             episode = world_module.walk(p, position + 1, after, draw)
             assert (episode.tokens, episode.lanes, episode.correct) == (tokens, lanes, correct)
             rows = np.array([p.teacher[position + 1 + k, z] for k, z in enumerate(lanes)])
