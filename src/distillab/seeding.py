@@ -42,4 +42,7 @@ def derive_rng(*parts: int) -> np.random.Generator:
         clean.append(q)
     if not clean:
         raise InvalidInputError("seed path must contain at least one part")
-    return np.random.default_rng(np.random.SeedSequence(clean))
+    # SeedSequence reads an int as its 32-bit words, so parts below 2**32 give
+    # the same entropy as a uint32 array, which it takes without the per-int split
+    words = np.array(clean, dtype=np.uint32) if max(clean) < 2**32 else clean
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))

@@ -162,11 +162,10 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
 
 
 def rollout_from_params(
-    problem: ProblemInstance, theta: np.ndarray, rng: np.random.Generator
+    problem: ProblemInstance, probs: np.ndarray, rng: np.random.Generator
 ) -> Episode:
-    """Sample one episode from softmax(theta) (plain categorical at T = 1): one
-    table draw, then a walk over the drawn tokens."""
-    probs = softmax_with_temperature(theta, 1.0)
+    """Sample one episode from `probs`, the softmax of a logit table at T = 1
+    (plain categorical): one table draw, then a walk over the drawn tokens."""
     return walk(problem, 0, 0, nucleus_sample(rng, probs, 1.0, 1.0))
 
 
@@ -174,13 +173,15 @@ def _collect_episodes(
     theta: StudentParams, problems: list[ProblemInstance], cfg: TrainConfig
 ) -> list[Episode]:
     """The batch of on-policy rollouts for the current step: the training pool
-    is visited round-robin so every problem refreshes at the same rate."""
-    episodes = []
-    for i in range(cfg.batch_sequences):
-        problem = problems[(theta.step * cfg.batch_sequences + i) % len(problems)]
-        rng = derive_rng(cfg.seed, TAG_TRAIN, theta.step, i)
-        episodes.append(rollout_from_params(problem, theta.tables[problem.problem_id], rng))
-    return episodes
+    is visited round-robin so every problem refreshes at the same rate. Each
+    problem's policy is computed once: its table changes only at the update."""
+    n = cfg.batch_sequences
+    picked = [problems[(theta.step * n + i) % len(problems)] for i in range(n)]
+    probs = {p: softmax_with_temperature(theta.tables[p.problem_id], 1.0) for p in dict.fromkeys(picked)}
+    return [
+        rollout_from_params(p, probs[p], derive_rng(cfg.seed, TAG_TRAIN, theta.step, i))
+        for i, p in enumerate(picked)
+    ]
 
 
 def _batch_from_episodes(
@@ -222,9 +223,10 @@ def evaluate_policy(
     per_problem = []
     for problem in problems:
         texts = []
+        probs = softmax_with_temperature(tables[problem.problem_id], 1.0)
         for s in range(cfg.eval_samples):
             rng = derive_rng(cfg.seed, TAG_EVAL, eval_tag, problem.index, s)
-            ep = rollout_from_params(problem, tables[problem.problem_id], rng)
+            ep = rollout_from_params(problem, probs, rng)
             texts.append(f"final \\boxed{{{ep.answer}}}")
         grades = grade_and_cluster(texts, problem.gold_answer)
         per_problem.append(problem_metrics(grades))

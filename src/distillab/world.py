@@ -211,12 +211,6 @@ def walk(problem: ProblemInstance, start: int, lane: int, tokens: np.ndarray) ->
     return Episode(problem, tuple(map(list.__getitem__, rows, lanes)), tuple(lanes))
 
 
-def _concentrated(vocab: int, token: int, top_mass: float) -> np.ndarray:
-    p = np.full(vocab, (1.0 - top_mass) / (vocab - 1))
-    p[token] = top_mass
-    return p
-
-
 def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
     """Deterministically build problem `index` of the world."""
     if index < 0:
@@ -233,8 +227,11 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
     kind = np.zeros((length - 1, B), dtype=np.int8)
     canon = np.zeros((length - 1, B), dtype=np.int64)
     alts: list[list[tuple[tuple[int, int], ...]]] = []
-    teacher = np.zeros((length, B + 1, V))
-    student = np.zeros((length, B + 1, V))
+    # background rows; the loop writes branch-state teacher rows, array writes the rest
+    teacher_top, student_top = 1.0 - TEACHER_BACKGROUND, 1.0 - STUDENT_BACKGROUND
+    teacher = np.full((length, B + 1, V), (1.0 - teacher_top) / (V - 1))
+    student = np.full((length, B + 1, V), (1.0 - student_top) / (V - 1))
+    others = [np.delete(np.arange(V), c) for c in range(V)]  # the tokens that are not c
 
     for t in range(length - 1):
         r = (t + 0.5) / length
@@ -243,45 +240,39 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
         for z in range(B):
             c = int(rng.integers(V))
             canon[t, z] = c
-            others = np.array([tok for tok in range(V) if tok != c])
             state_alts: tuple[tuple[int, int], ...] = ()
             if rng.random() < BRANCH_DENSITY:
                 amb = cfg.ambiguity_mass * rng.uniform(*AMBIGUITY_JITTER)
-                amb = float(np.clip(amb, 0.05, 1.0 - TEACHER_BACKGROUND - 0.05))
+                amb = min(max(amb, 0.05), 1.0 - TEACHER_BACKGROUND - 0.05)  # np.clip costs 10 us a call
                 unreliable = rng.random() < dead_fraction
+                q = teacher[t, z]
+                q[:] = TEACHER_BACKGROUND / (V - 3)
                 if unreliable:
                     kind[t, z] = UNRELIABLE
-                    picks = rng.choice(others, size=3, replace=False)
+                    picks = rng.choice(others[c], size=3, replace=False)
                     state_alts = tuple((int(tok), dead) for tok in picks)
-                    q = np.full(V, TEACHER_BACKGROUND / (V - 3))
                     q[picks[0]] = 1.0 - amb - TEACHER_BACKGROUND
-                    q[picks[1]] = amb / 2.0
-                    q[picks[2]] = amb / 2.0
+                    q[picks[1:]] = amb / 2.0
                 else:
                     kind[t, z] = DIVERSE
-                    picks = rng.choice(others, size=2, replace=False)
+                    picks = rng.choice(others[c], size=2, replace=False)
                     state_alts = tuple(
                         (int(tok), (z + 1 + j) % B) for j, tok in enumerate(picks)
                     )
-                    q = np.full(V, TEACHER_BACKGROUND / (V - 3))
                     q[c] = 1.0 - amb - TEACHER_BACKGROUND
-                    q[picks[0]] = amb / 2.0
-                    q[picks[1]] = amb / 2.0
-            else:
-                q = _concentrated(V, c, 1.0 - TEACHER_BACKGROUND)
-            teacher[t, z] = q
-            student[t, z] = _concentrated(V, c, 1.0 - STUDENT_BACKGROUND)
+                    q[picks] = amb / 2.0
             row_alts.append(state_alts)
         alts.append(row_alts)
-        teacher[t, dead] = _concentrated(V, filler, 1.0 - TEACHER_BACKGROUND)
-        student[t, dead] = _concentrated(V, filler, 1.0 - STUDENT_BACKGROUND)
 
-    final = length - 1
-    for z in range(B):
-        teacher[final, z] = _concentrated(V, gold, 1.0 - TEACHER_BACKGROUND)
-        student[final, z] = _concentrated(V, gold, 1.0 - STUDENT_BACKGROUND)
-    teacher[final, dead] = _concentrated(V, wrong, 1.0 - TEACHER_BACKGROUND)
-    student[final, dead] = _concentrated(V, wrong, 1.0 - STUDENT_BACKGROUND)
+    # the concentrated token of each state: canonical in a viable lane, the
+    # filler in the dead lane, and at the answer gold or (dead lane) wrong
+    top = np.empty((length, B + 1), dtype=np.int64)
+    top[:-1, :B], top[:-1, dead], top[-1, :B], top[-1, dead] = canon, filler, gold, wrong
+    layer, lane = np.indices(top.shape)
+    student[layer, lane, top] = student_top
+    plain = np.ones(top.shape, dtype=bool)  # the teacher concentrates outside branch states
+    plain[:-1, :B] = kind == PLAIN
+    teacher[layer[plain], lane[plain], top[plain]] = teacher_top
 
     return ProblemInstance(
         problem_id=f"p{index:04d}",
@@ -300,7 +291,7 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
 
 
 def nucleus_sample(
-    rng: np.random.Generator, probs: np.ndarray, temperature: float, top_p: float
+    rng: np.random.Generator | Callable, probs: np.ndarray, temperature: float, top_p: float
 ) -> int | np.ndarray:
     """Temperature rescale, keep the smallest descending-probability prefix with
     mass >= top_p, renormalize, draw. top_p = 1 is plain categorical sampling.
@@ -310,6 +301,10 @@ def nucleus_sample(
     `rng.random(shape[:-2])`: the K rows at one leading index share one
     uniform. A walk that reads one row per layer therefore consumes the same
     uniforms, in the same order, as one row draw per layer would.
+
+    `rng` is a Generator or a zero-argument callable that returns one. When
+    every kept nucleus holds one token, a point mass, the draw needs no
+    uniform: a callable is then never called (a Generator gives them anyway).
 
     The draw is inverse-CDF sampling on each row's kept prefix. The prefixes
     are built table-wide and memoised by the table's bytes, shape,
@@ -323,8 +318,10 @@ def nucleus_sample(
     p = np.asarray(probs, dtype=float)
     shape = p.shape if p.ndim > 1 else (1, *p.shape)
     order, cum, starts = _nucleus_table(p.tobytes(), shape, temperature, top_p)
-    u = rng.random(shape[:-2])
-    tokens = order[starts + (cum > u[..., None, None]).argmax(axis=-1)]
+    if cum.shape[-1] > 1 or not callable(rng):  # a point-mass table needs no uniform
+        rng = rng() if callable(rng) else rng
+        starts = starts + (cum > rng.random(shape[:-2])[..., None, None]).argmax(axis=-1)
+    tokens = order[starts]
     return tokens if p.ndim > 1 else int(tokens[0])
 
 
@@ -394,7 +391,9 @@ def forced_continuation(
     top_p: float = 0.95,
 ) -> list[bool]:
     """Force one child token at a spine position, then sample the student to the
-    end `attempts` times; outcome per attempt is terminal-answer correctness."""
+    end `attempts` times; outcome per attempt is terminal-answer correctness.
+    A point-mass draw (one token per kept nucleus, as at T = 1, top_p = 0.95)
+    derives no generator, and its one walk gives every attempt's outcome."""
     if not (0 <= position < problem.length - 1):
         raise InvalidInputError(
             f"position must lie in [0, {problem.length - 2}], got {position}"
@@ -410,11 +409,16 @@ def forced_continuation(
     rest = problem.student[position + 1 :]
     outcomes = []
     for a in range(attempts):
-        rng = derive_rng(
-            problem.cfg.seed, TAG_FORCE, problem.index, position, int(forced_token), a
-        )
-        tokens = nucleus_sample(rng, rest, temperature, top_p)
+        derived = []  # the attempt's generator, if its draw asks for one
+
+        def attempt_rng() -> np.random.Generator:
+            derived.append(derive_rng(problem.cfg.seed, TAG_FORCE, problem.index, position, forced_token, a))
+            return derived[-1]
+
+        tokens = nucleus_sample(attempt_rng, rest, temperature, top_p)
         outcomes.append(walk(problem, position + 1, after, tokens).correct)
+        if not derived:  # a point-mass draw: every attempt emits these tokens
+            return outcomes * attempts
     return outcomes
 
 

@@ -1,21 +1,27 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import distillab.trainer as trainer_module
 import distillab.world as world_module
 from distillab.dists import floored_log, softmax_with_temperature, temperature_scaled
 from distillab.errors import InvalidInputError
-from distillab.seeding import TAG_FORCE, TAG_ROLLOUT, derive_rng
+from distillab.seeding import TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, derive_rng
 from distillab.stats import BootstrapConfig
 from distillab.trainer import TrainConfig
 from distillab.uncertainty import mutual_information
 from distillab.world import (
+    AMBIGUITY_JITTER,
+    BRANCH_DENSITY,
     DIVERSE,
+    EARLY_CUTOFF,
     PLAIN,
+    STUDENT_BACKGROUND,
+    TEACHER_BACKGROUND,
     UNRELIABLE,
     DiagnosticReport,
     WorldConfig,
@@ -660,7 +666,8 @@ def test_walk_equals_the_replaced_world_loops(cfg, index, attempt, temperature, 
 def test_trainer_rollout_equals_the_replaced_loop(cfg, index, noise, seed):
     p = generate_problem(cfg, index)
     theta = floored_log(p.teacher) + noise * derive_rng(seed, 1).standard_normal(p.teacher.shape)
-    episode = trainer_module.rollout_from_params(p, theta, derive_rng(seed, 2))
+    probs = softmax_with_temperature(theta, 1.0)
+    episode = trainer_module.rollout_from_params(p, probs, derive_rng(seed, 2))
     tokens, lanes, answer, correct = _reference_rollout_from_params(p, theta, derive_rng(seed, 2))
     assert (list(episode.tokens), list(episode.lanes)) == (tokens, lanes)
     assert (episode.answer, episode.correct) == (answer, correct)
@@ -704,3 +711,189 @@ def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
         visited = (np.arange(len(ep.tokens)), np.array(ep.lanes))
         np.subtract.at(before[ep.problem.problem_id], visited, lr * g)
     assert all(before[pid].tobytes() == t.tobytes() for pid, t in theta.tables.items())
+
+
+def _reference_forced_continuation(problem, spine, position, forced_token, attempts, temperature, top_p):
+    # the per-attempt loop that the point-mass shortcut replaced: one
+    # generator, one table draw and one walk for every attempt
+    after = problem.transition(position, spine.lanes[position], int(forced_token))
+    rest = problem.student[position + 1 :]
+    outcomes = []
+    for a in range(attempts):
+        rng = derive_rng(
+            problem.cfg.seed, TAG_FORCE, problem.index, position, int(forced_token), a
+        )
+        tokens = nucleus_sample(rng, rest, temperature, top_p)
+        outcomes.append(world_module.walk(problem, position + 1, after, tokens).correct)
+    return outcomes
+
+
+def _is_point_mass(table, temperature, top_p):
+    """Every row's nucleus holds one token, by the reference algorithm's cut."""
+    for row in table.reshape(-1, table.shape[-1]):
+        p = row
+        if temperature != 1.0:
+            scaled = np.where(p > 0.0, np.exp(np.log(np.maximum(p, 1e-12)) / temperature), 0.0)
+            p = scaled / scaled.sum()
+        cum = np.cumsum(np.sort(p)[::-1])
+        if int(np.searchsorted(cum, top_p, side="left")) + 1 > 1:
+            return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cfg=_worlds,
+    index=st.integers(0, 5),
+    attempts=st.integers(1, 8),
+    # diagnose's T = 1, top_p = 0.95, and flat rows (high T) or wide nuclei
+    # (top_p near 1) that take the sampled path
+    temperature=st.one_of(st.sampled_from([1.0, 3.0, 5.0]), st.floats(0.3, 5.0)),
+    top_p=st.one_of(st.sampled_from([0.95, 0.99, 1.0]), st.floats(1e-3, 1.0)),
+    data=st.data(),
+)
+@example(cfg=WorldConfig(vocab_size=12, depth=16), index=0, attempts=6, temperature=1.0, top_p=0.95, data=None)
+@example(cfg=WorldConfig(vocab_size=12, depth=16), index=0, attempts=6, temperature=5.0, top_p=1.0, data=None)
+@example(cfg=WorldConfig(vocab_size=4, depth=8), index=1, attempts=8, temperature=1.0, top_p=0.99, data=None)
+def test_forced_continuation_equals_the_per_attempt_loop(cfg, index, attempts, temperature, top_p, data):
+    p = generate_problem(cfg, index)
+    spine = student_rollout(p, "greedy")
+    if data is None:  # the explicit examples force every child of the middle layer
+        position = (p.length - 1) // 2
+    else:
+        position = data.draw(st.integers(0, p.length - 2), label="position")
+    point_mass = _is_point_mass(p.student[position + 1 :], temperature, top_p)
+    event("point mass" if point_mass else "sampled")
+    for token in p.children(position, spine.lanes[position]):
+        expected = _reference_forced_continuation(p, spine, position, token, attempts, temperature, top_p)
+        with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
+            outcomes = forced_continuation(p, spine, position, token, attempts, temperature, top_p)
+        assert outcomes == expected
+        # a point-mass child derives no generator; a sampled one, one per attempt
+        assert spy.call_count == (0 if point_mass else attempts)
+
+
+def _reference_concentrated(vocab, token, top_mass):
+    p = np.full(vocab, (1.0 - top_mass) / (vocab - 1))
+    p[token] = top_mass
+    return p
+
+
+def _reference_generate_problem(cfg, index):
+    # the per-state body that the array writes replaced; returns the fields
+    rng = derive_rng(cfg.seed, TAG_PROBLEM, index)
+    V = cfg.vocab_size
+    B = cfg.branch_count
+    dead = B
+    length = int(rng.integers(max(4, cfg.depth // 2), cfg.depth + 1))
+    gold = int(rng.integers(V))
+    wrong = int((gold + 1 + rng.integers(V - 1)) % V)
+    filler = int(rng.integers(V))
+
+    kind = np.zeros((length - 1, B), dtype=np.int8)
+    canon = np.zeros((length - 1, B), dtype=np.int64)
+    alts = []
+    teacher = np.zeros((length, B + 1, V))
+    student = np.zeros((length, B + 1, V))
+
+    for t in range(length - 1):
+        r = (t + 0.5) / length
+        dead_fraction = cfg.early_dead_fraction if r < EARLY_CUTOFF else cfg.late_dead_fraction
+        row_alts = []
+        for z in range(B):
+            c = int(rng.integers(V))
+            canon[t, z] = c
+            others = np.array([tok for tok in range(V) if tok != c])
+            state_alts = ()
+            if rng.random() < BRANCH_DENSITY:
+                amb = cfg.ambiguity_mass * rng.uniform(*AMBIGUITY_JITTER)
+                amb = float(np.clip(amb, 0.05, 1.0 - TEACHER_BACKGROUND - 0.05))
+                unreliable = rng.random() < dead_fraction
+                if unreliable:
+                    kind[t, z] = UNRELIABLE
+                    picks = rng.choice(others, size=3, replace=False)
+                    state_alts = tuple((int(tok), dead) for tok in picks)
+                    q = np.full(V, TEACHER_BACKGROUND / (V - 3))
+                    q[picks[0]] = 1.0 - amb - TEACHER_BACKGROUND
+                    q[picks[1]] = amb / 2.0
+                    q[picks[2]] = amb / 2.0
+                else:
+                    kind[t, z] = DIVERSE
+                    picks = rng.choice(others, size=2, replace=False)
+                    state_alts = tuple(
+                        (int(tok), (z + 1 + j) % B) for j, tok in enumerate(picks)
+                    )
+                    q = np.full(V, TEACHER_BACKGROUND / (V - 3))
+                    q[c] = 1.0 - amb - TEACHER_BACKGROUND
+                    q[picks[0]] = amb / 2.0
+                    q[picks[1]] = amb / 2.0
+            else:
+                q = _reference_concentrated(V, c, 1.0 - TEACHER_BACKGROUND)
+            teacher[t, z] = q
+            student[t, z] = _reference_concentrated(V, c, 1.0 - STUDENT_BACKGROUND)
+            row_alts.append(state_alts)
+        alts.append(row_alts)
+        teacher[t, dead] = _reference_concentrated(V, filler, 1.0 - TEACHER_BACKGROUND)
+        student[t, dead] = _reference_concentrated(V, filler, 1.0 - STUDENT_BACKGROUND)
+
+    final = length - 1
+    for z in range(B):
+        teacher[final, z] = _reference_concentrated(V, gold, 1.0 - TEACHER_BACKGROUND)
+        student[final, z] = _reference_concentrated(V, gold, 1.0 - STUDENT_BACKGROUND)
+    teacher[final, dead] = _reference_concentrated(V, wrong, 1.0 - TEACHER_BACKGROUND)
+    student[final, dead] = _reference_concentrated(V, wrong, 1.0 - STUDENT_BACKGROUND)
+    return length, gold, wrong, filler, kind, canon, alts, teacher, student
+
+
+_fractions = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cfg=st.builds(
+        WorldConfig,
+        vocab_size=st.integers(4, 30),
+        depth=st.integers(4, 64),
+        branch_count=st.integers(1, 7),
+        early_dead_fraction=_fractions,
+        late_dead_fraction=_fractions,
+        ambiguity_mass=st.floats(
+            0.0, 1.0 - TEACHER_BACKGROUND, exclude_min=True, exclude_max=True
+        ),
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+    ),
+    index=st.one_of(st.integers(0, 9), st.integers(2**32, 2**40)),
+)
+@example(cfg=WorldConfig(vocab_size=4, depth=64, branch_count=7, seed=2**32), index=0)
+@example(cfg=WorldConfig(vocab_size=30, depth=4, branch_count=1, seed=2**32 - 1), index=2**32)
+def test_generate_problem_equals_the_per_state_body(cfg, index):
+    p = generate_problem(cfg, index)
+    length, gold, wrong, filler, kind, canon, alts, teacher, student = _reference_generate_problem(
+        cfg, index
+    )
+    assert (p.length, p.gold_token, p.wrong_token, p.filler_token) == (length, gold, wrong, filler)
+    assert type(p.gold_token) is type(p.wrong_token) is type(p.filler_token) is int
+    for got, expected in ((p.kind, kind), (p.canon, canon), (p.teacher, teacher), (p.student, student)):
+        assert _bits(got) == _bits(expected)
+    assert p.alts == alts
+    assert all(type(x) is int for row in p.alts for state in row for pair in state for x in pair)
+
+
+@settings(max_examples=20, deadline=None)
+@given(cfg=_worlds, step=st.integers(0, 4), batch=st.integers(1, 9), train_problems=st.integers(1, 4))
+def test_collect_episodes_computes_each_policy_once(cfg, step, batch, train_problems):
+    tcfg = TrainConfig(batch_sequences=batch, train_problems=train_problems, init_noise=1.0)
+    problems = [generate_problem(cfg, i) for i in range(train_problems)]
+    theta = trainer_module.init_student(tcfg, problems)
+    theta.step = step
+    picked = [problems[(step * batch + i) % train_problems] for i in range(batch)]
+    with mock.patch.object(
+        trainer_module, "softmax_with_temperature", wraps=softmax_with_temperature
+    ) as spy:
+        episodes = trainer_module._collect_episodes(theta, problems, tcfg)
+    assert spy.call_count == len({p.problem_id for p in picked})
+    for i, (ep, p) in enumerate(zip(episodes, picked, strict=True)):
+        tokens, lanes, _, _ = _reference_rollout_from_params(
+            p, theta.tables[p.problem_id], derive_rng(tcfg.seed, trainer_module.TAG_TRAIN, step, i)
+        )
+        assert (ep.problem, list(ep.tokens), list(ep.lanes)) == (p, tokens, lanes)
