@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dists import as_distribution, truncated_entropy
+from .dists import as_rows, truncated_entropy
 from .errors import DegenerateInputError, InvalidInputError, NumericDomainError
 from .identities import (
     random_branch_mixture,
@@ -38,7 +38,7 @@ from .identities import (
     sequence_identity_gap,
     token_identity_gap,
 )
-from .metrics import aggregate_metrics, grade_and_cluster, problem_metrics, seed_spread
+from .metrics import METRIC_KEYS, aggregate_metrics, score_problem, seed_spread
 from .objectives import (
     ObjectiveConfig,
     Reduction,
@@ -55,7 +55,7 @@ from .trainer import (
 )
 from .uncertainty import score_ensemble
 from .viability import FilterConfig, write_candidates_jsonl
-from .world import WorldConfig, default_filter_for_depth, run_diagnostic
+from .world import WorldConfig, run_diagnostic
 
 
 # Bound on gradcheck's batches * batch_size * max_len * vocab^2: a token costs about
@@ -64,6 +64,8 @@ from .world import WorldConfig, default_filter_for_depth, run_diagnostic
 GRADCHECK_WORK_LIMIT = 10**8
 # Largest relative error a gradient check may report and pass (acceptance criterion 1).
 GRADCHECK_TOLERANCE = 1e-6
+# The DiagnosticReport fields that report.json holds
+REPORT_FIELDS = ("world", "n_problems", "n_correct_spines", "label_counts", "reports", "params")
 
 
 class _JsonArgumentParser(argparse.ArgumentParser):
@@ -92,6 +94,13 @@ def _dump(obj) -> str:
 def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(text.encode("utf-8"))  # text UTF-8 cannot hold fails before the file opens
+
+
+def _csv_text(rows, **fmt) -> str:
+    """`rows` as CSV text; `fmt` goes to csv.writer (lineterminator, say)."""
+    buf = io.StringIO()
+    csv.writer(buf, **fmt).writerows(rows)
+    return buf.getvalue()
 
 
 def _write_meta(out_dir: Path, argv: list[str], **extra) -> None:
@@ -301,11 +310,7 @@ def _read_input(path: str) -> str:
 
 def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
     world = _world_from(args)
-    filter_cfg = (
-        default_filter_for_depth(world.depth)
-        if args.spacing == 0
-        else FilterConfig(spacing=args.spacing)
-    )
+    filter_cfg = FilterConfig(spacing=args.spacing) if args.spacing else None  # None: by depth
     out = Path(args.out)
 
     def write_samples(candidates, spines) -> None:
@@ -325,28 +330,11 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
         on_samples=write_samples,
         threads=args.threads,
     )
-    _write_text(
-        out / "report.json",
-        _dump(
-            {
-                "world": report.world,
-                "n_problems": report.n_problems,
-                "n_correct_spines": report.n_correct_spines,
-                "label_counts": report.label_counts,
-                "reports": report.reports,
-                "params": report.params,
-            }
-        )
-        + "\n",
-    )
-    curve_path = out / "position_curve.csv"
-    curve_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_text(out / "report.json", _dump({k: getattr(report, k) for k in REPORT_FIELDS}) + "\n")
     columns = ["bin_low", "bin_high", "n", "real_uncertain_rate", "ground_truth_reliable_rate"]
-    with curve_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in report.position_curve:  # an empty bin's rates are None, written empty
-            writer.writerow(["" if row[c] is None else row[c] for c in columns])
+    # an empty bin's rates are None, which csv writes empty
+    curve = [columns] + [[row[c] for c in columns] for row in report.position_curve]
+    _write_text(out / "position_curve.csv", _csv_text(curve))
     _write_meta(out, argv, workers=report.workers)
     summary = {
         "out": str(out),
@@ -422,42 +410,16 @@ def _cmd_train(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def _sweep_csv(table: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "kind",
-            "config",
-            "avg_at_12_mean",
-            "avg_at_12_sd",
-            "pass_at_12_mean",
-            "pass_at_12_sd",
-            "maj_at_12_mean",
-            "maj_at_12_sd",
-            "final_loss_mean",
-            "final_loss_sd",
-        ]
-    )
+def _sweep_csv(table: dict, n: int) -> str:
+    """summary.csv: per cell, each metric's mean and sd at n samples, then the final loss."""
+    metrics = [f"{key[:-1]}{n}_{stat}" for key in METRIC_KEYS for stat in ("mean", "sd")]
+    rows = [["kind", "config", *metrics, "final_loss_mean", "final_loss_sd"]]
     for kind in ("factorial", "sweep"):
         for name, cell in table[kind].items():
             s = cell["summary"]
-            ms = s["metric_spread"]
-            writer.writerow(
-                [
-                    kind,
-                    name,
-                    ms["avg_at_n"][0],
-                    ms["avg_at_n"][1],
-                    ms["pass_at_n"][0],
-                    ms["pass_at_n"][1],
-                    ms["maj_at_n"][0],
-                    ms["maj_at_n"][1],
-                    s["final_loss_mean"],
-                    s["final_loss_sd"],
-                ]
-            )
-    return buf.getvalue()
+            spread = [v for key in METRIC_KEYS for v in s["metric_spread"][key]]
+            rows.append([kind, name, *spread, s["final_loss_mean"], s["final_loss_sd"]])
+    return _csv_text(rows)
 
 
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
@@ -469,7 +431,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     if args.out:
         out = Path(args.out)
         _write_text(out / "sweep.json", text)
-        _write_text(out / "summary.csv", _sweep_csv(table))
+        _write_text(out / "summary.csv", _sweep_csv(table, cfg.eval_samples))
         _write_meta(out, argv, workers=workers)
         print(_dump({"out": str(out)}))
     else:
@@ -495,11 +457,10 @@ def _grade_file(raw: str, source: str, gold_field: str, marker: str) -> tuple[li
         samples = obj["samples"]
         if not isinstance(samples, list) or not all(isinstance(s, str) for s in samples):
             raise InvalidInputError(f"{source} line {lineno}: samples must be a list of strings")
-        grades = grade_and_cluster(samples, str(obj[gold_field]), marker=marker)
-        pm = problem_metrics(grades)
+        pm = score_problem(samples, str(obj[gold_field]), marker=marker)
         per_problem.append(pm)
         problem_id = str(obj.get("problem_id", f"line{lineno}"))
-        rows.append((source, problem_id, pm.avg_at_n, pm.pass_at_n, pm.maj_at_n))
+        rows.append((source, problem_id, *(getattr(pm, key) for key in METRIC_KEYS)))
     if not per_problem:
         raise DegenerateInputError(f"no problems in {source}")
     return rows, per_problem
@@ -508,7 +469,7 @@ def _grade_file(raw: str, source: str, gold_field: str, marker: str) -> tuple[li
 def _cmd_metrics(args: argparse.Namespace, argv: list[str]) -> int:
     if len(args.in_paths) > 1 and "-" in args.in_paths:
         raise InvalidInputError("stdin (-) can only be used as the single input")
-    rows = [("source", "problem_id", "avg", "pass", "maj")]
+    rows = [("source", "problem_id", *(key.removesuffix("_at_n") for key in METRIC_KEYS))]
     aggregates = []
     for path in args.in_paths:
         source = "stdin" if path == "-" else Path(path).name
@@ -518,15 +479,12 @@ def _cmd_metrics(args: argparse.Namespace, argv: list[str]) -> int:
         rows.extend(file_rows)
         agg = aggregate_metrics(per_problem)
         aggregates.append(agg)
-        rows.append((source, "aggregate", agg["avg_at_n"], agg["pass_at_n"], agg["maj_at_n"]))
+        rows.append((source, "aggregate", *(agg[key] for key in METRIC_KEYS)))
     if len(aggregates) > 1:
         spread = seed_spread(aggregates)
         for i, stat in enumerate(("mean", "sd")):
-            metrics = (spread[name][i] for name in ("avg_at_n", "pass_at_n", "maj_at_n"))
-            rows.append(("across_seeds", stat, *metrics))
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    text = buf.getvalue()
+            rows.append(("across_seeds", stat, *(spread[key][i] for key in METRIC_KEYS)))
+    text = _csv_text(rows, lineterminator="\n")
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -615,13 +573,12 @@ def _cmd_score(args: argparse.Namespace, argv: list[str]) -> int:
     if valid.shape != (members.shape[1],):
         raise InvalidInputError("valid_mask length must match the vocabulary")
     with np.errstate(all="ignore"):  # non-finite members or means are refused, without a warning
-        for i, row in enumerate(members):  # before their mean is normalized
-            as_distribution(row, f"members[{i}]")
+        as_rows(members, "members")  # before their mean is normalized
         mean_dist = members.mean(axis=0)
         mean_dist = mean_dist / mean_dist.sum()
         h_trunc = truncated_entropy(mean_dist, valid, args.top_m)
-        record = score_ensemble(members, h_trunc)
-    print(_dump(record.as_dict()))
+        scores = score_ensemble(members, h_trunc)
+    print(_dump(scores))
     return 0
 
 

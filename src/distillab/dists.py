@@ -6,8 +6,8 @@ Conventions used throughout the package:
 * 0 * ln 0 = 0;
 * probabilities are floored to PROB_FLOOR *inside* logarithms only -- the
   distribution itself is never renormalized by the floor;
-* token distributions are 1-D float arrays that sum to 1 within 1e-9 and
-  contain no negative entries.
+* token distributions are float rows that sum to 1 within 1e-9 and contain
+  no negative entries; `as_rows` is the one check of that.
 """
 from __future__ import annotations
 
@@ -25,14 +25,34 @@ def as_distribution(p, name: str = "distribution") -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise InvalidInputError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return as_rows(arr, name)
+
+
+def as_rows(p, name: str = "distribution") -> np.ndarray:
+    """Validate and return `p` as probability rows along its last axis.
+
+    The first bad row in C order is named `name[i]` (`name[i, j]` for a 3-D
+    `p`; a 1-D `p` is the one row `name`), with the first check it fails:
+    finite, then non-negative, then summing to 1 within _SUM_TOL.
+    """
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim < 1 or arr.shape[-1] < 1:
+        raise InvalidInputError(f"{name} must hold rows of at least one entry, got shape {arr.shape}")
+    if np.isfinite(arr).all() and not (arr < 0.0).any():
+        if (np.abs(arr.sum(axis=-1) - 1.0) <= _SUM_TOL).all():
+            return arr
+    rows = arr.reshape(-1, arr.shape[-1])
+    with np.errstate(all="ignore"):  # a bad row may sum to inf - inf, or overflow
+        sums = rows.sum(axis=1)  # each the same pairwise sum as its row's own
+    ok = np.isfinite(rows).all(axis=1) & ~(rows < 0.0).any(axis=1)
+    first = int(np.argmin(ok & (np.abs(sums - 1.0) <= _SUM_TOL)))
+    if arr.ndim > 1:
+        name = f"{name}[{', '.join(map(str, np.unravel_index(first, arr.shape[:-1])))}]"
+    if not np.isfinite(rows[first]).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
-    if np.any(arr < 0.0):
+    if (rows[first] < 0.0).any():
         raise InvalidInputError(f"{name} contains negative entries")
-    total = float(arr.sum())
-    if abs(total - 1.0) > _SUM_TOL:
-        raise InvalidInputError(f"{name} sums to {total!r}, expected 1 within {_SUM_TOL}")
-    return arr
+    raise InvalidInputError(f"{name} sums to {float(sums[first])!r}, expected 1 within {_SUM_TOL}")
 
 
 def floored_log(p: np.ndarray) -> np.ndarray:
@@ -89,10 +109,9 @@ def row_entropies(table) -> np.ndarray:
     same pairwise reductions as entropy()'s 1-D sums. A row holding a zero
     keeps entropy()'s own path, which drops the zeros before summing.
     """
-    arr = np.asarray(table, dtype=float)
-    valid = arr.ndim == 2 and np.all(np.isfinite(arr)) and not np.any(arr < 0.0)
-    if not valid or np.any(np.abs(arr.sum(axis=1) - 1.0) > _SUM_TOL):
-        raise InvalidInputError(f"entropy table rows must be distributions, got shape {arr.shape}")
+    arr = as_rows(table, "entropy table")
+    if arr.ndim != 2:
+        raise InvalidInputError(f"entropy table must be 2-D, got shape {arr.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = -(arr * np.log(arr)).sum(axis=1)
     for i in np.flatnonzero((arr == 0.0).any(axis=1)):

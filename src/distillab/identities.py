@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import as_distribution, forward_kl
+from .dists import as_distribution, as_rows, forward_kl
 from .errors import InvalidInputError
 
 MAX_ALPHABET = 8
@@ -43,10 +43,8 @@ class BranchMixture:
             raise InvalidInputError(
                 f"components must be (branches, vocab), got {comps.shape} for {prior.size} branches"
             )
-        for z, row in enumerate(comps):
-            as_distribution(row, f"component {z}")
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "components", as_rows(comps, "components"))
 
 
 @dataclass(frozen=True)
@@ -62,14 +60,9 @@ class BranchSequenceModel:
 
     def __post_init__(self) -> None:
         prior = as_distribution(self.prior, "branch prior")
-        levels = tuple(np.asarray(lv, dtype=float) for lv in self.levels)
-        alphabet = levels[0].shape[-1] if levels else 0
-        _check_size(len(levels), alphabet)
-        for t, lv in enumerate(levels):
-            expect = (prior.size, alphabet**t, alphabet)
-            if lv.shape != expect:
-                raise InvalidInputError(f"levels[{t}] must have shape {expect}, got {lv.shape}")
-            _check_rows(lv, f"levels[{t}]")
+        alphabet = np.shape(self.levels[0])[-1] if len(self.levels) else 0
+        _check_size(len(self.levels), alphabet)
+        levels = _as_levels(self.levels, len(self.levels), alphabet, (prior.size,), "levels")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "levels", levels)
 
@@ -92,26 +85,18 @@ def _check_size(depth: int, alphabet: int) -> None:
         raise InvalidInputError(f"alphabet size {alphabet} outside [2, {MAX_ALPHABET}]")
 
 
-def _check_rows(arr: np.ndarray, name: str) -> None:
-    """Validate that the trailing axis of `arr` holds probability rows."""
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InvalidInputError(f"{name} rows are not distributions")
-    if np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-9):
-        raise InvalidInputError(f"{name} rows do not sum to 1")
-
-
-def _validate_student_levels(student_levels, depth: int, alphabet: int) -> tuple[np.ndarray, ...]:
-    levels = tuple(np.asarray(lv, dtype=float) for lv in student_levels)
-    if len(levels) != depth:
-        raise InvalidInputError(f"student needs {depth} levels, got {len(levels)}")
-    for t, lv in enumerate(levels):
-        expect = (alphabet**t, alphabet)
+def _as_levels(levels, depth: int, alphabet: int, lead: tuple[int, ...], name: str) -> tuple[np.ndarray, ...]:
+    """`depth` arrays, level t of shape (*lead, alphabet**t, alphabet) holding
+    probability rows: a branch model's levels or a student's."""
+    arrays = tuple(np.asarray(lv, dtype=float) for lv in levels)
+    if len(arrays) != depth:
+        raise InvalidInputError(f"{name} needs {depth} levels, got {len(arrays)}")
+    for t, lv in enumerate(arrays):
+        expect = (*lead, alphabet**t, alphabet)
         if lv.shape != expect:
-            raise InvalidInputError(
-                f"student levels[{t}] must have shape {expect}, got {lv.shape}"
-            )
-        _check_rows(lv, f"student levels[{t}]")
-    return levels
+            raise InvalidInputError(f"{name}[{t}] must have shape {expect}, got {lv.shape}")
+        as_rows(lv, f"{name}[{t}]")
+    return arrays
 
 
 def _mixture_cmi(prior: np.ndarray, components: np.ndarray) -> float:
@@ -123,6 +108,14 @@ def _mixture_cmi(prior: np.ndarray, components: np.ndarray) -> float:
             continue
         total += float(prior[z]) * forward_kl(components[z], marginal)
     return total
+
+
+def _identity_gap(prior: np.ndarray, components: np.ndarray, student: np.ndarray, mi: float) -> float:
+    """|sum_z prior_z KL(components_z || student) - KL(mixture marginal || student) - mi|."""
+    lhs = 0.0
+    for z in range(prior.size):
+        lhs += float(prior[z]) * forward_kl(components[z], student)
+    return abs(lhs - forward_kl(prior @ components, student) - mi)
 
 
 def conditional_mutual_information(mixture: BranchMixture) -> float:
@@ -137,13 +130,7 @@ def token_identity_gap(mixture: BranchMixture, student) -> float:
         raise InvalidInputError(
             f"student vocab {p.shape} does not match mixture vocab {mixture.components.shape[1]}"
         )
-    lhs = 0.0
-    for z in range(mixture.prior.size):
-        lhs += float(mixture.prior[z]) * forward_kl(mixture.components[z], p)
-    marginal = mixture.prior @ mixture.components
-    kl = forward_kl(marginal, p)
-    mi = _mixture_cmi(mixture.prior, mixture.components)
-    return abs(lhs - kl - mi)
+    return _identity_gap(mixture.prior, mixture.components, p, conditional_mutual_information(mixture))
 
 
 def sequence_identity_gap(model: BranchSequenceModel, student_levels) -> float:
@@ -158,7 +145,7 @@ def sequence_identity_gap(model: BranchSequenceModel, student_levels) -> float:
     levels = model.levels
     A = model.alphabet
     Z = prior.size
-    student = _validate_student_levels(student_levels, model.depth, A)
+    student = _as_levels(student_levels, model.depth, A, (), "student levels")
 
     # per-branch prefix probabilities, student prefix probabilities, mixture weights
     branch_prefix = np.ones((Z, 1))
@@ -179,12 +166,7 @@ def sequence_identity_gap(model: BranchSequenceModel, student_levels) -> float:
         mixture_prefix = prior @ branch_prefix
 
     # branch_prefix / student_prefix now hold full-sequence probabilities
-    lhs = 0.0
-    for z in range(Z):
-        lhs += float(prior[z]) * forward_kl(branch_prefix[z], student_prefix)
-    mixture_seq = prior @ branch_prefix
-    kl = forward_kl(mixture_seq, student_prefix)
-    return abs(lhs - kl - mi_total)
+    return _identity_gap(prior, branch_prefix, student_prefix, mi_total)
 
 
 def random_branch_mixture(rng: np.random.Generator, max_branches: int = 5, max_vocab: int = 16) -> BranchMixture:

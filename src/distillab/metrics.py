@@ -26,6 +26,9 @@ INVALID = "INVALID"
 
 DEFAULT_MARKER = "\\boxed{"
 
+# the ProblemMetrics fields every aggregate, spread and CSV reports, in order
+METRIC_KEYS = ("avg_at_n", "pass_at_n", "maj_at_n")
+
 EquivalencePredicate = Callable[[str, str], bool]
 
 
@@ -154,11 +157,7 @@ def aggregate_metrics(per_problem: list[ProblemMetrics]) -> dict[str, float]:
     """Mean of each metric over problems."""
     if len(per_problem) == 0:
         raise DegenerateInputError("no problems to aggregate")
-    return {
-        "avg_at_n": float(np.mean([m.avg_at_n for m in per_problem])),
-        "pass_at_n": float(np.mean([m.pass_at_n for m in per_problem])),
-        "maj_at_n": float(np.mean([m.maj_at_n for m in per_problem])),
-    }
+    return {key: float(np.mean([getattr(m, key) for m in per_problem])) for key in METRIC_KEYS}
 
 
 def seed_spread(per_seed_aggregates: list[dict[str, float]]) -> dict[str, tuple[float, float]]:
@@ -166,7 +165,7 @@ def seed_spread(per_seed_aggregates: list[dict[str, float]]) -> dict[str, tuple[
     if len(per_seed_aggregates) == 0:
         raise DegenerateInputError("no seed runs to spread")
     out: dict[str, tuple[float, float]] = {}
-    for key in ("avg_at_n", "pass_at_n", "maj_at_n"):
+    for key in METRIC_KEYS:
         vals = np.array([agg[key] for agg in per_seed_aggregates], dtype=float)
         sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         out[key] = (float(vals.mean()), sd)

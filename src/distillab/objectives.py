@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dists import fkl_terms, floored_log, row_entropies, softmax_with_temperature
+from .dists import as_rows, fkl_terms, floored_log, row_entropies, softmax_with_temperature
 from .errors import InvalidInputError
 from .schedules import PositionSchedule, weights_for_length
 
@@ -127,12 +127,7 @@ class RolloutBatch:
                 raise InvalidInputError("all sequences must share one vocabulary size")
             if not np.all(np.isfinite(za)):
                 raise InvalidInputError(f"sequence {i}: student logits contain non-finite entries")
-            if not np.all(np.isfinite(qa)) or np.any(qa < 0.0):
-                raise InvalidInputError(f"sequence {i}: teacher rows are not distributions")
-            sums = qa.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-9):
-                raise InvalidInputError(f"sequence {i}: teacher rows do not sum to 1")
-            teacher.append(qa)
+            teacher.append(as_rows(qa, f"teacher_dists[{i}]"))
             student.append(za)
         self.teacher: np.ndarray = np.concatenate(teacher)
         self.student: np.ndarray = np.concatenate(student)
@@ -142,14 +137,6 @@ class RolloutBatch:
     def split(self, packed: np.ndarray) -> list[np.ndarray]:
         """Per-sequence views of an array whose rows are the batch's tokens."""
         return [packed[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]
-
-    @property
-    def teacher_dists(self) -> list[np.ndarray]:
-        return self.split(self.teacher)
-
-    @property
-    def student_logits(self) -> list[np.ndarray]:
-        return self.split(self.student)
 
     @property
     def total_tokens(self) -> int:

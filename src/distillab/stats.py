@@ -130,26 +130,17 @@ def auprc(items) -> float:
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = labels[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # tie blocks, as in _midranks
+    ends = np.r_[starts[1:], s.size]
     ap = 0.0
     tp = 0
     fp = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        block_tp = 0
-        block_fp = 0
-        while j < n and s[j] == s[i]:
-            if y[j]:
-                block_tp += 1
-            else:
-                block_fp += 1
-            j += 1
+    for i, j in zip(starts.tolist(), ends.tolist()):
+        block_tp = int(y[i:j].sum())
         tp += block_tp
-        fp += block_fp
+        fp += j - i - block_tp
         if block_tp > 0:
             ap += (block_tp / n_pos) * (tp / (tp + fp))
-        i = j
     return ap
 
 

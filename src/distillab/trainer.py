@@ -91,7 +91,9 @@ class TrainConfig:
     """Reduction coefficients divide each token's gradient by roughly
     batch_sequences * mean length (about 288 under the default world), so the
     default learning rate of 512 corresponds to a per-state effective step of
-    about 512 / (288 * 1.1) = 1.6 in logit space."""
+    about 512 / (288 * 1.1) = 1.6 in logit space. `objective`, the
+    ObjectiveConfig of the temperature and clip, is built (and checked) at
+    construction; it is not a field."""
 
     learning_rate: float = 512.0
     steps: int = 100
@@ -122,16 +124,11 @@ class TrainConfig:
             raise InvalidInputError(f"eval_problems must be >= 0, got {self.eval_problems}")
         if self.eval_samples < 1:
             raise InvalidInputError(f"eval_samples must be >= 1, got {self.eval_samples}")
-        if self.init_noise < 0.0:
-            raise InvalidInputError(f"init_noise must be >= 0, got {self.init_noise!r}")
+        if not (math.isfinite(self.init_noise) and self.init_noise >= 0.0):
+            raise InvalidInputError(f"init_noise must be finite and >= 0, got {self.init_noise!r}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
-
-    @property
-    def objective(self) -> ObjectiveConfig:
-        return ObjectiveConfig(
-            distill_temperature=self.distill_temperature, clip_threshold=self.clip_threshold
-        )
+        object.__setattr__(self, "objective", ObjectiveConfig(self.distill_temperature, self.clip_threshold))
 
     def step_size(self, step: int) -> float:
         if self.lr_decay == "constant":
@@ -157,7 +154,11 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
     for problem in problems:
         rng = derive_rng(cfg.seed, TAG_INIT, problem.index)
         base = floored_log(problem.teacher)
-        tables[problem.problem_id] = base + cfg.init_noise * rng.standard_normal(base.shape)
+        with np.errstate(over="ignore"):  # a huge init_noise overflows: refused below
+            table = base + cfg.init_noise * rng.standard_normal(base.shape)
+        if not np.isfinite(table).all():
+            raise NumericDomainError(f"init_noise {cfg.init_noise!r} gives non-finite initial logits")
+        tables[problem.problem_id] = table
     return StudentParams(tables=tables)
 
 

@@ -13,13 +13,11 @@ e.g. repeated stochastic forward passes. From it we score:
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import as_distribution, entropy, row_entropies
+from .dists import as_rows, entropy, row_entropies
 from .errors import InvalidInputError
 
 DIRICHLET_EPSILON = 1e-6
@@ -31,9 +29,7 @@ def _as_ensemble(members) -> np.ndarray:
         raise InvalidInputError(
             f"ensemble must be (M >= 2, vocab) probability rows, got shape {arr.shape}"
         )
-    for i, row in enumerate(arr):
-        as_distribution(row, f"ensemble member {i}")
-    return arr
+    return as_rows(arr, "members")
 
 
 def mean_predictive_entropy(members) -> float:
@@ -77,25 +73,13 @@ def dirichlet_precision(members, epsilon: float = DIRICHLET_EPSILON) -> tuple[fl
     return kappa_hat, log_kappa
 
 
-@dataclass(frozen=True)
-class UncertaintyRecord:
-    """All ensemble scores for one candidate position."""
-
-    mean_entropy: float
-    mutual_information: float
-    log_kappa: float
-    truncated_entropy: float
-
-    def as_dict(self) -> dict[str, float]:
-        return dataclasses.asdict(self)
-
-
-def score_ensemble(members, truncated_entropy_value: float, epsilon: float = DIRICHLET_EPSILON) -> UncertaintyRecord:
-    """Bundle the three ensemble scores with a precomputed truncated entropy."""
+def score_ensemble(members, truncated_entropy_value: float, epsilon: float = DIRICHLET_EPSILON) -> dict[str, float]:
+    """The three ensemble scores and a precomputed truncated entropy, keyed
+    mean_entropy, mutual_information, log_kappa, truncated_entropy."""
     _, log_kappa = dirichlet_precision(members, epsilon)
-    return UncertaintyRecord(
-        mean_entropy=mean_predictive_entropy(members),
-        mutual_information=mutual_information(members),
-        log_kappa=log_kappa,
-        truncated_entropy=float(truncated_entropy_value),
-    )
+    return {
+        "mean_entropy": mean_predictive_entropy(members),
+        "mutual_information": mutual_information(members),
+        "log_kappa": log_kappa,
+        "truncated_entropy": float(truncated_entropy_value),
+    }

@@ -84,20 +84,6 @@ class LabelThresholds:
             )
 
 
-@dataclass(frozen=True)
-class Spine:
-    """A correct greedy rollout to probe."""
-
-    problem_id: str
-    tokens: tuple[int, ...]
-    gold_answer: str
-    correct: bool
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) < 1:
-            raise InvalidInputError("spine must contain at least one token")
-
-
 @dataclass
 class CandidateRecord:
     """One probed spine position; viability fields fill in after Phase E."""
@@ -164,26 +150,24 @@ def position_scores(spine_pos: int, spine_length: int) -> tuple[float, float]:
 
 
 def select_candidates(
-    spine: Spine,
+    problem_id: str,
     teacher_dists,
     valid_mask,
     cfg: FilterConfig,
     answer_position: int | None = None,
 ) -> list[CandidateRecord]:
-    """Filter and select candidate positions along the spine.
+    """Filter and select candidate positions along problem `problem_id`'s spine.
 
-    `teacher_dists` is an (L, V) array of teacher rows aligned with the spine;
-    `valid_mask` is a (V,) boolean vocabulary mask. Positions at or beyond
+    `teacher_dists` is an (L, V) array of teacher rows aligned with the spine,
+    L >= 1; `valid_mask` is a (V,) boolean vocabulary mask. Positions at or beyond
     `answer_position` (when given) are never candidates. The output keeps
     selection order: descending truncated entropy, ties toward the earlier
     position.
     """
     dists = np.asarray(teacher_dists, dtype=float)
-    L = len(spine.tokens)
-    if dists.ndim != 2 or dists.shape[0] != L:
-        raise InvalidInputError(
-            f"teacher_dists must be (spine length, vocab), got {dists.shape} for length {L}"
-        )
+    if dists.ndim != 2 or dists.shape[0] < 1:
+        raise InvalidInputError(f"teacher_dists must be (spine length >= 1, vocab), got {dists.shape}")
+    L = dists.shape[0]
     mask = np.asarray(valid_mask, dtype=bool)
     if mask.shape != (dists.shape[1],):
         raise InvalidInputError(
@@ -219,7 +203,7 @@ def select_candidates(
         r, oriented = position_scores(pos, L)
         selected.append(
             CandidateRecord(
-                problem_id=spine.problem_id,
+                problem_id=problem_id,
                 spine_pos=pos,
                 normalized_position=r,
                 oriented_score=oriented,

@@ -44,7 +44,6 @@ from .viability import (
     FilterConfig,
     Label,
     LabelThresholds,
-    Spine,
     child_viability,
     label_candidate,
     select_candidates,
@@ -189,10 +188,6 @@ class Episode:
     def rows(self, table: np.ndarray) -> np.ndarray:
         """The visited rows of a (layer, lane, ...) table, in walk order."""
         return table[self.states]
-
-    @property
-    def teacher_dists(self) -> np.ndarray:
-        return self.rows(self.problem.teacher)
 
 
 def walk(problem: ProblemInstance, start: int, lane: int, tokens: np.ndarray) -> Episode:
@@ -500,15 +495,9 @@ def _probe_problem(
     }
     if not trace.correct:
         return spine_record, []
-    spine = Spine(
-        problem_id=problem.problem_id,
-        tokens=trace.tokens,
-        gold_answer=problem.gold_answer,
-        correct=True,
-    )
     valid_mask = np.ones(cfg.vocab_size, dtype=bool)  # every world token is valid
     candidates = select_candidates(
-        spine,
+        problem.problem_id,
         trace.rows(problem.teacher),
         valid_mask,
         filter_cfg,
@@ -531,10 +520,9 @@ def _probe_problem(
         ensemble = teacher_ensemble(
             problem, cand.spine_pos, lane, ensemble_members, perturb_scale
         )
-        record = score_ensemble(ensemble, cand.truncated_entropy)
         cand.scores = {
             "oriented_position": cand.oriented_score,
-            **record.as_dict(),
+            **score_ensemble(ensemble, cand.truncated_entropy),
         }
         state_kind = int(problem.kind[cand.spine_pos, lane])
         cand.ground_truth_reliable = state_kind != UNRELIABLE

@@ -134,7 +134,7 @@ def test_criterion_03_clip_threshold_limits(verdict):
         batch = _random_batch(rng, n_seqs=3, vocab=10, max_len=8)
         loss = distillation_loss(batch, unclipped, UniformWeighting(), Reduction.GLOBAL_TOKEN_MEAN)
         terms = []
-        for q_seq, z_seq in zip(batch.teacher_dists, batch.student_logits):
+        for q_seq, z_seq in zip(batch.split(batch.teacher), batch.split(batch.student)):
             for q_row, z_row in zip(q_seq, z_seq):
                 p_row = softmax_with_temperature(z_row, 1.1)
                 terms.append(forward_kl(q_row, p_row))

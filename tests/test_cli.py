@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "distillab.cli"]
 
@@ -112,6 +115,15 @@ BAD_REQUESTS = {
     "score-deep-json": (["score", "--in", "-"], _DEEP, 2, "InvalidInputError"),
     "metrics-deep-json": (["metrics", "--in", "-"], _DEEP, 2, "InvalidInputError"),
     "identities-negative-alphabet": (["identities", "--alphabet", "-1"], "", 2, "InvalidInputError"),
+    # refused as the configuration is built, before a numpy warning
+    "train-temperature-0": (["train", "--steps", "1", "--temperature", "0"], "", 2, "InvalidInputError"),
+    "sweep-temperature-0": (["sweep", "--steps", "1", "--temperature", "0"], "", 2, "InvalidInputError"),
+    "train-temperature-nan": (["train", "--steps", "1", "--temperature", "nan"], "", 2, "InvalidInputError"),
+    "train-init-noise-nan": (["train", "--steps", "1", "--init-noise", "nan"], "", 2, "InvalidInputError"),
+    "train-init-noise-inf": (["train", "--steps", "1", "--init-noise", "inf"], "", 2, "InvalidInputError"),
+    "train-init-noise-1e308": (
+        ["train", "--steps", "1", "--init-noise", "1e308"], "", 2, "NumericDomainError"
+    ),
     # a problem id that UTF-8 cannot encode
     "metrics-lone-surrogate": (
         ["metrics", "--in", "-"], '{"gold": 1, "samples": ["a"], "problem_id": "\\ud800"}', 2,
@@ -125,12 +137,32 @@ def test_bad_requests_exit_with_one_json_line(monkeypatch, capsys, argv, stdin, 
     from distillab.cli import main
 
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    assert main(argv) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)  # numpy's, which a CLI run prints
+        assert main(argv) == code
     captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
+    lines = captured.err.splitlines() + [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == kind
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, blamed",
+    [
+        (["train", "--temperature", "nan"], "distill_temperature"),
+        (["sweep", "--temperature", "0"], "distill_temperature"),
+        (["train", "--init-noise", "nan"], "init_noise"),
+        (["train", "--init-noise", "inf"], "init_noise"),
+        (["train", "--init-noise", "1e308"], "init_noise"),
+    ],
+)
+def test_bad_train_flags_are_blamed_by_name(capsys, argv, blamed):
+    # not the teacher rows or logits that the bad value later spoils
+    from distillab.cli import main
+
+    assert main(argv + ["--steps", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["message"].startswith(blamed)
 
 
 @pytest.mark.parametrize(
@@ -510,7 +542,73 @@ def test_sweep_writes_json_and_csv(tmp_path):
     assert set(table["sweep"]) == {"mild", "moderate", "sharp", "aggressive"}
     csv_lines = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
     assert csv_lines[0].startswith("kind,config,")
+    assert csv_lines[0].split(",")[2] == "avg_at_2_mean"  # --eval-samples 2
     assert len(csv_lines) == 9  # header + 4 factorial cells + 4 sweep rows
+
+
+def _reference_sweep_csv(table):
+    """The former cli._sweep_csv, whose header said 12 samples at any N."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(
+        [
+            "kind",
+            "config",
+            "avg_at_12_mean",
+            "avg_at_12_sd",
+            "pass_at_12_mean",
+            "pass_at_12_sd",
+            "maj_at_12_mean",
+            "maj_at_12_sd",
+            "final_loss_mean",
+            "final_loss_sd",
+        ]
+    )
+    for kind in ("factorial", "sweep"):
+        for name, cell in table[kind].items():
+            s = cell["summary"]
+            ms = s["metric_spread"]
+            writer.writerow(
+                [
+                    kind,
+                    name,
+                    ms["avg_at_n"][0],
+                    ms["avg_at_n"][1],
+                    ms["pass_at_n"][0],
+                    ms["pass_at_n"][1],
+                    ms["maj_at_n"][0],
+                    ms["maj_at_n"][1],
+                    s["final_loss_mean"],
+                    s["final_loss_sd"],
+                ]
+            )
+    return buf.getvalue()
+
+
+_CELL_NAMES = {
+    "factorial": ["uniform/global_token_mean", "uniform/per_sequence_mean", "moderate/global_token_mean"],
+    "sweep": ["mild", "moderate", "sharp", "aggressive"],
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.lists(st.floats(), min_size=56, max_size=56), n=st.integers(1, 30))
+def test_sweep_csv_equals_the_replaced_writer(values, n):
+    from distillab.cli import _sweep_csv
+
+    numbers = iter(values)
+    table = {"seeds": 3}
+    for kind, names in _CELL_NAMES.items():
+        table[kind] = {}
+        for name in names:
+            spread = {key: [next(numbers), next(numbers)] for key in ("avg_at_n", "pass_at_n", "maj_at_n")}
+            summary = {"metric_spread": spread, "final_loss_mean": next(numbers), "final_loss_sd": next(numbers)}
+            table[kind][name] = {"summary": summary}
+    want = _reference_sweep_csv(table)
+    assert _sweep_csv(table, 12) == want
+    header, rows = _sweep_csv(table, n).split("\r\n", 1)
+    assert header == want.split("\r\n", 1)[0].replace("_12_", f"_{n}_")
+    assert rows == want.split("\r\n", 1)[1]
 
 
 def test_sweep_threads_flag_does_not_change_output(tmp_path):

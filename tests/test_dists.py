@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distillab.dists import (
     PROB_FLOOR,
     as_distribution,
+    as_rows,
     clipped_fkl_terms,
     entropy,
     fkl_terms,
@@ -325,3 +326,82 @@ def test_temperature_scaled_equals_both_replaced_copies(seed, shape, zero_share,
         assert got is q
     for row in q.reshape(-1, shape[-1]):
         assert _identical(temperature_scaled(row, temperature), _ref_nucleus_scaling(row, temperature))
+
+
+# Reference copy of the 1-D check that as_rows replaced, run row by row as
+# `score` ran it on `members[i]`, kept as an oracle for which input raises and
+# which row the message names.
+def _reference_as_distribution(p, name):
+    arr = np.asarray(p, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise InvalidInputError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    if np.any(arr < 0.0):
+        raise InvalidInputError(f"{name} contains negative entries")
+    total = float(arr.sum())
+    if abs(total - 1.0) > 1e-9:
+        raise InvalidInputError(f"{name} sums to {total!r}, expected 1 within {1e-9}")
+    return arr
+
+
+def _reference_rows_loop(p, name):
+    arr = np.asarray(p, dtype=float)
+    for index in np.ndindex(arr.shape[:-1]):
+        label = f"{name}[{', '.join(map(str, index))}]" if index else name
+        _reference_as_distribution(arr[index], label)
+    return arr
+
+
+_DEFECTS = ("nan", "inf", "inf-inf", "negative", "negative-sums-to-1", "off-sum", "zero", "overflow")
+
+
+def _plant(row, defect, rng):
+    """Make one probability row invalid in the named way."""
+    k = rng.integers(row.size)
+    if defect == "nan":
+        row[k] = np.nan
+    elif defect == "inf":
+        row[k] = np.inf
+    elif defect == "inf-inf":  # sums to nan
+        row[:2] = np.inf, -np.inf
+    elif defect == "negative":
+        row[k] = -0.25
+    elif defect == "negative-sums-to-1":
+        row[:] = 0.0
+        row[:2] = 1.5, -0.5
+    elif defect == "off-sum":
+        row *= 1.0 + 1e-6
+    elif defect == "zero":
+        row[:] = 0.0
+    else:  # finite entries whose sum overflows
+        row[:] = 1e308
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+    vocab=st.integers(1, 6),
+    defects=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(_DEFECTS)), max_size=3),
+)
+@example(seed=0, shape=[], vocab=3, defects=[(0, "zero")])
+@example(seed=0, shape=[2, 3], vocab=2, defects=[(4, "negative-sums-to-1"), (5, "nan")])
+def test_as_rows_names_the_row_the_per_row_loop_names(seed, shape, vocab, defects):
+    rng = np.random.default_rng(seed)
+    arr = rng.dirichlet(np.ones(vocab), size=tuple(shape)) if shape else rng.dirichlet(np.ones(vocab))
+    rows = arr.reshape(-1, vocab)
+    for at, defect in defects:
+        if vocab >= 2 or defect not in ("inf-inf", "negative-sums-to-1"):
+            _plant(rows[at % rows.shape[0]], defect, rng)
+    outcomes = []
+    for check in (as_rows, _reference_rows_loop):
+        with np.errstate(all="ignore"):  # the reference's sums may overflow
+            try:
+                got = check(arr, "members")
+                outcomes.append(("ok", got.tobytes()))
+            except InvalidInputError as exc:
+                outcomes.append(("raised", str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if not defects:
+        assert outcomes[0][0] == "ok"

@@ -177,7 +177,7 @@ def test_position_weights_match_schedule():
     batch = _random_batch(derive_rng(13), n_seqs=2, vocab=6, max_len=9)
     sched = preset("moderate")
     weights = batch.split(token_weights(batch, PositionWeighting(sched)))
-    for q, w in zip(batch.teacher_dists, weights):
+    for q, w in zip(batch.split(batch.teacher), weights):
         assert np.allclose(w, weights_for_length(q.shape[0], sched), atol=0, rtol=0)
 
 
@@ -282,10 +282,11 @@ def _reference_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1
     max_rel = max_abs = 0.0
     compared = skipped = tokens_done = 0
     fds = []
-    for i, z in enumerate(batch.student_logits):
+    teachers, students = batch.split(batch.teacher), batch.split(batch.student)
+    for i, z in enumerate(students):
         if max_tokens is not None and tokens_done >= max_tokens:
             break
-        raw = fkl_terms(batch.teacher_dists[i], softmax_with_temperature(z, cfg.distill_temperature))
+        raw = fkl_terms(teachers[i], softmax_with_temperature(z, cfg.distill_temperature))
         for t in range(z.shape[0]):
             if max_tokens is not None and tokens_done >= max_tokens:
                 break
@@ -294,7 +295,7 @@ def _reference_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1
                 skipped += 1
                 continue
             tokens_done += 1
-            indicator = [np.zeros(zz.shape[0]) for zz in batch.student_logits]
+            indicator = [np.zeros(zz.shape[0]) for zz in students]
             indicator[i][t] = 1.0
             scale = np.longdouble(weighted_reduction(indicator, weights, reduction))
             fd_row = []
@@ -305,7 +306,7 @@ def _reference_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1
                     row[k] = z[t, k] + offset * step
                     probes.append(
                         _reference_token_loss(
-                            batch.teacher_dists[i][t], row, cfg.distill_temperature,
+                            teachers[i][t], row, cfg.distill_temperature,
                             cfg.clip_threshold, fkl_token,
                         )
                     )
@@ -453,7 +454,7 @@ def _ref_rkl_value(q_row, p_row):
 def _ref_per_token_losses(batch, cfg, weighting):
     gates = _gate_masks(batch, weighting)
     out = []
-    for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
+    for i, (q, z) in enumerate(zip(batch.split(batch.teacher), batch.split(batch.student))):
         p = softmax_with_temperature(z, cfg.distill_temperature)
         fkl = np.minimum(fkl_terms(q, p), cfg.clip_threshold).sum(axis=1)
         losses = fkl.copy()
@@ -473,7 +474,7 @@ def _ref_gradient(batch, cfg, weighting, reduction):
     else:
         coefs = [1.0 / (len(batch) * L) for L in batch.lengths]
     grads = []
-    for i, (q, z) in enumerate(zip(batch.teacher_dists, batch.student_logits)):
+    for i, (q, z) in enumerate(zip(batch.split(batch.teacher), batch.split(batch.student))):
         p = softmax_with_temperature(z, T)
         unclipped = fkl_terms(q, p) < cfg.clip_threshold
         q_mass_unclipped = np.where(unclipped, q, 0.0).sum(axis=1, keepdims=True)
@@ -816,4 +817,4 @@ def test_split_views_cover_the_packed_rows_once(case):
     assert np.all(covered == 1)
     assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.total_tokens
     assert batch.lengths == [q.shape[0] for q in teachers]
-    assert all(np.array_equal(z, want) for z, want in zip(batch.student_logits, logits, strict=True))
+    assert all(np.array_equal(z, want) for z, want in zip(batch.split(batch.student), logits, strict=True))

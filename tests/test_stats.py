@@ -103,6 +103,64 @@ def test_auprc_needs_a_positive():
         auprc(_items([1.0, 2.0], [False, False]))
 
 
+def _reference_auprc(items):
+    """The while-loop sweep that auprc's flatnonzero tie blocks replaced."""
+    _, scores, labels = _split(items)
+    n_pos = int(labels.sum())
+    if n_pos == 0:
+        raise DegenerateInputError("AUPRC needs at least one positive")
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    ap = 0.0
+    tp = 0
+    fp = 0
+    i = 0
+    n = s.size
+    while i < n:
+        j = i
+        block_tp = 0
+        block_fp = 0
+        while j < n and s[j] == s[i]:
+            if y[j]:
+                block_tp += 1
+            else:
+                block_fp += 1
+            j += 1
+        tp += block_tp
+        fp += block_fp
+        if block_tp > 0:
+            ap += (block_tp / n_pos) * (tp / (tp + fp))
+        i = j
+    return ap
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(  # mostly a few tied values, signed zeros among them
+                st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0, 5e-324]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([(0.0, True), (-0.0, False), (0.0, True)])
+@example([(1.0, False), (1.0, False)])
+def test_auprc_equals_the_while_loop_bit_for_bit(pairs):
+    items = _items([s for s, _ in pairs], [l for _, l in pairs])
+    if not any(l for _, l in pairs):
+        for fn in (auprc, _reference_auprc):
+            with pytest.raises(DegenerateInputError):
+                fn(items)
+        return
+    assert np.float64(auprc(items)).tobytes() == np.float64(_reference_auprc(items)).tobytes()
+
+
 def test_residualize_centers_each_problem():
     items = _items(
         [1.0, 3.0, 10.0, 20.0],

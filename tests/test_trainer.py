@@ -242,7 +242,7 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
         expected = loss_gradient_wrt_student_logits(
             batch, cfg.objective, cfg.weighting, cfg.reduction
         )
-        before = [z.copy() for z in batch.student_logits]
+        before = [z.copy() for z in batch.split(batch.student)]
         theta, loss, grads, used = train_step(theta, problems, cfg)
         # the returned gradients are the pre-update ones the step applied, on
         # the returned batch, whose rows the update left as sampled
@@ -250,10 +250,10 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
             np.array_equal(g, e)
             for g, e in zip(used.split(grads), batch.split(expected), strict=True)
         )
-        assert all(np.array_equal(u, z) for u, z in zip(used.student_logits, before, strict=True))
+        assert all(np.array_equal(u, z) for u, z in zip(used.split(used.student), before, strict=True))
         assert all(
             np.array_equal(u, q)
-            for u, q in zip(used.teacher_dists, batch.teacher_dists, strict=True)
+            for u, q in zip(used.split(used.teacher), batch.split(batch.teacher), strict=True)
         )
         if not manual:
             spot = finite_difference_check(

@@ -7,7 +7,6 @@ from distillab.errors import InvalidInputError
 from distillab.seeding import derive_rng
 from distillab.uncertainty import (
     DIRICHLET_EPSILON,
-    UncertaintyRecord,
     dirichlet_precision,
     mean_predictive_entropy,
     mutual_information,
@@ -90,10 +89,9 @@ def test_ensemble_validation():
 
 def test_score_ensemble_bundles_everything():
     members = [[0.6, 0.4], [0.5, 0.5], [0.7, 0.3]]
-    rec = score_ensemble(members, truncated_entropy_value=0.123)
-    assert isinstance(rec, UncertaintyRecord)
-    assert rec.truncated_entropy == 0.123
-    assert abs(rec.mean_entropy - mean_predictive_entropy(members)) < 1e-15
-    assert abs(rec.mutual_information - mutual_information(members)) < 1e-15
-    d = rec.as_dict()
-    assert set(d) == {"mean_entropy", "mutual_information", "log_kappa", "truncated_entropy"}
+    d = score_ensemble(members, truncated_entropy_value=0.123)
+    assert isinstance(d, dict)
+    assert d["truncated_entropy"] == 0.123
+    assert abs(d["mean_entropy"] - mean_predictive_entropy(members)) < 1e-15
+    assert abs(d["mutual_information"] - mutual_information(members)) < 1e-15
+    assert list(d) == ["mean_entropy", "mutual_information", "log_kappa", "truncated_entropy"]

@@ -9,7 +9,6 @@ from distillab.viability import (
     FilterConfig,
     Label,
     LabelThresholds,
-    Spine,
     child_viability,
     label_candidate,
     position_scores,
@@ -17,10 +16,6 @@ from distillab.viability import (
     select_candidates,
     write_candidates_jsonl,
 )
-
-
-def _spine(length):
-    return Spine(problem_id="p0", tokens=tuple(range(length)), gold_answer="7", correct=True)
 
 
 def _cfg(**kw):
@@ -56,7 +51,7 @@ def test_p2_floor_is_inclusive():
         [0.76, 0.12, 0.12, 0.0],     # p2 = 0.12 < p2_min: drop
     ])
     mask = np.ones(4, dtype=bool)
-    picked = select_candidates(_spine(2), teacher, mask, cfg)
+    picked = select_candidates("p0", teacher, mask, cfg)
     assert [c.spine_pos for c in picked] == [0]
 
 
@@ -67,7 +62,7 @@ def test_ratio_floor_is_inclusive():
         [0.52, 0.12, 0.12, 0.12, 0.12],      # p2/p1 ~ 0.231 < ratio_min: drop
     ])
     mask = np.ones(5, dtype=bool)
-    picked = select_candidates(_spine(2), teacher, mask, cfg)
+    picked = select_candidates("p0", teacher, mask, cfg)
     assert [c.spine_pos for c in picked] == [0]
 
 
@@ -76,16 +71,16 @@ def test_valid_mask_hides_tokens_from_the_filter():
     cfg = _cfg()
     teacher = np.array([[0.5, 0.5, 0.0]])
     full = np.ones(3, dtype=bool)
-    assert len(select_candidates(_spine(1), teacher, full, cfg)) == 1
+    assert len(select_candidates("p0", teacher, full, cfg)) == 1
     masked = np.array([True, False, True])
-    assert select_candidates(_spine(1), teacher, masked, cfg) == []
+    assert select_candidates("p0", teacher, masked, cfg) == []
 
 
 def test_children_are_valid_positive_tokens_best_first():
     cfg = _cfg(top_children=2)
     teacher = np.array([[0.1, 0.6, 0.3, 0.0]])
     mask = np.ones(4, dtype=bool)
-    picked = select_candidates(_spine(1), teacher, mask, cfg)
+    picked = select_candidates("p0", teacher, mask, cfg)
     assert len(picked) == 1
     assert picked[0].children == [(1, 0.6), (2, 0.3)]
 
@@ -95,7 +90,7 @@ def test_selection_orders_by_entropy_then_position():
     cfg = _cfg(max_candidates=1)
     teacher = np.full((6, 4), 0.25)
     mask = np.ones(4, dtype=bool)
-    picked = select_candidates(_spine(6), teacher, mask, cfg)
+    picked = select_candidates("p0", teacher, mask, cfg)
     assert len(picked) == 1
     assert picked[0].spine_pos == 0
 
@@ -107,7 +102,7 @@ def test_higher_entropy_wins_regardless_of_position():
         [0.25, 0.25, 0.25, 0.25],  # highest entropy, later position
     ])
     mask = np.ones(4, dtype=bool)
-    picked = select_candidates(_spine(2), teacher, mask, cfg)
+    picked = select_candidates("p0", teacher, mask, cfg)
     assert picked[0].spine_pos == 1
 
 
@@ -117,7 +112,7 @@ def test_spacing_and_candidate_cap():
     teacher = rng.dirichlet(np.ones(6), size=L)
     mask = np.ones(6, dtype=bool)
     cfg = _cfg(p2_min=0.001, ratio_min=0.001, spacing=5, max_candidates=4)
-    picked = select_candidates(_spine(L), teacher, mask, cfg)
+    picked = select_candidates("p0", teacher, mask, cfg)
     assert 1 <= len(picked) <= 4
     pos = sorted(c.spine_pos for c in picked)
     for a, b in zip(pos, pos[1:]):
@@ -128,19 +123,19 @@ def test_answer_position_truncates_the_search():
     teacher = np.full((10, 4), 0.25)
     mask = np.ones(4, dtype=bool)
     cfg = _cfg()
-    picked = select_candidates(_spine(10), teacher, mask, cfg, answer_position=3)
+    picked = select_candidates("p0", teacher, mask, cfg, answer_position=3)
     assert all(c.spine_pos < 3 for c in picked)
 
 
 def test_select_candidates_validation():
     cfg = _cfg()
     mask = np.ones(4, dtype=bool)
+    with pytest.raises(InvalidInputError):  # a spine holds at least one token
+        select_candidates("p0", np.empty((0, 4)), mask, cfg)
     with pytest.raises(InvalidInputError):
-        select_candidates(_spine(3), np.full((2, 4), 0.25), mask, cfg)
-    with pytest.raises(InvalidInputError):
-        select_candidates(_spine(2), np.full((2, 4), 0.25), np.ones(3, dtype=bool), cfg)
+        select_candidates("p0", np.full((2, 4), 0.25), np.ones(3, dtype=bool), cfg)
     with pytest.raises(DegenerateInputError):
-        select_candidates(_spine(2), np.full((2, 4), 0.25), np.zeros(4, dtype=bool), cfg)
+        select_candidates("p0", np.full((2, 4), 0.25), np.zeros(4, dtype=bool), cfg)
 
 
 def test_child_viability_fraction():
@@ -189,11 +184,6 @@ def test_filter_config_validation():
         _cfg(top_m=1)
     with pytest.raises(InvalidInputError):
         _cfg(top_children=0)
-
-
-def test_spine_validation():
-    with pytest.raises(InvalidInputError):
-        Spine(problem_id="p", tokens=(), gold_answer="1", correct=True)
 
 
 def test_candidate_record_roundtrip(tmp_path, capsys):

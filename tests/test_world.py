@@ -158,7 +158,7 @@ def test_greedy_rollout_is_correct_and_stays_in_lane_zero():
         assert trace.correct
         assert trace.lanes == tuple([0] * p.length)
         assert trace.tokens[-1] == p.gold_token
-        assert trace.teacher_dists.shape == (p.length, cfg.vocab_size)
+        assert trace.rows(p.teacher).shape == (p.length, cfg.vocab_size)
 
 
 def test_sampled_rollout_is_deterministic_per_attempt():
@@ -570,7 +570,7 @@ def _assert_matches_trace(episode, reference):
     tokens, lanes, t_rows, s_rows, answer, correct = reference
     assert episode.tokens == tokens
     assert episode.lanes == lanes
-    assert _bits(episode.teacher_dists) == _bits(t_rows)
+    assert _bits(episode.rows(episode.problem.teacher)) == _bits(t_rows)
     assert _bits(episode.rows(episode.problem.student)) == _bits(s_rows)
     assert (episode.answer, episode.correct) == (answer, correct)
 
@@ -653,7 +653,7 @@ def test_walk_equals_the_replaced_world_loops(cfg, index, attempt, temperature, 
             episode = world_module.walk(p, position + 1, after, draw)
             assert (episode.tokens, episode.lanes, episode.correct) == (tokens, lanes, correct)
             rows = np.array([p.teacher[position + 1 + k, z] for k, z in enumerate(lanes)])
-            assert _bits(episode.teacher_dists) == _bits(rows)
+            assert _bits(episode.rows(p.teacher)) == _bits(rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -697,7 +697,7 @@ def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
     episodes = trainer_module._collect_episodes(theta, problems, tcfg)
     assert len(episodes) == batch
     got = trainer_module._batch_from_episodes(episodes, theta, tcfg.distill_temperature)
-    for ep, q, z in zip(episodes, got.teacher_dists, got.student_logits, strict=True):
+    for ep, q, z in zip(episodes, got.split(got.teacher), got.split(got.student), strict=True):
         visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
         expected_q = temperature_scaled(ep.problem.teacher[visited], temperature)
         expected_z = theta.tables[ep.problem.problem_id][visited]
