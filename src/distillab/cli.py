@@ -59,8 +59,8 @@ from .world import WorldConfig, run_diagnostic
 
 
 # Bound on gradcheck's batches * batch_size * max_len * vocab^2: a token costs about
-# 1 us per vocab^2 on a 2-vCPU x86 host (0.98 s at vocab 1024, 3.9 s at 2048), so an
-# allowed run takes at most about 100 s there.
+# 0.45 us per vocab^2 on a 2-vCPU x86 host (0.45 s at vocab 1024, 2.0 s at 2048), so
+# an allowed run takes at most about 45 s there.
 GRADCHECK_WORK_LIMIT = 10**8
 # Largest relative error a gradient check may report and pass (acceptance criterion 1).
 GRADCHECK_TOLERANCE = 1e-6

@@ -38,7 +38,9 @@ def as_rows(p, name: str = "distribution") -> np.ndarray:
     arr = np.asarray(p, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] < 1:
         raise InvalidInputError(f"{name} must hold rows of at least one entry, got shape {arr.shape}")
-    if np.isfinite(arr).all() and not (arr < 0.0).any():
+    # entries in [0, 1 + tol] cannot overflow a sum; a NaN, or an entry outside
+    # (which no valid row holds), takes the error path
+    if ((arr >= 0.0) & (arr <= 1.0 + _SUM_TOL)).all():
         if (np.abs(arr.sum(axis=-1) - 1.0) <= _SUM_TOL).all():
             return arr
     rows = arr.reshape(-1, arr.shape[-1])

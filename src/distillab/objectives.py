@@ -263,13 +263,12 @@ _FD_BLOCK_ENTRIES = 1 << 16  # longdouble entries in one block of perturbed logi
 _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 
 
-def _token_losses_extended(q_row, z_rows, cfg: ObjectiveConfig, fkl: bool) -> np.ndarray:
-    """One token's unweighted loss for each (..., V) row of logits. Mirrors
-    per_token_losses row-wise for a single teacher row, in np.longdouble so
-    that central differences of the result are not drowned by float64
-    rounding of the loss values themselves."""
-    z = z_rows.astype(np.longdouble) / np.longdouble(cfg.distill_temperature)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+def _token_losses_from_exps(q_row, e, cfg: ObjectiveConfig, fkl: bool) -> np.ndarray:
+    """One token's unweighted loss for each (..., V) row of exponentials
+    exp(z/T - max(z/T)) of a logit row z. Mirrors per_token_losses row-wise
+    for a single teacher row, in np.longdouble so that central differences of
+    the result are not drowned by float64 rounding of the loss values
+    themselves."""
     p = e / e.sum(axis=-1, keepdims=True)
     q = q_row.astype(np.longdouble)
     if fkl:
@@ -282,13 +281,28 @@ def _fd_row(q_row, z_row, scale, cfg: ObjectiveConfig, fkl: bool, step: float) -
     extended-precision loss, one float64 per logit coordinate."""
     V = z_row.size
     chunk = max(1, _FD_BLOCK_ENTRIES // (4 * V))
+    T = np.longdouble(cfg.distill_temperature)
+    zb = z_row.astype(np.longdouble) / T
+    top = int(zb.argmax())
+    M = zb[top]
+    eb = np.exp(zb - M)
+    rest_max = np.where(np.arange(V) == top, np.delete(zb, top).max(), M)  # max over j != k
     h = np.longdouble(step)
     fd = np.empty(V)
     for k0 in range(0, V, chunk):
-        cols = np.arange(min(chunk, V - k0))
-        rows = np.tile(z_row, (4, cols.size, 1))  # row (o, k): coordinate k0+k moved by o*step
-        rows[:, cols, k0 + cols] = z_row[k0 + cols] + _FD_OFFSETS[:, None] * step
-        probes = _token_losses_extended(q_row, rows, cfg, fkl)
+        cols = np.arange(k0, min(k0 + chunk, V))
+        # row (o, k) of the block: the logits with coordinate cols[k] moved by o*step
+        moved = (z_row[cols] + _FD_OFFSETS[:, None] * step).astype(np.longdouble) / T
+        row_max = np.maximum(moved, rest_max[cols])
+        e = np.tile(eb, (4, cols.size, 1))
+        # same max: only entry cols[k] differs from eb (elsewhere moved - M may overflow)
+        o, k = np.nonzero(row_max == M)
+        e[o, k, cols[k]] = np.exp(moved[o, k] - M)
+        o, k = np.nonzero(row_max != M)  # a new max shifts every entry
+        z = np.tile(zb, (o.size, 1))
+        z[np.arange(o.size), cols[k]] = moved[o, k]
+        e[o, k] = np.exp(z - row_max[o, k, None])
+        probes = _token_losses_from_exps(q_row, e, cfg, fkl)
         quotient = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * h)
         fd[k0 : k0 + cols.size] = scale * quotient
     return fd
@@ -321,13 +335,16 @@ def finite_difference_check(
     meaningful. `max_tokens` stops after that many tokens have been compared
     (spot-check mode); None compares every token in the batch.
 
-    A token's stencil is one call on a (4, K, V) block whose row (o, k) is its
-    logits with coordinate k moved by o * step, o in (-2, -1, 1, 2); K = V, or
+    A token's stencil is one (4, K, V) block whose row (o, k) is its logits
+    with coordinate k moved by o * step, o in (-2, -1, 1, 2); K = V, or
     chunks of max(1, _FD_BLOCK_ENTRIES // 4V) coordinates when that bounds
-    memory. Each row meets the same elementwise ufuncs as alone, max is
-    order-free, and a row's last-axis sum in a C-contiguous block is the same
-    pairwise reduction as its 1-D sum, so this is bit-identical to one call
-    per perturbed row.
+    memory. The rows reuse the token's own exponentials eb = exp(z / T - M):
+    a row whose exact max, max(max_{j != k} z_j / T, moved z_k / T), is M is
+    eb with entry k alone recomputed, and a row whose max moved (k is the
+    argmax, or the move crosses it) is recomputed whole. Each row so meets
+    the same ufuncs on the same inputs as alone, and a row's last-axis sum in
+    a C-contiguous block is the same pairwise reduction as its 1-D sum, so
+    this is bit-identical to one evaluation per perturbed row.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidInputError(f"step must be positive and finite, got {step!r}")

@@ -138,10 +138,12 @@ class TrainConfig:
 
 @dataclass
 class StudentParams:
-    """Trainable per-problem logit tables plus the step counter that drives
-    round-robin problem choice and rollout seeding."""
+    """Trainable per-problem logit tables, teacher tables at the distillation
+    temperature, and the step counter that drives round-robin problem choice
+    and rollout seeding."""
 
     tables: dict[str, np.ndarray]
+    teachers: dict[str, np.ndarray]
     step: int = 0
 
     def logits_finite(self) -> bool:
@@ -149,8 +151,9 @@ class StudentParams:
 
 
 def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentParams:
-    """Teacher log-probabilities plus seeded Gaussian noise, per problem."""
-    tables = {}
+    """Teacher log-probabilities plus seeded Gaussian noise, per problem, and
+    each problem's teacher table scaled once to the distillation temperature."""
+    tables, teachers = {}, {}
     for problem in problems:
         rng = derive_rng(cfg.seed, TAG_INIT, problem.index)
         base = floored_log(problem.teacher)
@@ -159,7 +162,12 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
         if not np.isfinite(table).all():
             raise NumericDomainError(f"init_noise {cfg.init_noise!r} gives non-finite initial logits")
         tables[problem.problem_id] = table
-    return StudentParams(tables=tables)
+        with np.errstate(invalid="ignore"):  # a row that underflows to all zeros: refused below
+            teacher = temperature_scaled(problem.teacher, cfg.distill_temperature)
+        if not np.isfinite(teacher).all():
+            raise InvalidInputError(f"distill_temperature {cfg.distill_temperature!r} empties a teacher row")
+        teachers[problem.problem_id] = teacher
+    return StudentParams(tables=tables, teachers=teachers)
 
 
 def rollout_from_params(
@@ -185,11 +193,9 @@ def _collect_episodes(
     ]
 
 
-def _batch_from_episodes(
-    episodes: list[Episode], theta: StudentParams, temperature: float
-) -> RolloutBatch:
+def _batch_from_episodes(episodes: list[Episode], theta: StudentParams) -> RolloutBatch:
     return RolloutBatch(
-        [temperature_scaled(ep.rows(ep.problem.teacher), temperature) for ep in episodes],
+        [ep.rows(theta.teachers[ep.problem.problem_id]) for ep in episodes],
         [ep.rows(theta.tables[ep.problem.problem_id]) for ep in episodes],
     )
 
@@ -203,7 +209,7 @@ def train_step(
     applied (before scaling by the step size) and its batch, whose gathered
     rows the update leaves as sampled."""
     episodes = _collect_episodes(theta, problems, cfg)
-    batch = _batch_from_episodes(episodes, theta, cfg.distill_temperature)
+    batch = _batch_from_episodes(episodes, theta)
     loss = distillation_loss(batch, cfg.objective, cfg.weighting, cfg.reduction)
     grad = loss_gradient_wrt_student_logits(batch, cfg.objective, cfg.weighting, cfg.reduction)
     lr = cfg.step_size(theta.step)

@@ -241,18 +241,3 @@ def write_candidates_jsonl(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
-
-
-def read_candidates_jsonl(path) -> list[CandidateRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"line {line_no}: invalid JSON: {exc}") from exc
-            out.append(CandidateRecord.from_json_dict(d))
-    return out

@@ -155,12 +155,6 @@ class ProblemInstance:
             return [self.filler_token]
         return [int(self.canon[t, lane])] + [int(tok) for tok, _ in self.alts[t][lane]]
 
-    def child_viable(self, t: int, lane: int, token: int) -> bool:
-        """Ground truth: can the gold answer still be reached after this child?"""
-        if t == self.answer_position:
-            return lane != self.dead_lane and token == self.gold_token
-        return self.transition(t, lane, token) != self.dead_lane
-
 
 @dataclass(frozen=True)
 class Episode:

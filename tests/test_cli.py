@@ -119,6 +119,8 @@ BAD_REQUESTS = {
     "train-temperature-0": (["train", "--steps", "1", "--temperature", "0"], "", 2, "InvalidInputError"),
     "sweep-temperature-0": (["sweep", "--steps", "1", "--temperature", "0"], "", 2, "InvalidInputError"),
     "train-temperature-nan": (["train", "--steps", "1", "--temperature", "nan"], "", 2, "InvalidInputError"),
+    # q^(1/T) underflows to 0 in every entry of some teacher row
+    "train-temperature-1e-3": (["train", "--steps", "1", "--temperature", "1e-3"], "", 2, "InvalidInputError"),
     "train-init-noise-nan": (["train", "--steps", "1", "--init-noise", "nan"], "", 2, "InvalidInputError"),
     "train-init-noise-inf": (["train", "--steps", "1", "--init-noise", "inf"], "", 2, "InvalidInputError"),
     "train-init-noise-1e308": (
@@ -155,6 +157,8 @@ def test_bad_requests_exit_with_one_json_line(monkeypatch, capsys, argv, stdin, 
         (["train", "--init-noise", "nan"], "init_noise"),
         (["train", "--init-noise", "inf"], "init_noise"),
         (["train", "--init-noise", "1e308"], "init_noise"),
+        (["train", "--temperature", "1e-3"], "distill_temperature"),
+        (["train", "--temperature", "1e-300"], "distill_temperature"),
     ],
 )
 def test_bad_train_flags_are_blamed_by_name(capsys, argv, blamed):

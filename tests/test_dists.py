@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -405,3 +406,19 @@ def test_as_rows_names_the_row_the_per_row_loop_names(seed, shape, vocab, defect
     assert outcomes[0] == outcomes[1]
     if not defects:
         assert outcomes[0][0] == "ok"
+
+
+@pytest.mark.parametrize(
+    "p, complaint",
+    [
+        ([1e308] * 3, "members sums to inf"),
+        ([[0.5, 0.5], [1e308, 1e308]], "members[1] sums to inf"),
+    ],
+)
+def test_as_rows_refuses_an_overflowing_sum_without_a_warning(p, complaint):
+    # finite, non-negative entries whose sum overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError) as info:
+            as_rows(p, "members")
+    assert str(info.value).startswith(complaint)

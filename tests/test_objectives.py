@@ -405,6 +405,60 @@ def test_fd_check_memory_is_bounded_for_a_large_vocabulary():
     assert peak < 16 * 2**20
 
 
+def _stencil_case(vocab, plant, step=1e-5, budget=objectives_module._FD_BLOCK_ENTRIES):
+    """Two tokens whose stencils take the recomputed-row path: the argmax
+    coordinate always, and each planted logit (j places past the argmax, at
+    the max plus delta) whose probes reach or cross the max."""
+    rng = np.random.default_rng(vocab)
+    q = rng.dirichlet(np.ones(vocab), size=2)
+    z = 2.0 * rng.standard_normal((2, vocab))
+    top = z.argmax(axis=1)
+    for t in range(2):
+        for j, delta in plant:
+            z[t, (top[t] + j) % vocab] = z[t, top[t]] + delta
+    return q, z, step, budget
+
+
+_STENCIL_CASES = {
+    "argmax-only": _stencil_case(8, []),
+    "within-2-steps-of-the-max": _stencil_case(8, [(1, -1.5e-5), (2, -0.5e-5)]),
+    "two-equal-maxima": _stencil_case(8, [(3, 0.0)]),
+    "vocab-2": _stencil_case(2, [(1, -1.5e-5)]),
+    "vocab-2-equal-maxima": _stencil_case(2, [(1, 0.0)]),
+    # 5000 below the max is an exact float64 student zero; 20000, a longdouble one
+    "exact-student-zeros": _stencil_case(8, [(1, -1e-5), (4, -5000.0), (5, -20000.0)]),
+    "step-1e-3": _stencil_case(8, [(1, -1.5e-3), (2, 0.0)], step=1e-3),
+    "chunked": _stencil_case(13, [(1, -1.5e-5), (6, -0.5e-5), (12, 0.0)], budget=4 * 13 * 5),
+}
+
+
+@pytest.mark.parametrize("gated", [False, True])
+@pytest.mark.parametrize("case", _STENCIL_CASES.values(), ids=_STENCIL_CASES.keys())
+def test_fd_stencil_fallback_rows_equal_scalar_reference(case, gated):
+    q, z, step, budget = case
+    batch = RolloutBatch([q], [z])
+    cfg = ObjectiveConfig(clip_threshold=0.3)
+    # a gate at the larger teacher entropy sends both tokens to reverse KL
+    weighting = EntropyGateWeighting(max(entropy(row) for row in q)) if gated else UniformWeighting()
+    reduction = Reduction.GLOBAL_TOKEN_MEAN
+    fd_rows = []
+    fd_row = objectives_module._fd_row
+
+    def spy(*args):
+        fd_rows.append(fd_row(*args))
+        return fd_rows[-1]
+
+    with mock.patch.object(objectives_module, "_FD_BLOCK_ENTRIES", budget), mock.patch.object(
+        objectives_module, "_fd_row", spy
+    ):
+        report = finite_difference_check(batch, cfg, weighting, reduction, step=step)
+    expected, expected_rows = _reference_fd_check(batch, cfg, weighting, reduction, step=step)
+    assert report == expected and report.compared > 0
+    assert len(fd_rows) == len(expected_rows)
+    for got, want in zip(fd_rows, expected_rows):
+        assert _same_bits(got, want)
+
+
 def test_gradient_scales_with_weights_and_reduction():
     # doubling a token's weight doubles its gradient rows; reduction
     # coefficients follow 1/(B*L) for the per-sequence mean
@@ -562,7 +616,9 @@ def test_extended_token_losses_equal_longdouble_reference(seed, vocab, stack, ze
         q_row /= q_row.sum()
     z_rows = 30.0 * rng.standard_normal(stack + (vocab,))  # large logits give student zeros
     cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=0.05)
-    got = objectives_module._token_losses_extended(q_row, z_rows, cfg, fkl)
+    z = z_rows.astype(np.longdouble) / np.longdouble(temperature)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    got = objectives_module._token_losses_from_exps(q_row, e, cfg, fkl)
     assert _identical(got, _ref_token_losses_extended(q_row, z_rows, cfg, fkl))
     for index in np.ndindex(stack):  # one row alone, as the scalar stencil took it
         one = _reference_token_loss(q_row, z_rows[index], temperature, 0.05, fkl)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distillab.trainer as trainer_module
+from distillab.dists import temperature_scaled
 from distillab.errors import InvalidInputError
 from distillab.objectives import (
     EntropyGateWeighting,
@@ -164,7 +165,9 @@ def test_single_state_update_matches_closed_form():
     z = np.full((1, world.branch_count + 1, V), -60.0)
     z[0, 0, 0] = math.log(3.0)
     z[0, 0, 1] = 0.0
-    theta = StudentParams(tables={"hand": z.copy()})
+    theta = StudentParams(
+        tables={"hand": z.copy()}, teachers={"hand": temperature_scaled(problem.teacher, 1.1)}
+    )
     cfg = TrainConfig(
         learning_rate=1.0, steps=1, batch_sequences=1, distill_temperature=1.1,
         clip_threshold=0.05, weighting=UniformWeighting(),
@@ -237,7 +240,7 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
     norm_counts: list[int] = []
     for _ in range(cfg.steps):
         batch = trainer_module._batch_from_episodes(
-            trainer_module._collect_episodes(theta, problems, cfg), theta, cfg.distill_temperature
+            trainer_module._collect_episodes(theta, problems, cfg), theta
         )
         expected = loss_gradient_wrt_student_logits(
             batch, cfg.objective, cfg.weighting, cfg.reduction

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from distillab.viability import (
     child_viability,
     label_candidate,
     position_scores,
-    read_candidates_jsonl,
     select_candidates,
     write_candidates_jsonl,
 )
@@ -186,6 +187,10 @@ def test_filter_config_validation():
         _cfg(top_children=0)
 
 
+def _read_back(path):  # the records of a candidates.jsonl, one per line
+    return [CandidateRecord.from_json_dict(json.loads(line)) for line in path.read_text("utf-8").splitlines()]
+
+
 def test_candidate_record_roundtrip(tmp_path, capsys):
     recs = [
         CandidateRecord(
@@ -203,7 +208,7 @@ def test_candidate_record_roundtrip(tmp_path, capsys):
     ]
     path = tmp_path / "cands.jsonl"
     write_candidates_jsonl(path, recs)
-    back = read_candidates_jsonl(path)
+    back = _read_back(path)
     assert len(back) == 2
     for a, b in zip(recs, back):
         assert a.problem_id == b.problem_id
@@ -220,7 +225,7 @@ def test_candidate_record_roundtrip(tmp_path, capsys):
             "--members", "3", "--continuations", "2", "--out", str(out)]
     assert main(argv) == 0, capsys.readouterr().err
     written = (out / "candidates.jsonl").read_bytes()
-    back = read_candidates_jsonl(out / "candidates.jsonl")
+    back = _read_back(out / "candidates.jsonl")
     assert len(back) == written.count(b"\n") > 0
     write_candidates_jsonl(tmp_path / "again.jsonl", back)
     assert (tmp_path / "again.jsonl").read_bytes() == written
@@ -237,11 +242,6 @@ def test_candidate_json_dict_uses_h_trunc_key():
     assert CandidateRecord.from_json_dict(d).label is None
 
 
-def test_read_candidates_rejects_bad_json(tmp_path):
-    path = tmp_path / "bad.jsonl"
-    path.write_text('{"problem_id": "p"\n', encoding="utf-8")
+def test_candidate_record_rejects_a_missing_field():
     with pytest.raises(InvalidInputError):
-        read_candidates_jsonl(path)
-    path.write_text('{"problem_id": "p"}\n', encoding="utf-8")
-    with pytest.raises(InvalidInputError):
-        read_candidates_jsonl(path)
+        CandidateRecord.from_json_dict({"problem_id": "p"})

@@ -135,18 +135,16 @@ def test_children_and_ground_truth_viability():
     for z in range(cfg.branch_count):
         kids = p.children(t, z)
         assert kids[0] == int(p.canon[t, z])
-        assert p.child_viable(t, z, kids[0])
+        assert p.transition(t, z, kids[0]) != p.dead_lane
         if int(p.kind[t, z]) == UNRELIABLE:
             for tok in kids[1:]:
-                assert not p.child_viable(t, z, tok)
+                assert p.transition(t, z, tok) == p.dead_lane
         if int(p.kind[t, z]) == DIVERSE:
             for tok in kids[1:]:
-                assert p.child_viable(t, z, tok)
-    # answer layer: gold token from a viable lane is the only viable child
+                assert p.transition(t, z, tok) != p.dead_lane
+    # answer layer: a viable lane's only child is the gold token
     ap = p.answer_position
     assert p.children(ap, 0) == [p.gold_token]
-    assert p.child_viable(ap, 0, p.gold_token)
-    assert not p.child_viable(ap, p.dead_lane, p.wrong_token)
     assert p.children(ap, p.dead_lane) == [p.wrong_token]
 
 
@@ -613,7 +611,6 @@ def test_next_lane_table_equals_the_replaced_transition(cfg, index):
                 expected = _reference_transition(p, t, lane, token)
                 assert p.next_lane[t][lane][token] == expected
                 assert p.transition(t, lane, token) == expected
-                assert p.child_viable(t, lane, token) == (expected != p.dead_lane)
             for token in (-1, V):  # outside the vocabulary
                 assert p.transition(t, lane, token) == _reference_transition(p, t, lane, token)
 
@@ -696,7 +693,7 @@ def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
     theta.step = step
     episodes = trainer_module._collect_episodes(theta, problems, tcfg)
     assert len(episodes) == batch
-    got = trainer_module._batch_from_episodes(episodes, theta, tcfg.distill_temperature)
+    got = trainer_module._batch_from_episodes(episodes, theta)
     for ep, q, z in zip(episodes, got.split(got.teacher), got.split(got.student), strict=True):
         visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
         expected_q = temperature_scaled(ep.problem.teacher[visited], temperature)
