@@ -1,12 +1,12 @@
 """Per-unit layer costs, timed in-process, to compare checkouts.
 
-    python3 bench/layers.py [--tree NAME=DIR ...] [--rounds 10] [--repeats 3] [--out BENCH_layers.json]
+    python3 bench/layers.py [--tree NAME=DIR ...] [--rounds 10] [--out BENCH_layers.json]
 
 Each tree is a distillab checkout (default: this one, named `after`); give
 an older checkout as `--tree before=DIR` to compare. Every sample is a fresh
 process importing distillab from `DIR/src`; the trees take turns inside each
 round, and the first tree goes second on odd rounds. Each process times its
-layer `--repeats` times.
+layer REPEATS times.
 
 Layers:
 
@@ -35,6 +35,7 @@ from pathlib import Path
 from sweep import tree_stamp
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 3  # timed runs of the layer in each sample's process
 # perfbench's gradcheck workload at seed 0
 GRADCHECK_ARGV = ["gradcheck", "--batches", "40", "--weighting", "entropy_gate:3.0", "--seed", "0"]
 # Run in the child: the CLI itself, with its finite_difference_check timed.
@@ -64,9 +65,9 @@ print(json.dumps({"seconds": seconds, "stdout": out.getvalue()}))
 """
 
 
-def one_run(tree: Path, repeats: int) -> dict:
+def one_run(tree: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-c", FD_COORD, str(repeats), *GRADCHECK_ARGV]
+    argv = [sys.executable, "-c", FD_COORD, str(REPEATS), *GRADCHECK_ARGV]
     res = subprocess.run(argv, env=env, capture_output=True, text=True)
     if res.returncode != 0:
         return {"exit": res.returncode, "stderr": res.stderr[-2000:]}
@@ -85,7 +86,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tree", action="append", default=[], help="NAME=DIR, repeatable")
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
     args = parser.parse_args()
     trees = dict(t.split("=", 1) for t in args.tree) or {"after": str(ROOT)}
@@ -94,7 +94,7 @@ def main() -> int:
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for name in order:
-            run = one_run(trees[name], args.repeats)
+            run = one_run(trees[name])
             samples[name].append(run)
             print(f"round {r} fd_coord {name}: {run.get('ns_per_coord', run)}", file=sys.stderr)
 
@@ -114,7 +114,7 @@ def main() -> int:
         "numpy": metadata.version("numpy"),
         "loadavg_end": list(os.getloadavg()),
         "rounds": args.rounds,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "trees": {
             name: {
                 **tree_stamp(path),

@@ -143,17 +143,23 @@ class StudentParams:
     and rollout seeding."""
 
     tables: dict[str, np.ndarray]
-    teachers: dict[str, np.ndarray]
+    teachers: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
 
     def logits_finite(self) -> bool:
         return all(np.isfinite(t).all() for t in self.tables.values())
 
+    def scale_teachers(self, problems: list[ProblemInstance], temperature: float) -> None:
+        """Set each training problem's teacher table at `temperature`, once per run."""
+        with np.errstate(invalid="ignore"):  # a row that underflows to all zeros: refused below
+            self.teachers = {p.problem_id: temperature_scaled(p.teacher, temperature) for p in problems}
+        if not all(np.isfinite(q).all() for q in self.teachers.values()):
+            raise InvalidInputError(f"distill_temperature {temperature!r} empties a teacher row")
+
 
 def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentParams:
-    """Teacher log-probabilities plus seeded Gaussian noise, per problem, and
-    each problem's teacher table scaled once to the distillation temperature."""
-    tables, teachers = {}, {}
+    """Teacher log-probabilities plus seeded Gaussian noise, per problem."""
+    tables = {}
     for problem in problems:
         rng = derive_rng(cfg.seed, TAG_INIT, problem.index)
         base = floored_log(problem.teacher)
@@ -162,12 +168,7 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
         if not np.isfinite(table).all():
             raise NumericDomainError(f"init_noise {cfg.init_noise!r} gives non-finite initial logits")
         tables[problem.problem_id] = table
-        with np.errstate(invalid="ignore"):  # a row that underflows to all zeros: refused below
-            teacher = temperature_scaled(problem.teacher, cfg.distill_temperature)
-        if not np.isfinite(teacher).all():
-            raise InvalidInputError(f"distill_temperature {cfg.distill_temperature!r} empties a teacher row")
-        teachers[problem.problem_id] = teacher
-    return StudentParams(tables=tables, teachers=teachers)
+    return StudentParams(tables=tables)
 
 
 def rollout_from_params(
@@ -273,6 +274,7 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
     world_cfg = world_cfg if world_cfg is not None else WorldConfig()
     problems = [generate_problem(world_cfg, i) for i in range(cfg.train_problems)]
     theta = init_student(cfg, problems)
+    theta.scale_teachers(problems, cfg.distill_temperature)
     init_tables = {pid: t.copy() for pid, t in theta.tables.items()}
 
     train_eval_init = evaluate_policy(cfg, problems, init_tables, eval_tag=0)

@@ -147,6 +147,7 @@ def test_student_matching_teacher_has_near_zero_loss_and_update():
     problems = [generate_problem(world, i) for i in range(2)]
     cfg = _small_cfg(init_noise=0.0, learning_rate=512.0)
     theta = init_student(cfg, problems)
+    theta.scale_teachers(problems, cfg.distill_temperature)
     before = {pid: t.copy() for pid, t in theta.tables.items()}
     theta, loss, _, _ = train_step(theta, problems, cfg)
     assert abs(loss) < 1e-12
@@ -189,6 +190,8 @@ def test_train_step_is_deterministic():
     cfg = _small_cfg()
     a = init_student(cfg, problems)
     b = init_student(cfg, problems)
+    a.scale_teachers(problems, cfg.distill_temperature)
+    b.scale_teachers(problems, cfg.distill_temperature)
     for _ in range(3):
         a, la, _, _ = train_step(a, problems, cfg)
         b, lb, _, _ = train_step(b, problems, cfg)
@@ -219,6 +222,36 @@ def test_run_training_report_shape_and_determinism():
     assert r1.config["reduction"] == "per_sequence_mean"
 
 
+def test_only_training_teacher_tables_are_scaled_and_refused():
+    # in world seed 3, q^(1/T) at T = 1.02e-3 empties a row of the held-out
+    # problems 1 and 2 but no row of problem 0: held-out problems are evaluated
+    # at their initial tables and never read a scaled teacher, so the run goes on
+    world = WorldConfig(seed=3)
+    temperature = 1.02e-3
+    with np.errstate(invalid="ignore"):
+        empties = [
+            not np.isfinite(temperature_scaled(generate_problem(world, i).teacher, temperature)).all()
+            for i in range(3)
+        ]
+    assert empties == [False, True, True]
+    cfg = TrainConfig(
+        steps=2, batch_sequences=2, train_problems=1, eval_problems=2, eval_samples=2,
+        distill_temperature=temperature,
+    )
+    report = run_training(cfg, world)
+    assert report.heldout_eval["problems"] == 2
+    with pytest.raises(InvalidInputError, match="distill_temperature 0.00102 empties a teacher row"):
+        run_training(dataclasses.replace(cfg, train_problems=2), world)
+    # init_student scales nothing; scale_teachers scales the problems it is given
+    problems = [generate_problem(world, i) for i in range(3)]
+    theta = init_student(cfg, problems)
+    assert theta.teachers == {}
+    theta.scale_teachers(problems[:1], temperature)
+    assert list(theta.teachers) == [problems[0].problem_id]
+    expected = temperature_scaled(problems[0].teacher, temperature)
+    assert theta.teachers[problems[0].problem_id].tobytes() == expected.tobytes()
+
+
 def test_run_training_matches_manual_step_loop(monkeypatch):
     world = _small_world()
     cfg = _small_cfg(steps=5)
@@ -235,6 +268,7 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
     assert len(batches) == cfg.steps
     problems = [generate_problem(world, i) for i in range(cfg.train_problems)]
     theta = init_student(cfg, problems)
+    theta.scale_teachers(problems, cfg.distill_temperature)
     manual = []
     norm_sums: list[float] = []
     norm_counts: list[int] = []

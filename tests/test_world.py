@@ -690,6 +690,7 @@ def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
     )
     problems = [generate_problem(cfg, i) for i in range(train_problems)]
     theta = trainer_module.init_student(tcfg, problems)
+    theta.scale_teachers(problems, temperature)
     theta.step = step
     episodes = trainer_module._collect_episodes(theta, problems, tcfg)
     assert len(episodes) == batch
