@@ -4,25 +4,31 @@
 
 Each tree is a distillab checkout (default: this one, named `after`); give
 an older checkout as `--tree before=DIR` to compare. Every sample is a fresh
-process importing distillab from `DIR/src`; the trees take turns inside each
-round, and the first tree goes second on odd rounds. Each process times its
-layer REPEATS times.
+process importing distillab from `DIR/src` and running one CLI command
+REPEATS times in-process, with the layer functions wrapped by timers where
+the CLI looks them up; the trees take turns inside each round, and the first
+tree goes second on odd rounds.
 
-Layers:
+Layers, in two commands:
 
 - `fd_coord`: one finite-difference coordinate. `distillab gradcheck
   --batches 40 --weighting entropy_gate:3.0 --seed 0` (perfbench's
-  `gradcheck` workload) run in-process, with the time inside
-  `finite_difference_check` summed over its 40 batches and divided by the
-  coordinates compared. Every run must print the same stdout, in every tree.
+  `gradcheck` workload), with the time inside `finite_difference_check`
+  summed over its 40 batches and divided by the coordinates compared.
+- `problem`, `forced_continuation` and `ensemble_score`: `distillab diagnose
+  --out out --threads 2 --seed 0` (perfbench's `diagnose` workload), with
+  the time per call of `world.generate_problem`, of
+  `world.forced_continuation`, and of `world.teacher_ensemble` plus the
+  `score_ensemble` that follows it. Only the calling process's shard of
+  problems is timed: the forked worker's calls are not seen.
 
-The output holds the host, the Python and numpy versions, each tree's git
-SHA and source digest, and every sample.
+Every run of a command must print the same stdout and write the same files,
+in every tree. The output holds the host, the Python and numpy versions,
+each tree's git SHA and source digest, and every sample.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -35,51 +41,104 @@ from pathlib import Path
 from sweep import tree_stamp
 
 ROOT = Path(__file__).resolve().parent.parent
-REPEATS = 3  # timed runs of the layer in each sample's process
-# perfbench's gradcheck workload at seed 0
-GRADCHECK_ARGV = ["gradcheck", "--batches", "40", "--weighting", "entropy_gate:3.0", "--seed", "0"]
-# Run in the child: the CLI itself, with its finite_difference_check timed.
-FD_COORD = """
-import contextlib, io, json, sys, time
+REPEATS = 3  # timed runs of the command in each sample's process
+# perfbench's gradcheck and diagnose workloads at seed 0
+COMMANDS = {
+    "gradcheck": ["gradcheck", "--batches", "40", "--weighting", "entropy_gate:3.0", "--seed", "0"],
+    "diagnose": ["diagnose", "--out", "out", "--threads", "2", "--seed", "0"],
+}
+# layer -> (command, the functions timed, each as module.attr; the first one's
+# calls count the units, unless the unit is the gradcheck's `compared`)
+LAYERS = {
+    "fd_coord": ("gradcheck", ["cli.finite_difference_check"]),
+    "problem": ("diagnose", ["world.generate_problem"]),
+    "forced_continuation": ("diagnose", ["world.forced_continuation"]),
+    "ensemble_score": ("diagnose", ["world.teacher_ensemble", "world.score_ensemble"]),
+}
+# Run in the child: the CLI itself, each named function timed, each repeat
+# in a fresh working directory; prints the seconds and calls per repeat and
+# the digest of stdout and of every file written, per repeat.
+CHILD = """
+import contextlib, hashlib, io, json, os, sys, tempfile, time
 import distillab.cli as cli
+import distillab.world as world
 
-check = cli.finite_difference_check
-seconds = []
-
-
-def timed(*args, **kwargs):
-    start = time.perf_counter()
-    report = check(*args, **kwargs)
-    seconds[-1] += time.perf_counter() - start
-    return report
+names = json.loads(sys.argv[2])
+seconds = {name: [] for name in names}
+calls = {name: [] for name in names}
 
 
-cli.finite_difference_check = timed
+def timer(name, fn):
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds[name][-1] += time.perf_counter() - start
+            calls[name][-1] += 1
+    return timed
+
+
+for name in names:
+    module, attr = name.split(".")
+    module = {"cli": cli, "world": world}[module]
+    setattr(module, attr, timer(name, getattr(module, attr)))
+here, digests = os.getcwd(), []
 for _ in range(int(sys.argv[1])):
-    seconds.append(0.0)
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.main(sys.argv[2:])
-    if code != 0:
-        sys.exit(code)
-print(json.dumps({"seconds": seconds, "stdout": out.getvalue()}))
+    for name in names:
+        seconds[name].append(0.0)
+        calls[name].append(0)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(sys.argv[3:])
+        if code != 0:
+            sys.exit(code)
+        digest = hashlib.sha256(out.getvalue().encode())
+        for root, dirs, files in sorted(os.walk(".")):
+            dirs.sort()
+            for f in sorted(files):
+                if f != "run_meta.json":  # its timestamp differs per run
+                    path = os.path.join(root, f)
+                    digest.update(path.encode() + b"\\0" + open(path, "rb").read())
+        digests.append(digest.hexdigest())
+        os.chdir(here)
+print(json.dumps({"seconds": seconds, "calls": calls, "stdout": out.getvalue(), "sha256": digests}))
 """
 
 
-def one_run(tree: Path) -> dict:
+def one_run(tree: Path, command: str) -> dict:
+    """One sample process of `command`: every layer it times, per repeat."""
+    names = sorted({name for cmd, timed in LAYERS.values() if cmd == command for name in timed})
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    argv = [sys.executable, "-c", FD_COORD, str(REPEATS), *GRADCHECK_ARGV]
+    argv = [sys.executable, "-c", CHILD, str(REPEATS), json.dumps(names), *COMMANDS[command]]
     res = subprocess.run(argv, env=env, capture_output=True, text=True)
     if res.returncode != 0:
         return {"exit": res.returncode, "stderr": res.stderr[-2000:]}
     out = json.loads(res.stdout)
-    compared = json.loads(out["stdout"])["compared"]
-    return {
-        "exit": 0,
-        "compared": compared,
-        "stdout_sha256": hashlib.sha256(out["stdout"].encode()).hexdigest(),
-        "seconds": [round(s, 5) for s in out["seconds"]],
-        "ns_per_coord": [round(s / compared * 1e9, 1) for s in out["seconds"]],
-    }
+    layers = {}
+    for layer, (cmd, timed) in LAYERS.items():
+        if cmd != command:
+            continue
+        seconds = [sum(s) for s in zip(*(out["seconds"][name] for name in timed))]
+        if layer == "fd_coord":
+            units = [json.loads(out["stdout"])["compared"]] * REPEATS
+        else:
+            units = out["calls"][timed[0]]
+        layers[layer] = {
+            "units": units,
+            "seconds": [round(s, 5) for s in seconds],
+            "ns_per_unit": [round(s / n * 1e9, 1) for s, n in zip(seconds, units)],
+        }
+    return {"exit": 0, "output_sha256": out["sha256"], "layers": layers}
+
+
+def summary(runs: list[dict], layer: str) -> dict:
+    costs = sorted(c for run in runs for c in run.get("layers", {}).get(layer, {}).get("ns_per_unit", []))
+    if not costs:
+        return {}
+    q = statistics.quantiles(costs, n=4) if len(costs) > 1 else [costs[0]] * 3
+    return {"median_ns": round(q[1], 1), "q1_ns": round(q[0], 1), "q3_ns": round(q[2], 1), "min_ns": costs[0]}
 
 
 def main() -> int:
@@ -90,23 +149,19 @@ def main() -> int:
     args = parser.parse_args()
     trees = dict(t.split("=", 1) for t in args.tree) or {"after": str(ROOT)}
     trees = {name: Path(d).resolve() for name, d in trees.items()}
-    samples: dict[str, list[dict]] = {name: [] for name in trees}
+    samples: dict[str, dict[str, list[dict]]] = {name: {cmd: [] for cmd in COMMANDS} for name in trees}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
-        for name in order:
-            run = one_run(trees[name])
-            samples[name].append(run)
-            print(f"round {r} fd_coord {name}: {run.get('ns_per_coord', run)}", file=sys.stderr)
-
-    def summary(runs: list[dict]) -> dict:
-        costs = sorted(c for run in runs for c in run.get("ns_per_coord", []))
-        if not costs:
-            return {}
-        q = statistics.quantiles(costs, n=4) if len(costs) > 1 else [costs[0]] * 3
-        return {"median_ns": round(q[1], 1), "q1_ns": round(q[0], 1), "q3_ns": round(q[2], 1), "min_ns": costs[0]}
+        for command in COMMANDS:
+            for name in order:
+                run = one_run(trees[name], command)
+                samples[name][command].append(run)
+                costs = {layer: s["ns_per_unit"] for layer, s in run.get("layers", {}).items()}
+                print(f"round {r} {command} {name}: {costs or run}", file=sys.stderr)
 
     result = {
-        "command": "finite_difference_check inside distillab " + " ".join(GRADCHECK_ARGV),
+        "commands": {cmd: "distillab " + " ".join(argv) for cmd, argv in COMMANDS.items()},
+        "layers": {layer: {"command": cmd, "timed": timed} for layer, (cmd, timed) in LAYERS.items()},
         "host": platform.node(),
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
@@ -118,23 +173,36 @@ def main() -> int:
         "trees": {
             name: {
                 **tree_stamp(path),
-                "layers": {"fd_coord": {**summary(samples[name]), "samples": samples[name]}},
+                "layers": {
+                    layer: {**summary(samples[name][cmd], layer), "samples": [
+                        {"exit": run["exit"], **run.get("layers", {}).get(layer, {})}
+                        for run in samples[name][cmd]
+                    ]}
+                    for layer, (cmd, _) in LAYERS.items()
+                },
+                "output_sha256": {
+                    cmd: sorted({d for run in runs if run["exit"] == 0 for d in run["output_sha256"]})
+                    for cmd, runs in samples[name].items()
+                },
             }
             for name, path in trees.items()
         },
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
-    runs = [run for by_tree in samples.values() for run in by_tree]
+    runs = [run for by_tree in samples.values() for by_cmd in by_tree.values() for run in by_cmd]
     failed = [run for run in runs if run["exit"] != 0]
-    digests = {run["stdout_sha256"] for run in runs if run["exit"] == 0}
     for name, tree in result["trees"].items():
-        s = tree["layers"]["fd_coord"]
-        if s.get("median_ns") is not None:
-            print(f"{name} fd_coord: median {s['median_ns']:.0f} ns [{s['q1_ns']:.0f}, {s['q3_ns']:.0f}]")
-    if len(digests) > 1:
-        print(f"stdout differs between runs: {sorted(digests)}")
+        for layer, s in tree["layers"].items():
+            if s.get("median_ns") is not None:
+                print(f"{name} {layer}: median {s['median_ns']:.0f} ns [{s['q1_ns']:.0f}, {s['q3_ns']:.0f}]")
+    differing = [
+        cmd for cmd in COMMANDS
+        if len({d for tree in result["trees"].values() for d in tree["output_sha256"][cmd]}) > 1
+    ]
+    for cmd in differing:
+        print(f"{cmd} output differs between runs or trees")
     print(f"{len(failed)} failed runs; wrote {args.out}")
-    return 1 if failed or len(digests) > 1 else 0
+    return 1 if failed or differing else 0
 
 
 if __name__ == "__main__":

@@ -23,19 +23,9 @@ from .errors import InvalidInputError
 DIRICHLET_EPSILON = 1e-6
 
 
-def _as_ensemble(members) -> np.ndarray:
-    arr = np.asarray(members, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise InvalidInputError(
-            f"ensemble must be (M >= 2, vocab) probability rows, got shape {arr.shape}"
-        )
-    return as_rows(arr, "members")
-
-
 def mean_predictive_entropy(members) -> float:
     """Average Shannon entropy of the ensemble members."""
-    arr = _as_ensemble(members)
-    return float(np.mean(row_entropies(arr)))
+    return score_ensemble(members, 0.0)["mean_entropy"]
 
 
 def mutual_information(members) -> float:
@@ -43,10 +33,7 @@ def mutual_information(members) -> float:
 
     Non-negative by Jensen; floating-point residue below zero is clamped to 0.
     """
-    arr = _as_ensemble(members)
-    mixed = arr.mean(axis=0)
-    mi = entropy(mixed) - float(np.mean(row_entropies(arr)))
-    return mi if mi > 0.0 else 0.0
+    return score_ensemble(members, 0.0)["mutual_information"]
 
 
 def dirichlet_precision(members, epsilon: float = DIRICHLET_EPSILON) -> tuple[float, float]:
@@ -63,7 +50,12 @@ def dirichlet_precision(members, epsilon: float = DIRICHLET_EPSILON) -> tuple[fl
     """
     if not (epsilon > 0.0) or not math.isfinite(epsilon):
         raise InvalidInputError(f"epsilon must be positive and finite, got {epsilon!r}")
-    arr = _as_ensemble(members)
+    arr = np.asarray(members, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] < 2:
+        raise InvalidInputError(
+            f"ensemble must be (M >= 2, vocab) probability rows, got shape {arr.shape}"
+        )
+    arr = as_rows(arr, "members")
     p_bar = arr.mean(axis=0)
     spread = float(arr.var(axis=0, ddof=1).sum())
     if spread == 0.0:
@@ -75,11 +67,15 @@ def dirichlet_precision(members, epsilon: float = DIRICHLET_EPSILON) -> tuple[fl
 
 def score_ensemble(members, truncated_entropy_value: float, epsilon: float = DIRICHLET_EPSILON) -> dict[str, float]:
     """The three ensemble scores and a precomputed truncated entropy, keyed
-    mean_entropy, mutual_information, log_kappa, truncated_entropy."""
-    _, log_kappa = dirichlet_precision(members, epsilon)
+    mean_entropy, mutual_information, log_kappa, truncated_entropy. One set
+    of row entropies serves both the mean entropy and the mutual information."""
+    _, log_kappa = dirichlet_precision(members, epsilon)  # checks epsilon, then the members
+    arr = np.asarray(members, dtype=float)
+    mean_entropy = float(np.mean(row_entropies(arr)))
+    mi = entropy(arr.mean(axis=0)) - mean_entropy
     return {
-        "mean_entropy": mean_predictive_entropy(members),
-        "mutual_information": mutual_information(members),
+        "mean_entropy": mean_entropy,
+        "mutual_information": mi if mi > 0.0 else 0.0,
         "log_kappa": log_kappa,
         "truncated_entropy": float(truncated_entropy_value),
     }

@@ -36,7 +36,7 @@ import numpy as np
 
 from .dists import floored_log, softmax_with_temperature, temperature_scaled
 from .errors import DegenerateInputError, InvalidInputError
-from .seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, derive_rng
+from .seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, RawDraws, derive_rng
 from .stats import BootstrapConfig, ScoredCandidate, score_report
 from .uncertainty import score_ensemble
 from .viability import (
@@ -201,67 +201,68 @@ def walk(problem: ProblemInstance, start: int, lane: int, tokens: np.ndarray) ->
 
 
 def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
-    """Deterministically build problem `index` of the world."""
+    """Deterministically build problem `index` of the world. Its draws are
+    `RawDraws` replays of the Generator calls a per-state body makes."""
     if index < 0:
         raise InvalidInputError(f"problem index must be non-negative, got {index}")
-    rng = derive_rng(cfg.seed, TAG_PROBLEM, index)
+    rng = RawDraws(derive_rng(cfg.seed, TAG_PROBLEM, index))
     V = cfg.vocab_size
     B = cfg.branch_count
     dead = B
-    length = int(rng.integers(max(4, cfg.depth // 2), cfg.depth + 1))
-    gold = int(rng.integers(V))
-    wrong = int((gold + 1 + rng.integers(V - 1)) % V)
-    filler = int(rng.integers(V))
+    length = rng.integers(max(4, cfg.depth // 2), cfg.depth + 1)
+    gold = rng.integers(V)
+    wrong = (gold + 1 + rng.integers(V - 1)) % V
+    filler = rng.integers(V)
 
     kind = np.zeros((length - 1, B), dtype=np.int8)
-    canon = np.zeros((length - 1, B), dtype=np.int64)
+    canon = []
     alts: list[list[tuple[tuple[int, int], ...]]] = []
-    # background rows; the loop writes branch-state teacher rows, array writes the rest
-    teacher_top, student_top = 1.0 - TEACHER_BACKGROUND, 1.0 - STUDENT_BACKGROUND
-    teacher = np.full((length, B + 1, V), (1.0 - teacher_top) / (V - 1))
-    student = np.full((length, B + 1, V), (1.0 - student_top) / (V - 1))
-    others = [np.delete(np.arange(V), c) for c in range(V)]  # the tokens that are not c
+    # per branch state: (layer, lane, kind, peak token, two half-mass tokens) and its ambiguity
+    branch: list[tuple[int, ...]] = []
+    ambs: list[float] = []
+    others = [[tok for tok in range(V) if tok != c] for c in range(V)]
 
     for t in range(length - 1):
         r = (t + 0.5) / length
         dead_fraction = cfg.early_dead_fraction if r < EARLY_CUTOFF else cfg.late_dead_fraction
         row_alts: list[tuple[tuple[int, int], ...]] = []
         for z in range(B):
-            c = int(rng.integers(V))
-            canon[t, z] = c
+            c = rng.integers(V)
+            canon.append(c)
             state_alts: tuple[tuple[int, int], ...] = ()
             if rng.random() < BRANCH_DENSITY:
                 amb = cfg.ambiguity_mass * rng.uniform(*AMBIGUITY_JITTER)
-                amb = min(max(amb, 0.05), 1.0 - TEACHER_BACKGROUND - 0.05)  # np.clip costs 10 us a call
-                unreliable = rng.random() < dead_fraction
-                q = teacher[t, z]
-                q[:] = TEACHER_BACKGROUND / (V - 3)
-                if unreliable:
-                    kind[t, z] = UNRELIABLE
-                    picks = rng.choice(others[c], size=3, replace=False)
-                    state_alts = tuple((int(tok), dead) for tok in picks)
-                    q[picks[0]] = 1.0 - amb - TEACHER_BACKGROUND
-                    q[picks[1:]] = amb / 2.0
+                ambs.append(min(max(amb, 0.05), 1.0 - TEACHER_BACKGROUND - 0.05))  # np.clip costs 10 us a call
+                if rng.random() < dead_fraction:
+                    picks = rng.choice(others[c], 3)
+                    state_alts = tuple((tok, dead) for tok in picks)
+                    branch.append((t, z, UNRELIABLE, *picks))
                 else:
-                    kind[t, z] = DIVERSE
-                    picks = rng.choice(others[c], size=2, replace=False)
-                    state_alts = tuple(
-                        (int(tok), (z + 1 + j) % B) for j, tok in enumerate(picks)
-                    )
-                    q[c] = 1.0 - amb - TEACHER_BACKGROUND
-                    q[picks] = amb / 2.0
+                    picks = rng.choice(others[c], 2)
+                    state_alts = tuple((tok, (z + 1 + j) % B) for j, tok in enumerate(picks))
+                    branch.append((t, z, DIVERSE, c, *picks))
             row_alts.append(state_alts)
         alts.append(row_alts)
 
+    # background rows concentrated on each state's top token; three array writes then redo branch states
+    teacher_top, student_top = 1.0 - TEACHER_BACKGROUND, 1.0 - STUDENT_BACKGROUND
+    teacher = np.full((length, B + 1, V), (1.0 - teacher_top) / (V - 1))
+    student = np.full((length, B + 1, V), (1.0 - student_top) / (V - 1))
+    canon = np.array(canon, dtype=np.int64).reshape(length - 1, B)
     # the concentrated token of each state: canonical in a viable lane, the
     # filler in the dead lane, and at the answer gold or (dead lane) wrong
     top = np.empty((length, B + 1), dtype=np.int64)
     top[:-1, :B], top[:-1, dead], top[-1, :B], top[-1, dead] = canon, filler, gold, wrong
     layer, lane = np.indices(top.shape)
     student[layer, lane, top] = student_top
-    plain = np.ones(top.shape, dtype=bool)  # the teacher concentrates outside branch states
-    plain[:-1, :B] = kind == PLAIN
-    teacher[layer[plain], lane[plain], top[plain]] = teacher_top
+    teacher[layer, lane, top] = teacher_top
+    if branch:
+        states, amb = np.array(branch), np.array(ambs)
+        t, z, kinds, peak = states[:, :4].T
+        kind[t, z] = kinds
+        teacher[t, z] = TEACHER_BACKGROUND / (V - 3)
+        teacher[t, z, peak] = 1.0 - amb - TEACHER_BACKGROUND
+        teacher[t[:, None], z[:, None], states[:, 4:]] = (amb / 2.0)[:, None]
 
     return ProblemInstance(
         problem_id=f"p{index:04d}",
@@ -280,7 +281,7 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
 
 
 def nucleus_sample(
-    rng: np.random.Generator | Callable, probs: np.ndarray, temperature: float, top_p: float
+    rng: np.random.Generator | Callable, probs: np.ndarray, temperature: float, top_p: float, first: int = 0
 ) -> int | np.ndarray:
     """Temperature rescale, keep the smallest descending-probability prefix with
     mass >= top_p, renormalize, draw. top_p = 1 is plain categorical sampling.
@@ -291,8 +292,11 @@ def nucleus_sample(
     uniform. A walk that reads one row per layer therefore consumes the same
     uniforms, in the same order, as one row draw per layer would.
 
+    `first` > 0 draws leading indices `first:` only, exactly as a draw from
+    `probs[first:]` would, from the memo entry of the whole table.
+
     `rng` is a Generator or a zero-argument callable that returns one. When
-    every kept nucleus holds one token, a point mass, the draw needs no
+    every kept nucleus drawn holds one token, a point mass, the draw needs no
     uniform: a callable is then never called (a Generator gives them anyway).
 
     The draw is inverse-CDF sampling on each row's kept prefix. The prefixes
@@ -306,30 +310,33 @@ def nucleus_sample(
         raise InvalidInputError(f"temperature must be positive, got {temperature!r}")
     p = np.asarray(probs, dtype=float)
     shape = p.shape if p.ndim > 1 else (1, *p.shape)
-    order, cum, starts = _nucleus_table(p.tobytes(), shape, temperature, top_p)
-    if cum.shape[-1] > 1 or not callable(rng):  # a point-mass table needs no uniform
+    order, cum, starts, spread = _nucleus_table(p.tobytes(), shape, temperature, top_p)
+    cum, starts = cum[first:], starts[first:]
+    if spread[first] or not callable(rng):  # a point-mass suffix needs no uniform
         rng = rng() if callable(rng) else rng
-        starts = starts + (cum > rng.random(shape[:-2])[..., None, None]).argmax(axis=-1)
+        starts = starts + (cum > rng.random(cum.shape[:-2])[..., None, None]).argmax(axis=-1)
     tokens = order[starts]
     return tokens if p.ndim > 1 else int(tokens[0])
 
 
-# A training step draws twice from each of four tables, and a forced
-# continuation once per attempt from one table; a larger memo only costs
-# resident memory (64 entries raise `train`'s peak RSS by 3.1 MiB over 4).
+# A training step draws twice from each of four tables, and every forced
+# continuation of a problem from one, its student table; a larger memo only
+# costs resident memory (64 entries raise `train`'s peak RSS by 3.1 MiB over 4).
 _TABLE_MEMO_SIZE = 4
 
 
 @lru_cache(maxsize=_TABLE_MEMO_SIZE)
 def _nucleus_table(
     data: bytes, shape: tuple[int, ...], temperature: float, top_p: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
     """The nucleus of every row of a (..., K, V) table, as many columns wide
     as the longest nucleus: the flattened token order, most probable first
     within each row; the cumulative renormalized mass over each row's kept
-    prefix, set to inf at its last kept token; and each row's start in the
-    flattened order. The first column whose mass exceeds a uniform `u` is
-    then `bisect_right` on the kept prefix, capped at its last token."""
+    prefix, set to inf at its last kept token; each row's start in the
+    flattened order; and, per leading index i, whether a row at i or later
+    keeps more than one token. The first column whose mass exceeds a uniform
+    `u` is then `bisect_right` on the kept prefix, capped at its last token;
+    a row's columns do not depend on the table's other rows."""
     vocab = shape[-1]
     p = temperature_scaled(np.frombuffer(data).reshape(-1, vocab), temperature)
     order = np.argsort(-p, axis=-1, kind="stable")
@@ -345,10 +352,12 @@ def _nucleus_table(
     starts = np.arange(0, cum.size, width)
     cum.reshape(-1)[starts + cut - 1] = np.inf
     leading = shape[:-1]
+    wide = (cut > 1).reshape(shape[0], -1).any(axis=1)
     return (
         np.ascontiguousarray(order[:, :width]).reshape(-1),
         cum.reshape(*leading, width),
         starts.reshape(leading),
+        np.logical_or.accumulate(wide[::-1])[::-1].tolist(),
     )
 
 
@@ -395,7 +404,6 @@ def forced_continuation(
             f"token {forced_token} is not a child of layer {position} lane {lane}"
         )
     after = problem.transition(position, lane, int(forced_token))
-    rest = problem.student[position + 1 :]
     outcomes = []
     for a in range(attempts):
         derived = []  # the attempt's generator, if its draw asks for one
@@ -404,7 +412,7 @@ def forced_continuation(
             derived.append(derive_rng(problem.cfg.seed, TAG_FORCE, problem.index, position, forced_token, a))
             return derived[-1]
 
-        tokens = nucleus_sample(attempt_rng, rest, temperature, top_p)
+        tokens = nucleus_sample(attempt_rng, problem.student, temperature, top_p, position + 1)
         outcomes.append(walk(problem, position + 1, after, tokens).correct)
         if not derived:  # a point-mass draw: every attempt emits these tokens
             return outcomes * attempts
@@ -419,7 +427,9 @@ def teacher_ensemble(
     perturb_scale: float = 0.1,
 ) -> np.ndarray:
     """Stochastic ensemble for a state: seeded logit-noise perturbations of the
-    teacher distribution. Zero perturbation returns exact copies."""
+    teacher distribution, one generator per member and one softmax of the
+    (members, V) logits. Zero perturbation returns exact copies. A scale
+    whose logits, or their shift by the row max, overflow is refused."""
     if members < 2:
         raise InvalidInputError(f"members must be >= 2, got {members}")
     if perturb_scale < 0.0:
@@ -427,12 +437,13 @@ def teacher_ensemble(
     q = problem.teacher[position, lane]
     if perturb_scale == 0.0:
         return np.tile(q, (members, 1))
-    rows = []
-    for m in range(members):
-        rng = derive_rng(problem.cfg.seed, TAG_ENSEMBLE, problem.index, position, m)
-        logits = floored_log(q) + perturb_scale * rng.standard_normal(q.size)
-        rows.append(softmax_with_temperature(logits, 1.0))
-    return np.array(rows)
+    rngs = (derive_rng(problem.cfg.seed, TAG_ENSEMBLE, problem.index, position, m) for m in range(members))
+    noise = np.array([rng.standard_normal(q.size) for rng in rngs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = floored_log(q) + perturb_scale * noise
+        if not np.isfinite(logits - logits.max(axis=1, keepdims=True)).all():
+            raise InvalidInputError(f"perturb_scale {perturb_scale!r} overflows the ensemble logits")
+    return softmax_with_temperature(logits, 1.0)
 
 
 SCORE_NAMES = (

@@ -126,6 +126,10 @@ BAD_REQUESTS = {
     "train-init-noise-1e308": (
         ["train", "--steps", "1", "--init-noise", "1e308"], "", 2, "NumericDomainError"
     ),
+    # logits that overflow, or whose shift by the row max does: refused by name
+    "diagnose-perturb-1e308": (
+        ["diagnose", "--out", "d", "--perturb", "1e308", "--problems", "3"], "", 2, "InvalidInputError"
+    ),
     # a problem id that UTF-8 cannot encode
     "metrics-lone-surrogate": (
         ["metrics", "--in", "-"], '{"gold": 1, "samples": ["a"], "problem_id": "\\ud800"}', 2,

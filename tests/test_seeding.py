@@ -47,3 +47,63 @@ def test_derive_rng_equals_numpy_default_rng(parts):
         got, expected = seeding.derive_rng(*path), np.random.default_rng(np.random.SeedSequence(list(parts)))
         assert got.random(16).tobytes() == expected.random(16).tobytes()
         assert got.integers(2**62) == expected.integers(2**62)
+
+
+# One Generator call and its arguments. Ranges of one value draw nothing;
+# ranges just above 2**31 reject about half their first draws (Lemire).
+_near_2_31 = st.integers(2**31 - 3, 2**31 + 3)
+_ops = st.one_of(
+    st.tuples(st.just("integers"), st.one_of(st.just(1), st.integers(1, 40), _near_2_31, st.integers(1, 2**32 - 1))),
+    st.tuples(st.just("interval"), st.integers(0, 2**20), st.one_of(st.just(1), st.integers(1, 40), _near_2_31)),
+    st.tuples(st.just("random")),
+    st.tuples(st.just("uniform"), st.floats(-10.0, 10.0), st.floats(0.0, 10.0)),
+    st.tuples(st.just("choice"), st.integers(1, 40), st.integers(0, 40)),
+)
+
+
+def _apply(rng, op, *args, replay):
+    if op == "integers":
+        return rng.integers(*args)
+    if op == "interval":
+        return rng.integers(args[0], args[0] + args[1])
+    if op == "random":
+        return rng.random()
+    if op == "uniform":
+        return rng.uniform(args[0], args[0] + args[1])
+    n, k = args[0], min(args)
+    pop = list(range(100, 100 + n))
+    return rng.choice(pop, k) if replay else rng.choice(np.array(pop), size=k, replace=False).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+    chunk=st.one_of(st.integers(1, 9), st.just(256)),
+    ops=st.lists(_ops, max_size=60),
+)
+# ranges of one value: integers(1) and choice of all n from n
+@example(seed=0, chunk=256, ops=[("integers", 1), ("integers", 12), ("choice", 5, 5), ("interval", 7, 1), ("random",)])
+@example(seed=2**32, chunk=256, ops=[("choice", 1, 1), ("choice", 3, 3), ("choice", 4, 2), ("integers", 3)])
+# Lemire rejection: each draw near 2**31 redraws about half the time
+@example(seed=5, chunk=3, ops=[("integers", 2**31 + 1)] * 12 + [("interval", 3, 2**31 + 3)] * 6)
+# the high half-word kept across random() and uniform()
+@example(seed=1, chunk=256, ops=[("integers", 12), ("random",), ("integers", 12), ("uniform", 0.85, 0.3), ("integers", 12)])
+# more raw outputs than one 256-word chunk, and a one-word chunk
+@example(seed=2**40, chunk=256, ops=[("random",)] * 200 + [("choice", 30, 3)] * 30)
+@example(seed=3, chunk=1, ops=[("integers", 12), ("random",), ("choice", 11, 3), ("integers", 5)] * 5)
+def test_raw_draws_equal_the_generator(seed, chunk, ops):
+    replay = type("Replay", (seeding.RawDraws,), {"CHUNK": chunk})(seeding.derive_rng(seed))
+    expected = seeding.derive_rng(seed)
+    for op, *args in ops:
+        want, got = _apply(expected, op, *args, replay=False), _apply(replay, op, *args, replay=True)
+        assert got == want, (op, args)
+        assert type(got) is (float if op in ("random", "uniform") else list if op == "choice" else int)
+    # both streams stand at the same raw output and the same kept half-word
+    assert replay.integers(2**32 - 1) == expected.integers(2**32 - 1)
+    assert replay.random() == expected.random()
+
+
+@pytest.mark.parametrize("args", [(0,), (2**32,), (5, 5), (3, 2), (0, 2**32)])
+def test_raw_draws_refuse_empty_and_2_32_ranges(args):
+    with pytest.raises(InvalidInputError, match="draw range"):
+        seeding.RawDraws(seeding.derive_rng(0)).integers(*args)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from distillab.dists import entropy, row_entropies
 from distillab.errors import InvalidInputError
 from distillab.seeding import derive_rng
 from distillab.uncertainty import (
@@ -95,3 +98,71 @@ def test_score_ensemble_bundles_everything():
     assert abs(d["mean_entropy"] - mean_predictive_entropy(members)) < 1e-15
     assert abs(d["mutual_information"] - mutual_information(members)) < 1e-15
     assert list(d) == ["mean_entropy", "mutual_information", "log_kappa", "truncated_entropy"]
+
+
+def _reference_scores(members, epsilon):
+    # the three scores as the separate functions computed them, each on its own array
+    arr = np.asarray(members, dtype=float)
+    mean_entropy = float(np.mean(row_entropies(arr)))
+    mi = entropy(np.asarray(members, dtype=float).mean(axis=0)) - float(np.mean(row_entropies(arr)))
+    p_bar = arr.mean(axis=0)
+    spread = float(arr.var(axis=0, ddof=1).sum())
+    if spread == 0.0:
+        log_kappa = math.log(1.0 / epsilon)
+    else:
+        log_kappa = math.log(max((1.0 - float((p_bar**2).sum())) / spread - 1.0, epsilon))
+    return mean_entropy, mi if mi > 0.0 else 0.0, log_kappa
+
+
+@st.composite
+def _ensembles(draw):
+    members, vocab = draw(st.integers(2, 6)), draw(st.integers(2, 12))
+    kind = draw(st.sampled_from(["dirichlet", "weights", "identical"]))
+    if kind == "dirichlet":
+        alpha = draw(st.sampled_from([0.05, 0.5, 5.0]))
+        rows = np.random.default_rng(draw(st.integers(0, 2**32))).dirichlet(np.full(vocab, alpha), size=members)
+    else:  # integer weights: rows with exact zeros, and identical rows (zero spread)
+        weights = st.lists(st.integers(0, 3), min_size=vocab, max_size=vocab).filter(any)
+        w = np.array(draw(st.lists(weights, min_size=members, max_size=members)), dtype=float)
+        rows = w / w.sum(axis=1, keepdims=True)
+        if kind == "identical":
+            rows = np.tile(rows[0], (members, 1))
+    return rows.tolist() if draw(st.booleans()) else rows
+
+
+def _floats_bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=_ensembles(), truncated=st.floats(0.0, 5.0), epsilon=st.sampled_from([DIRICHLET_EPSILON, 1e-3, 0.5]))
+@example(members=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], truncated=0.0, epsilon=DIRICHLET_EPSILON)  # zero spread
+@example(members=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], truncated=0.1, epsilon=DIRICHLET_EPSILON)  # exact zeros
+def test_score_ensemble_equals_the_three_public_functions(members, truncated, epsilon):
+    got = score_ensemble(members, truncated, epsilon)
+    assert list(got) == ["mean_entropy", "mutual_information", "log_kappa", "truncated_entropy"]
+    public = (
+        mean_predictive_entropy(members),
+        mutual_information(members),
+        dirichlet_precision(members, epsilon)[1],
+    )
+    assert _floats_bits(list(got.values())[:3]) == _floats_bits(public) == _floats_bits(_reference_scores(members, epsilon))
+    assert got["truncated_entropy"] == truncated
+
+
+@pytest.mark.parametrize(
+    "members, epsilon",
+    [
+        ([[0.5, 0.5], [0.5, 0.5]], 0.0),
+        ([[0.5, 0.5], [0.5, 0.5]], math.inf),
+        ([[0.5, 0.6], [0.5, 0.5]], 0.0),  # both bad: epsilon is named first
+        ([[0.5, 0.6], [0.5, 0.5]], DIRICHLET_EPSILON),
+        ([[1.0, 0.0]], DIRICHLET_EPSILON),
+    ],
+)
+def test_score_ensemble_refuses_what_dirichlet_precision_refuses(members, epsilon):
+    with pytest.raises(InvalidInputError) as expected:
+        dirichlet_precision(members, epsilon)
+    with pytest.raises(InvalidInputError) as got:
+        score_ensemble(members, 0.0, epsilon)
+    assert str(got.value) == str(expected.value)

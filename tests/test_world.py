@@ -1,4 +1,6 @@
 import os
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ import distillab.trainer as trainer_module
 import distillab.world as world_module
 from distillab.dists import floored_log, softmax_with_temperature, temperature_scaled
 from distillab.errors import InvalidInputError
-from distillab.seeding import TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, derive_rng
+from distillab.seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, derive_rng
 from distillab.stats import BootstrapConfig
 from distillab.trainer import TrainConfig
 from distillab.uncertainty import mutual_information
@@ -348,6 +350,48 @@ def test_table_draw_equals_the_reference_row_by_row(case, temperature, top_p, se
     _assert_table_draw_equals_reference(
         nucleus_sample(fast_rng, rest[0], temperature, top_p)[None], rest[:1], temperature, top_p, uniforms
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_tables(), temperature=_temperatures, top_p=_table_top_ps, seed=st.integers(0, 2**32))
+def test_suffix_draw_equals_a_draw_from_the_copied_suffix(case, temperature, top_p, seed):
+    table, first = case
+    # the call it replaced: a draw from a copy of the suffix, memoised on its own
+    derived = {"suffix": 0, "copy": 0}
+
+    def counted(name):
+        def make():
+            derived[name] += 1
+            return np.random.default_rng(seed)
+
+        return make
+
+    expected = nucleus_sample(counted("copy"), table[first:].copy(), temperature, top_p)
+    got = nucleus_sample(counted("suffix"), table, temperature, top_p, first)
+    assert _bits(got) == _bits(expected)
+    # a callable is called exactly when a kept suffix row holds two tokens
+    assert derived["suffix"] == derived["copy"] == (0 if _is_point_mass(table[first:], temperature, top_p) else 1)
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = nucleus_sample(fast_rng, table, temperature, top_p, first)
+    assert _bits(got) == _bits(nucleus_sample(slow_rng, table[first:].copy(), temperature, top_p))
+    assert fast_rng.random() == slow_rng.random()  # both consumed the same uniforms
+
+
+@pytest.mark.parametrize(
+    "temperature, top_p", [(1.0, 0.95), (2.5, 0.95), (3.0, 1.0), (0.5, 0.999), (8.0, 0.5)]
+)
+def test_forced_continuations_of_a_problem_share_one_memo_entry(temperature, top_p):
+    p = generate_problem(WorldConfig(), 0)
+    spine = student_rollout(p, "greedy")
+    world_module._nucleus_table.cache_clear()
+    forced = {
+        (position, token): forced_continuation(p, spine, position, token, 3, temperature, top_p)
+        for position in range(0, p.length - 1, 3)
+        for token in p.children(position, spine.lanes[position])
+    }
+    assert world_module._nucleus_table.cache_info().misses == 1  # the whole student table
+    for (position, token), outcomes in forced.items():
+        assert outcomes == _reference_forced_continuation(p, spine, position, token, 3, temperature, top_p)
 
 
 def test_nucleus_low_temperature_sharpens():
@@ -769,6 +813,50 @@ def test_forced_continuation_equals_the_per_attempt_loop(cfg, index, attempts, t
         assert outcomes == expected
         # a point-mass child derives no generator; a sampled one, one per attempt
         assert spy.call_count == (0 if point_mass else attempts)
+
+
+def _reference_teacher_ensemble(problem, position, lane, members, perturb_scale):
+    # the per-member loop that the one (members, V) softmax replaced
+    q = problem.teacher[position, lane]
+    if perturb_scale == 0.0:
+        return np.tile(q, (members, 1))
+    rows = []
+    for m in range(members):
+        rng = derive_rng(problem.cfg.seed, TAG_ENSEMBLE, problem.index, position, m)
+        logits = floored_log(q) + perturb_scale * rng.standard_normal(q.size)
+        rows.append(softmax_with_temperature(logits, 1.0))
+    return np.array(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cfg=_worlds,
+    index=st.integers(0, 5),
+    members=st.integers(2, 9),
+    # 0, 0.1 and 3, and the largest scales that diagnose runs without a refusal
+    perturb_scale=st.sampled_from([0.0, 0.1, 3.0, 1e300, 1e306]),
+    data=st.data(),
+)
+def test_teacher_ensemble_equals_the_per_member_loop(cfg, index, members, perturb_scale, data):
+    p = generate_problem(cfg, index)
+    position = data.draw(st.integers(0, p.length - 1), label="position")
+    lane = data.draw(st.integers(0, cfg.branch_count), label="lane")
+    expected = _reference_teacher_ensemble(p, position, lane, members, perturb_scale)
+    with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = teacher_ensemble(p, position, lane, members, perturb_scale)
+    assert _bits(got) == _bits(expected)
+    assert spy.call_count == (0 if perturb_scale == 0.0 else members)  # one generator per member
+
+
+@pytest.mark.parametrize("perturb_scale", [1e308, float("inf"), float("nan")])
+def test_teacher_ensemble_refuses_overflowing_logits_by_name(perturb_scale):
+    p = generate_problem(_small_cfg(), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(InvalidInputError, match=re.escape(f"perturb_scale {perturb_scale!r} ")):
+            teacher_ensemble(p, 1, 0, members=5, perturb_scale=perturb_scale)
 
 
 def _reference_concentrated(vocab, token, top_mass):
