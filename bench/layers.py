@@ -21,6 +21,12 @@ Layers, in two commands:
   `world.forced_continuation`, and of `world.teacher_ensemble` plus the
   `score_ensemble` that follows it. Only the calling process's shard of
   problems is timed: the forked worker's calls are not seen.
+- `bootstrap_resample`: one cluster-bootstrap resample, on the same
+  `diagnose` command: the time inside `world.score_report` divided by its
+  resamples (five reports of 2,000). The reports run in the calling process
+  only, after the probe. `stats._draw_counts` memoises the draw matrix
+  across calls, so its cache is cleared before each repeat: every repeat
+  then draws the matrix once, as a fresh `diagnose` does.
 
 Every run of a command must print the same stdout and write the same files,
 in every tree. The output holds the host, the Python and numpy versions,
@@ -42,6 +48,7 @@ from sweep import tree_stamp
 
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3  # timed runs of the command in each sample's process
+RESAMPLES = 2000  # diagnose's default --resamples: the resamples of each score report
 # perfbench's gradcheck and diagnose workloads at seed 0
 COMMANDS = {
     "gradcheck": ["gradcheck", "--batches", "40", "--weighting", "entropy_gate:3.0", "--seed", "0"],
@@ -54,6 +61,7 @@ LAYERS = {
     "problem": ("diagnose", ["world.generate_problem"]),
     "forced_continuation": ("diagnose", ["world.forced_continuation"]),
     "ensemble_score": ("diagnose", ["world.teacher_ensemble", "world.score_ensemble"]),
+    "bootstrap_resample": ("diagnose", ["world.score_report"]),
 }
 # Run in the child: the CLI itself, each named function timed, each repeat
 # in a fresh working directory; prints the seconds and calls per repeat and
@@ -61,6 +69,7 @@ LAYERS = {
 CHILD = """
 import contextlib, hashlib, io, json, os, sys, tempfile, time
 import distillab.cli as cli
+import distillab.stats as stats
 import distillab.world as world
 
 names = json.loads(sys.argv[2])
@@ -88,6 +97,7 @@ for _ in range(int(sys.argv[1])):
     for name in names:
         seconds[name].append(0.0)
         calls[name].append(0)
+    stats._draw_counts.cache_clear()  # a fresh process draws the bootstrap matrix once
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -123,6 +133,8 @@ def one_run(tree: Path, command: str) -> dict:
         seconds = [sum(s) for s in zip(*(out["seconds"][name] for name in timed))]
         if layer == "fd_coord":
             units = [json.loads(out["stdout"])["compared"]] * REPEATS
+        elif layer == "bootstrap_resample":
+            units = [calls * RESAMPLES for calls in out["calls"][timed[0]]]
         else:
             units = out["calls"][timed[0]]
         layers[layer] = {

@@ -5,6 +5,12 @@ ensemble member) gets its own generator derived from a tuple of non-negative
 integers, so running units in any order -- or on any number of workers --
 produces identical results. Generators are numpy PCG64 seeded through
 SeedSequence; reports record RNG_ID so downstream readers know the algorithm.
+
+Two replays of numpy's own algorithms, bit for bit, take the place of
+per-call numpy work where it is the cost: `RawDraws` serves one generator's
+small draws from blocks of its raw outputs, and `raw_outputs` computes the
+first raw outputs of many derived generators at once, in array operations
+across their paths.
 """
 from __future__ import annotations
 
@@ -48,6 +54,85 @@ def derive_rng(*parts: int) -> np.random.Generator:
     # the same entropy as a uint32 array, which it takes without the per-int split
     words = np.array(clean, dtype=np.uint32) if max(clean) < 2**32 else clean
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+# SeedSequence's hashmix constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LO32, _U16, _U32 = np.uint64(0xFFFFFFFF), np.uint32(16), np.uint64(32)
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of a uint32 array, and the next hash constant."""
+    nxt = const * mult & 0xFFFFFFFF
+    value = (value ^ np.uint32(const)) * np.uint32(nxt)
+    return value ^ value >> _U16, nxt
+
+
+def _mul128(x_hi, x_lo, k_hi, k_lo) -> tuple[np.ndarray, np.ndarray]:
+    """x * k mod 2**128 on (high, low) uint64 words; the high word of
+    x_lo * k_lo comes from 32-bit limbs."""
+    x0, x1, k0, k1 = x_lo & _LO32, x_lo >> _U32, k_lo & _LO32, k_lo >> _U32
+    p01, p10 = x0 * k1, x1 * k0
+    mid = (x0 * k0 >> _U32) + (p01 & _LO32) + (p10 & _LO32)
+    carry = x1 * k1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+    return carry + x_hi * k_lo + x_lo * k_hi, x_lo * k_lo
+
+
+def raw_outputs(seed: int, indices, n: int, rows: int | None = None) -> Iterator[np.ndarray]:
+    """`derive_rng(seed, b).bit_generator.random_raw(n)` for every b in
+    `indices`, in index order, as uint64 blocks of `rows` rows (the last may
+    be shorter; one block of every row by default).
+
+    When the seed and every index lie below 2**32, numpy's own steps run as
+    array operations across the indices: SeedSequence's hashmix pool of four
+    words and its `generate_state(4, uint64)`, PCG64's seeding (state 0,
+    inc = 2 * initseq + 1, step, add initstate, step), and the k-th output as
+    the XSL-RR of P_k * initstate + Q_k * inc mod 2**128, where P_k = A**(k+1)
+    and Q_k = A**(k+1) + A**k + ... + 1 for the multiplier A. Any other path
+    is derived row by row."""
+    paths = [int(i) for i in indices]
+    rows = rows or max(len(paths), 1)
+    if not (0 <= seed < 2**32 and paths and min(paths) >= 0 and max(paths) < 2**32):
+        for start in range(0, len(paths), rows):
+            block = [derive_rng(seed, i).bit_generator.random_raw(n) for i in paths[start : start + rows]]
+            yield np.array(block, dtype=np.uint64).reshape(len(block), n)
+        return
+    b = np.array(paths, dtype=np.uint32)
+    const, pool = _INIT_A, []
+    zero = np.zeros(b.shape, np.uint32)  # the entropy [seed, b] padded to the pool's four words
+    for word in (np.full(b.shape, seed, np.uint32), b, zero, zero):
+        word, const = _hashmix(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const, _MULT_A)
+                mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+                pool[dst] = mixed ^ mixed >> _U16
+    const, state = _INIT_B, []
+    for word in pool * 2:
+        word, const = _hashmix(word, const, _MULT_B)
+        state.append(word.astype(np.uint64)[:, None])
+    # generate_state's uint64 words: each pair of uint32 words, low word first
+    init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << _U32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1)
+    power, total, coefficients = _PCG_MULT, 1, []  # P_k and Q_k for k = 1..n
+    for _ in range(n):
+        total += power
+        power = power * _PCG_MULT % 2**128
+        coefficients.extend((power, (power + total) % 2**128))
+    words = np.array([[c >> 64, c & 2**64 - 1] for c in coefficients], dtype=np.uint64)
+    p_hi, p_lo, q_hi, q_lo = words.reshape(n, 4).T
+    for start in range(0, len(paths), rows):
+        block = slice(start, start + rows)
+        a_hi, a_lo = _mul128(init_hi[block], init_lo[block], p_hi, p_lo)
+        c_hi, c_lo = _mul128(inc_hi[block], inc_lo[block], q_hi, q_lo)
+        lo = a_lo + c_lo
+        hi = a_hi + c_hi + (lo < a_lo)
+        mixed, rot = hi ^ lo, hi >> np.uint64(58)
+        yield mixed >> rot | mixed << (np.uint64(64) - rot & np.uint64(63))
 
 
 class RawDraws:

@@ -26,6 +26,8 @@ bit-identical to the direct resample-and-rank loop, which `_group_indices`,
 `_assemble_resample` and `_auroc_from_arrays` still implement as the
 reference. The draw counts depend only on (seed, resamples, number of
 problems), so several scores over the same candidates share one set of draws.
+Each resample's counts are those of its own generator's `integers` draw,
+computed for all resamples at once from `seeding.raw_outputs`.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .seeding import RNG_ID, derive_rng
+from .seeding import RNG_ID, derive_rng, raw_outputs
 
 
 @dataclass(frozen=True)
@@ -66,22 +68,28 @@ def _split(items) -> tuple[list[str], np.ndarray, np.ndarray]:
     labels = np.array([bool(it.label) for it in items], dtype=bool)
     if scores.size == 0:
         raise DegenerateInputError("empty candidate list")
+    return problems, _finite(scores), labels
+
+
+def _finite(scores: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
         raise InvalidInputError("scores contain non-finite values")
-    return problems, scores, labels
+    return scores
+
+
+def _residuals(groups: list[np.ndarray], scores: np.ndarray) -> np.ndarray:
+    """Each score minus its problem's mean, the mean's sum taken sequentially
+    in candidate order (bincount adds its weights one by one from 0.0)."""
+    problem = np.empty(scores.size, dtype=np.intp)
+    for p, idx in enumerate(groups):
+        problem[idx] = p
+    return scores - (np.bincount(problem, weights=scores) / np.bincount(problem))[problem]
 
 
 def residualize_within_problem(items) -> list[ScoredCandidate]:
     """Subtract each problem's mean score; order is preserved."""
     problems, scores, labels = _split(items)
-    residual = scores.copy()
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for pid, s in zip(problems, scores):
-        sums[pid] = sums.get(pid, 0.0) + s
-        counts[pid] = counts.get(pid, 0) + 1
-    for i, pid in enumerate(problems):
-        residual[i] = scores[i] - sums[pid] / counts[pid]
+    residual = _residuals(_group_indices(problems)[1], scores)
     return [
         ScoredCandidate(pid, float(r), bool(l))
         for pid, r, l in zip(problems, residual, labels)
@@ -124,6 +132,10 @@ def auprc(items) -> float:
     uninformative (all-tied) score therefore lands at positive prevalence.
     """
     _, scores, labels = _split(items)
+    return _auprc_from_arrays(scores, labels)
+
+
+def _auprc_from_arrays(scores: np.ndarray, labels: np.ndarray) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise DegenerateInputError("AUPRC needs at least one positive")
@@ -132,16 +144,11 @@ def auprc(items) -> float:
     y = labels[order]
     starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # tie blocks, as in _midranks
     ends = np.r_[starts[1:], s.size]
-    ap = 0.0
-    tp = 0
-    fp = 0
-    for i, j in zip(starts.tolist(), ends.tolist()):
-        block_tp = int(y[i:j].sum())
-        tp += block_tp
-        fp += j - i - block_tp
-        if block_tp > 0:
-            ap += (block_tp / n_pos) * (tp / (tp + fp))
-    return ap
+    block_tp = np.add.reduceat(y.astype(np.int64), starts)
+    # each block with a positive adds recall gain times precision (tp over the
+    # ends[i] candidates seen), summed one by one in block order as a loop would
+    gains = (block_tp / n_pos) * (np.cumsum(block_tp) / ends)
+    return float(np.add.accumulate(gains[block_tp > 0])[-1])
 
 
 def _group_indices(problems: list[str]) -> tuple[list[str], list[np.ndarray]]:
@@ -185,15 +192,38 @@ class BootstrapResult:
     rng_id: str
 
 
+def _count_row(seed: int, b: int, n: int) -> np.ndarray:
+    """How often resample b draws each of n problems, from its own generator."""
+    return np.bincount(derive_rng(seed, b).integers(0, n, size=n), minlength=n)
+
+
 @lru_cache(maxsize=4)
 def _draw_counts(seed: int, resamples: int, n_problems: int) -> np.ndarray:
     """(resamples, n_problems) read-only matrix: row b counts how often resample
     b draws each problem. Depends on nothing but its arguments, so every score
-    bootstrapped over the same problems reuses one matrix."""
-    counts = np.empty((resamples, n_problems), dtype=float)
-    for b in range(resamples):
-        draw = derive_rng(seed, b).integers(0, n_problems, size=n_problems)
-        counts[b] = np.bincount(draw, minlength=n_problems)
+    bootstrapped over the same problems reuses one matrix.
+
+    Row b is `derive_rng(seed, b).integers(0, n, size=n)` counted, computed in
+    blocks of rows from `raw_outputs`: numpy's 32-bit Lemire rule on a fresh
+    buffer, the low half of each raw output and then its high half, each
+    word w giving (w * n) >> 32. A row in which a word would be rejected (the
+    low 32 bits of w * n below (2**32 - n) mod n) is redrawn from its own
+    generator. Row 0 is always redrawn so, and if it differs every row is."""
+    n = n_problems
+    counts = np.empty((resamples, n), dtype=float)
+    threshold = np.uint64((2**32 - n) % n)
+    step = max(1, 2**13 // n)  # rows per block: temporaries of 64 KiB at up to 8,192 problems
+    blocks = raw_outputs(seed, range(resamples), (n + 1) // 2, step)
+    for start, raws in zip(range(0, resamples, step), blocks):
+        stop = start + raws.shape[0]
+        # a raw output's two 32-bit halves, low first, on any byte order
+        words = raws.astype("<u8").view("<u4")[:, :n].astype(np.uint64) * np.uint64(n)
+        draws = (words >> np.uint64(32)).astype(np.int64) + np.arange(stop - start)[:, None] * n
+        counts[start:stop] = np.bincount(draws.ravel(), minlength=draws.size).reshape(-1, n)
+        for b in start + np.flatnonzero(((words & np.uint64(0xFFFFFFFF)) < threshold).any(axis=1)):
+            counts[b] = _count_row(seed, int(b), n)
+    if not np.array_equal(counts[0], _count_row(seed, 0, n)):
+        counts = np.array([_count_row(seed, b, n) for b in range(resamples)], dtype=float)
     counts.flags.writeable = False
     return counts
 
@@ -202,13 +232,18 @@ def _pair_count_matrix(
     groups: list[np.ndarray], scores: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M[a, b] = #(positive in a, negative in b) with r+ > r-, plus 1/2 per tie,
-    on within-problem residuals; also each problem's positive and negative counts."""
+    on within-problem residuals; also each problem's positive and negative counts.
+    Problems with the same candidate count share one 2-D mean, each of whose
+    row reductions is the 1-D `block.mean()` of `_assemble_resample`."""
     residual = np.empty_like(scores)
     member = np.zeros((scores.size, len(groups)))
-    for p, idx in enumerate(groups):
+    sizes = np.array([idx.size for idx in groups])
+    for size in set(sizes.tolist()):  # np.unique would import numpy.ma
+        same = np.flatnonzero(sizes == size)
+        idx = np.array([groups[p] for p in same])
         block = scores[idx]
-        residual[idx] = block - block.mean()
-        member[idx, p] = 1.0
+        residual[idx] = block - block.mean(axis=1, keepdims=True)
+        member[idx, same[:, None]] = 1.0
     r_pos = residual[labels][:, None]
     r_neg = residual[~labels][None, :]
     wins = (r_pos > r_neg) + 0.5 * (r_pos == r_neg)
@@ -222,11 +257,9 @@ def _resample_aurocs(
     """AUROCs of the usable resamples in draw order, and the degenerate count."""
     m, n_pos, n_neg = _pair_count_matrix(groups, scores, labels)
     counts = _draw_counts(seed, resamples, len(groups))
-    # two two-operand einsums, 3x faster than one three-operand einsum; in
-    # blocks, and not `@`, so that neither intermediates nor BLAS buffers add to peak RSS
-    u = np.concatenate(
-        [np.einsum("bq,bq->b", np.einsum("bp,pq->bq", c, m), c) for c in np.array_split(counts, 8)]
-    )
+    # c^T M c per resample, in blocks so that no intermediate adds to peak RSS;
+    # every term is a multiple of 1/2 far below 2**53, so BLAS sums it exactly
+    u = np.concatenate([((c @ m) * c).sum(axis=1) for c in np.array_split(counts, 8)])
     denom = (counts @ n_pos) * (counts @ n_neg)
     usable = denom > 0
     return u[usable] / denom[usable], int(resamples - usable.sum())
@@ -234,20 +267,25 @@ def _resample_aurocs(
 
 def cluster_bootstrap_auroc(items, cfg: BootstrapConfig) -> BootstrapResult:
     """Point AUROC on residualized scores plus a problem-level percentile CI."""
+    return _cluster_bootstrap(items, cfg)[0]
+
+
+def _cluster_bootstrap(items, cfg: BootstrapConfig) -> tuple[BootstrapResult, list, np.ndarray, np.ndarray]:
+    """`cluster_bootstrap_auroc`, and the problems' candidate indices, the
+    labels and the `residualize_within_problem` residuals it computed."""
     problems, scores, labels = _split(items)
-    pids, groups = _group_indices(problems)
-    if len(pids) < 2:
+    groups = _group_indices(problems)[1]
+    if len(groups) < 2:
         raise DegenerateInputError("cluster bootstrap needs at least two problems")
-    point = _auroc_from_arrays(
-        np.array([c.score for c in residualize_within_problem(items)]), labels
-    )
+    residual = _residuals(groups, scores)
+    point = _auroc_from_arrays(residual, labels)
     arr, n_degenerate = _resample_aurocs(groups, scores, labels, cfg.seed, cfg.resamples)
     if arr.size == 0:
         raise DegenerateInputError("every bootstrap resample was single-class")
     alpha = (1.0 - cfg.confidence) / 2.0
     ci_low = float(np.quantile(arr, alpha, method="nearest"))
     ci_high = float(np.quantile(arr, 1.0 - alpha, method="nearest"))
-    return BootstrapResult(
+    boot = BootstrapResult(
         point=point,
         ci_low=ci_low,
         ci_high=ci_high,
@@ -256,21 +294,21 @@ def cluster_bootstrap_auroc(items, cfg: BootstrapConfig) -> BootstrapResult:
         seed=cfg.seed,
         rng_id=RNG_ID,
     )
+    return boot, groups, labels, residual
 
 
 def score_report(score_name: str, items, cfg: BootstrapConfig) -> dict:
     """Full JSON-ready report for one uncertainty score over labeled candidates."""
-    problems, _, labels = _split(items)
-    residual = residualize_within_problem(items)
-    boot = cluster_bootstrap_auroc(items, cfg)
+    boot, groups, labels, residual = _cluster_bootstrap(items, cfg)
+    n_pos = int(labels.sum())
     return {
         "score_name": score_name,
         "point_auroc": boot.point,
         "ci": [boot.ci_low, boot.ci_high],
-        "auprc": auprc(residual),
-        "n_pos": int(sum(labels)),
-        "n_neg": int(len(labels) - sum(labels)),
-        "n_problems": len(set(problems)),
+        "auprc": _auprc_from_arrays(_finite(residual), labels),
+        "n_pos": n_pos,
+        "n_neg": int(labels.size - n_pos),
+        "n_problems": len(groups),
         "n_degenerate": boot.n_degenerate,
         "seed": cfg.seed,
         "rng_id": boot.rng_id,

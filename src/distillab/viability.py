@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dists import truncated_entropy
+from .dists import as_rows
 from .errors import DegenerateInputError, InvalidInputError
 
 
@@ -160,7 +160,8 @@ def select_candidates(
 
     `teacher_dists` is an (L, V) array of teacher rows aligned with the spine,
     L >= 1; `valid_mask` is a (V,) boolean vocabulary mask. Positions at or beyond
-    `answer_position` (when given) are never candidates. The output keeps
+    `answer_position` (when given) are never candidates; every row before it
+    must be a probability row (`dists.as_rows`). The output keeps
     selection order: descending truncated entropy, ties toward the earlier
     position.
     """
@@ -177,19 +178,30 @@ def select_candidates(
         raise DegenerateInputError("valid_mask excludes every token")
     limit = L if answer_position is None else min(L, answer_position)
 
-    passing: list[tuple[float, int, list[tuple[int, float]]]] = []
-    for pos in range(limit):
-        row = np.where(mask, dists[pos], 0.0)
-        order = np.argsort(-row, kind="stable")
-        p1 = float(row[order[0]])
-        p2 = float(row[order[1]]) if row.size > 1 else 0.0
-        if p1 <= 0.0 or p2 < cfg.p2_min or p2 / p1 < cfg.ratio_min:
-            continue
-        children = [(int(j), float(row[j])) for j in order[: cfg.top_children] if row[j] > 0.0]
-        if not children:
-            continue
-        h = truncated_entropy(dists[pos], mask, cfg.top_m)
-        passing.append((h, pos, children))
+    # each position's valid tokens ranked by one stable argsort, ties toward the lower index
+    rows = np.where(mask, as_rows(dists[:limit], "teacher_dists"), 0.0)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    p1 = ranked[:, 0]
+    p2 = ranked[:, 1] if ranked.shape[1] > 1 else np.zeros(limit)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keep = np.flatnonzero(~((p1 <= 0.0) | (p2 < cfg.p2_min) | (p2 / p1 < cfg.ratio_min)))
+    # truncated entropy of each passing row: its top_m valid probabilities
+    # (a positive prefix, then zeros) renormalized; rows with the same count
+    # of positives share one pass, whose row sums are truncated_entropy's 1-D sums
+    top = ranked[keep, : cfg.top_m]
+    width = (top > 0.0).sum(axis=1)
+    entropy = np.empty(keep.size)
+    for k in set(width.tolist()):
+        same = width == k
+        p = top[same, :k]
+        p = p / p.sum(axis=1, keepdims=True)
+        entropy[same] = -(p * np.log(p)).sum(axis=1)
+    tc = cfg.top_children
+    passing = [
+        (h, pos, [(j, v) for j, v in zip(order[pos, :tc].tolist(), ranked[pos, :tc].tolist()) if v > 0.0])
+        for h, pos in zip(entropy.tolist(), keep.tolist())
+    ]
 
     passing.sort(key=lambda item: (-item[0], item[1]))
     selected: list[CandidateRecord] = []

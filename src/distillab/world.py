@@ -130,16 +130,20 @@ class ProblemInstance:
         every token from the dead lane, goes to the dead lane. Each state's
         row is a `bytes` object when every lane fits in a byte (under half
         the memory of a list), a list otherwise."""
-        dead = self.dead_lane
-        table = np.full((self.length - 1, dead + 1, self.cfg.vocab_size), dead)
+        dead, V = self.dead_lane, self.cfg.vocab_size
+        table = np.full((self.length - 1, dead + 1, V), dead)
         layer, lane = np.indices(self.canon.shape)
         table[layer, lane, self.canon] = lane
-        for t, row in enumerate(self.alts):
-            for z, state_alts in enumerate(row):
-                for tok, target in state_alts:
-                    table[t, z, tok] = target
-        pack = bytes if dead < 256 else list
-        return [[pack(row) for row in rows] for rows in table.tolist()]
+        # every alternative as (layer, lane, token, target), in one write
+        alts = ((t, z, *alt) for t, row in enumerate(self.alts) for z, state in enumerate(row) for alt in state)
+        moves = [v for move in alts for v in move]
+        t, z, tok, target = np.fromiter(moves, dtype=np.intp, count=len(moves)).reshape(-1, 4).T
+        table[t, z, tok] = target
+        if dead >= 256:
+            return table.tolist()
+        data = table.astype(np.uint8).tobytes()
+        rows = [data[i : i + V] for i in range(0, len(data), V)]
+        return [rows[i : i + dead + 1] for i in range(0, len(rows), dead + 1)]
 
     def transition(self, t: int, lane: int, token: int) -> int:
         """Lane occupied after emitting `token` from layer t in `lane`; a token

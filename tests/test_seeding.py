@@ -107,3 +107,49 @@ def test_raw_draws_equal_the_generator(seed, chunk, ops):
 def test_raw_draws_refuse_empty_and_2_32_ranges(args):
     with pytest.raises(InvalidInputError, match="draw range"):
         seeding.RawDraws(seeding.derive_rng(0)).integers(*args)
+
+
+def _raw_rows(seed, indices, n, rows=None):
+    blocks = list(seeding.raw_outputs(seed, indices, n, rows))
+    return np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=np.uint64)
+
+
+# seeds and indices of one 32-bit word take the array path; wider ones are
+# derived row by row
+_words = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.just(2**32 - 1), st.integers(2**32, 2**70))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=_words,
+    indices=st.lists(_words, max_size=12),
+    n=st.one_of(st.integers(1, 8), st.integers(1, 600)),
+    rows=st.one_of(st.none(), st.integers(1, 5)),
+)
+@example(seed=0, indices=[0, 1, 2**32 - 1], n=600, rows=None)
+@example(seed=2**32 - 1, indices=[5, 0], n=1, rows=1)
+@example(seed=2**32, indices=[0, 1, 2], n=3, rows=2)  # two-word seed: row by row
+@example(seed=2**40, indices=[7], n=2, rows=None)
+@example(seed=3, indices=[2**32, 1], n=4, rows=None)  # a two-word index
+def test_raw_outputs_equal_each_generator(seed, indices, n, rows):
+    got = _raw_rows(seed, indices, n, rows)
+    expected = [seeding.derive_rng(seed, b).bit_generator.random_raw(n) for b in indices]
+    assert got.dtype == np.uint64 and got.shape == (len(indices), n)
+    assert got.tobytes() == np.array(expected, dtype=np.uint64).reshape(len(indices), n).tobytes()
+    if rows is not None:  # blocks of `rows` rows, in index order
+        sizes = [block.shape[0] for block in seeding.raw_outputs(seed, indices, n, rows)]
+        assert sizes == [min(rows, len(indices) - i) for i in range(0, len(indices), rows)]
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40])
+def test_raw_outputs_at_word_boundaries(seed):
+    indices = [0, 1, 2, 1999, 2**32 - 1]
+    got = _raw_rows(seed, indices, 40, rows=2)
+    for row, b in zip(got, indices):
+        assert row.tobytes() == seeding.derive_rng(seed, b).bit_generator.random_raw(40).tobytes()
+
+
+def test_raw_outputs_refuse_negative_paths():
+    for seed, indices in ((-1, [0]), (0, [3, -2])):
+        with pytest.raises(InvalidInputError):
+            _raw_rows(seed, indices, 4)

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from distillab import stats
 from distillab.errors import DegenerateInputError, InvalidInputError
-from distillab.seeding import RNG_ID, derive_rng
+from distillab.seeding import RNG_ID, derive_rng, raw_outputs
 from distillab.stats import (
     BootstrapConfig,
     BootstrapResult,
@@ -327,6 +330,11 @@ _candidate = st.tuples(
     seed=3,
     resamples=40,
 )
+@example(  # a two-word seed: every draw row comes from its own generator
+    cands=[(0, 1.0, True), (0, 0.5, False), (1, 2.0, False), (1, 0.0, True), (2, 1.0, True)],
+    seed=2**32,
+    resamples=40,
+)
 def test_count_matrix_bootstrap_equals_reference_bit_for_bit(cands, seed, resamples):
     items = [ScoredCandidate(f"p{p}", s, l) for p, s, l in cands]
     problems, scores, labels = _split(items)
@@ -363,3 +371,96 @@ def test_midranks_equal_rankdata_and_pairwise_count(values):
     assert ranks.tobytes() == rankdata(x).astype(float).tobytes()
     brute = [sum(v < xi for v in x) + (sum(v == xi for v in x) + 1) / 2.0 for xi in x]
     assert ranks.tolist() == brute
+
+
+def _reference_draw_counts(seed, resamples, n):
+    """One derived generator and one `integers` draw per resample."""
+    rows = [np.bincount(derive_rng(seed, b).integers(0, n, size=n), minlength=n) for b in range(resamples)]
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "seed, resamples, n",
+    [(0, 40, 1), (5, 40, 2), (0, 2000, 60), (3, 500, 7), (2**32 - 1, 100, 61), (2**32, 50, 60), (0, 5, 60000)],
+)
+def test_draw_counts_equal_the_per_resample_loop(seed, resamples, n):
+    stats._draw_counts.cache_clear()
+    counts = stats._draw_counts(seed, resamples, n)
+    assert counts.tobytes() == _reference_draw_counts(seed, resamples, n).tobytes()
+    assert not counts.flags.writeable
+
+
+def _count_derivations(monkeypatch):
+    calls = []
+
+    def counted(*path):
+        calls.append(path)
+        return derive_rng(*path)
+
+    monkeypatch.setattr(stats, "derive_rng", counted)
+    stats._draw_counts.cache_clear()
+    return calls
+
+
+def test_draw_counts_derive_only_row_zero_and_rejected_rows(monkeypatch):
+    calls = _count_derivations(monkeypatch)
+    stats._draw_counts(0, 2000, 60)
+    assert calls == [(0, 0)]  # the check of row 0; every other row is an array row
+    calls.clear()
+    # an odd count draws the low half of its last raw output, not the high half;
+    # with the halves in the wrong order row 0 would differ and every row be derived
+    assert stats._draw_counts(0, 2000, 61).tobytes() == _reference_draw_counts(0, 2000, 61).tobytes()
+    assert calls == [(0, 0)]
+    calls.clear()
+    # at 60,000 problems one word in about 14,000 is rejected: rows 3 and 4 hold one
+    assert stats._draw_counts(0, 5, 60000).tobytes() == _reference_draw_counts(0, 5, 60000).tobytes()
+    assert sorted(calls) == [(0, 0), (0, 3), (0, 4)]
+
+
+def test_draw_counts_fall_back_to_every_generator_when_row_zero_differs(monkeypatch):
+    def shifted(seed, indices, n, rows=None):  # an array path that is off by one word
+        for block in raw_outputs(seed, indices, n + 1, rows):
+            yield block[:, 1:]
+
+    calls = _count_derivations(monkeypatch)
+    monkeypatch.setattr(stats, "raw_outputs", shifted)
+    assert stats._draw_counts(7, 30, 9).tobytes() == _reference_draw_counts(7, 30, 9).tobytes()
+    assert len(calls) == 31
+    stats._draw_counts.cache_clear()
+
+
+def _reference_residuals(items):
+    """The per-problem running sums that residualize_within_problem replaced."""
+    sums, counts = {}, {}
+    for it in items:
+        sums[it.problem_id] = sums.get(it.problem_id, 0.0) + np.float64(it.score)
+        counts[it.problem_id] = counts.get(it.problem_id, 0) + 1
+    return [np.float64(it.score) - sums[it.problem_id] / counts[it.problem_id] for it in items]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cands=st.lists(_candidate, min_size=2, max_size=60),
+    seed=st.integers(0, 2**32),
+    resamples=st.integers(1, 40),
+)
+@example(cands=[(0, 1e308, True), (0, 1e308, False), (1, 0.0, True), (1, 1.0, False)], seed=0, resamples=5)
+def test_score_report_equals_its_public_parts(cands, seed, resamples):
+    items = [ScoredCandidate(f"p{p}", s, l) for p, s, l in cands]
+    cfg = BootstrapConfig(resamples=resamples, seed=seed)
+    with np.errstate(over="ignore"):  # the 1e308 example's problem sums overflow
+        residual = residualize_within_problem(items)
+        assert [r.score for r in residual] == [float(r) for r in _reference_residuals(items)]
+        try:
+            boot = cluster_bootstrap_auroc(items, cfg)
+            expected = (auroc(residual), [boot.ci_low, boot.ci_high], auprc(residual), boot.n_degenerate)
+        except (DegenerateInputError, InvalidInputError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                score_report("s", items, cfg)
+            return
+        report = score_report("s", items, cfg)
+    assert (report["point_auroc"], report["ci"], report["auprc"], report["n_degenerate"]) == expected
+    assert boot.point == expected[0]
+    labels = [it.label for it in items]
+    assert (report["n_pos"], report["n_neg"]) == (sum(labels), len(labels) - sum(labels))
+    assert report["n_problems"] == len({it.problem_id for it in items})

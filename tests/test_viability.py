@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distillab.cli import main
+from distillab.dists import truncated_entropy
 from distillab.errors import DegenerateInputError, InvalidInputError
 from distillab.seeding import derive_rng
 from distillab.viability import (
@@ -137,6 +140,77 @@ def test_select_candidates_validation():
         select_candidates("p0", np.full((2, 4), 0.25), np.ones(3, dtype=bool), cfg)
     with pytest.raises(DegenerateInputError):
         select_candidates("p0", np.full((2, 4), 0.25), np.zeros(4, dtype=bool), cfg)
+    bad = np.full((3, 4), 0.25)
+    bad[1] = [0.5, 0.5, 0.5, 0.0]  # sums to 1.5
+    with pytest.raises(InvalidInputError, match=r"teacher_dists\[1\] sums to 1.5"):
+        select_candidates("p0", bad, mask, cfg)
+    # rows at or beyond the answer position are not searched, nor checked
+    assert [c.spine_pos for c in select_candidates("p0", bad, mask, cfg, answer_position=1)] == [0]
+
+
+def _reference_select(problem_id, dists, mask, cfg, answer_position=None):
+    """The per-position loop that select_candidates replaced."""
+    L = dists.shape[0]
+    limit = L if answer_position is None else min(L, answer_position)
+    passing = []
+    for pos in range(limit):
+        row = np.where(mask, dists[pos], 0.0)
+        order = np.argsort(-row, kind="stable")
+        p1 = float(row[order[0]])
+        p2 = float(row[order[1]]) if row.size > 1 else 0.0
+        if p1 <= 0.0 or p2 < cfg.p2_min or p2 / p1 < cfg.ratio_min:
+            continue
+        children = [(int(j), float(row[j])) for j in order[: cfg.top_children] if row[j] > 0.0]
+        if not children:
+            continue
+        passing.append((truncated_entropy(dists[pos], mask, cfg.top_m), pos, children))
+    passing.sort(key=lambda item: (-item[0], item[1]))
+    selected, taken = [], []
+    for h, pos, children in passing:
+        if len(selected) >= cfg.max_candidates:
+            break
+        if any(abs(pos - other) < cfg.spacing for other in taken):
+            continue
+        taken.append(pos)
+        r, oriented = position_scores(pos, L)
+        selected.append(CandidateRecord(problem_id, pos, r, oriented, h, children))
+    return selected
+
+
+@st.composite
+def _spines(draw):
+    """Teacher rows from small integer weights (ties and exact zeros), a mask
+    that keeps at least one token, and a filter, answer position and top_m
+    that may cut below the vocabulary."""
+    V = draw(st.integers(1, 20))
+    L = draw(st.integers(1, 12))
+    weights = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 7]), min_size=V, max_size=V).filter(any),
+        min_size=L, max_size=L,
+    )), dtype=float)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=V, max_size=V).filter(any)))
+    cfg = FilterConfig(
+        p2_min=draw(st.sampled_from([0.01, 0.1, 0.125, 0.25, 0.4])),
+        ratio_min=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+        spacing=draw(st.integers(1, 4)),
+        max_candidates=draw(st.integers(1, 12)),
+        top_m=draw(st.integers(2, 22)),
+        top_children=draw(st.integers(1, 5)),
+    )
+    answer = draw(st.one_of(st.none(), st.integers(0, L + 1)))
+    return weights / weights.sum(axis=1, keepdims=True), mask, cfg, answer
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_spines())
+@example(case=(np.full((6, 4), 0.25), np.ones(4, dtype=bool), _cfg(spacing=2, top_m=3), None))  # all tied
+@example(case=(np.array([[0.5, 0.5, 0.0]] * 3), np.array([True, False, True]), _cfg(), 2))
+def test_select_candidates_equals_the_per_position_loop(case):
+    dists, mask, cfg, answer = case
+    expected = _reference_select("p7", dists, mask, cfg, answer)
+    got = select_candidates("p7", dists, mask, cfg, answer_position=answer)
+    assert got == expected
+    assert [type(t) for c in got for t, _ in c.children] == [int] * sum(len(c.children) for c in got)
 
 
 def test_child_viability_fraction():

@@ -659,6 +659,25 @@ def test_next_lane_table_equals_the_replaced_transition(cfg, index):
                 assert p.transition(t, lane, token) == _reference_transition(p, t, lane, token)
 
 
+@settings(max_examples=40, deadline=None)
+@given(cfg=_worlds, index=st.integers(0, 5))
+@example(cfg=WorldConfig(vocab_size=5, depth=6, branch_count=255), index=1)  # lanes fill a byte
+@example(cfg=WorldConfig(vocab_size=5, depth=6, branch_count=256), index=1)  # they do not
+def test_next_lane_equals_the_per_alternative_writes(cfg, index):
+    p = generate_problem(cfg, index)
+    dead = p.dead_lane
+    table = np.full((p.length - 1, dead + 1, cfg.vocab_size), dead)
+    layer, lane = np.indices(p.canon.shape)
+    table[layer, lane, p.canon] = lane
+    for t, row in enumerate(p.alts):  # one scalar write per alternative
+        for z, state_alts in enumerate(row):
+            for tok, target in state_alts:
+                table[t, z, tok] = target
+    pack = bytes if dead < 256 else list
+    assert p.next_lane == [[pack(row) for row in rows] for rows in table.tolist()]
+    assert all(type(row) is pack for rows in p.next_lane for row in rows)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     cfg=_worlds,
