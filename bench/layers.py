@@ -9,7 +9,7 @@ REPEATS times in-process, with the layer functions wrapped by timers where
 the CLI looks them up; the trees take turns inside each round, and the first
 tree goes second on odd rounds.
 
-Layers, in two commands:
+Layers, in three commands:
 
 - `fd_coord`: one finite-difference coordinate. `distillab gradcheck
   --batches 40 --weighting entropy_gate:3.0 --seed 0` (perfbench's
@@ -27,6 +27,13 @@ Layers, in two commands:
   only, after the probe. `stats._draw_counts` memoises the draw matrix
   across calls, so its cache is cleared before each repeat: every repeat
   then draws the matrix once, as a fresh `diagnose` does.
+- `rollout_token` and `loss_grad_token`: `distillab train --out out --seed 0
+  --world-seed 0` (perfbench's `train` workload). A rollout token is the
+  time inside `trainer._collect_episodes` (the refresh of the policy and
+  the step's draws and walks) divided by the tokens its episodes hold; a
+  loss-plus-gradient token is the time inside `distillation_loss` and
+  `loss_gradient_wrt_student_logits`, as `train_step` calls them, divided
+  by the batch's tokens.
 
 Every run of a command must print the same stdout and write the same files,
 in every tree. The output holds the host, the Python and numpy versions,
@@ -49,54 +56,62 @@ from sweep import tree_stamp
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3  # timed runs of the command in each sample's process
 RESAMPLES = 2000  # diagnose's default --resamples: the resamples of each score report
-# perfbench's gradcheck and diagnose workloads at seed 0
+# perfbench's gradcheck, diagnose and train workloads at seed 0
 COMMANDS = {
     "gradcheck": ["gradcheck", "--batches", "40", "--weighting", "entropy_gate:3.0", "--seed", "0"],
     "diagnose": ["diagnose", "--out", "out", "--threads", "2", "--seed", "0"],
+    "train": ["train", "--out", "out", "--seed", "0", "--world-seed", "0"],
 }
-# layer -> (command, the functions timed, each as module.attr; the first one's
-# calls count the units, unless the unit is the gradcheck's `compared`)
+# layer -> (command, the functions timed, each as module.attr; the layer's
+# units are the first one's, unless the unit is the gradcheck's `compared`)
 LAYERS = {
     "fd_coord": ("gradcheck", ["cli.finite_difference_check"]),
     "problem": ("diagnose", ["world.generate_problem"]),
     "forced_continuation": ("diagnose", ["world.forced_continuation"]),
     "ensemble_score": ("diagnose", ["world.teacher_ensemble", "world.score_ensemble"]),
     "bootstrap_resample": ("diagnose", ["world.score_report"]),
+    "rollout_token": ("train", ["trainer._collect_episodes"]),
+    "loss_grad_token": ("train", ["trainer.distillation_loss", "trainer.loss_gradient_wrt_student_logits"]),
 }
 # Run in the child: the CLI itself, each named function timed, each repeat
-# in a fresh working directory; prints the seconds and calls per repeat and
-# the digest of stdout and of every file written, per repeat.
+# in a fresh working directory; prints the seconds and units per repeat (a
+# call is one unit unless UNITS says otherwise) and the digest of stdout and
+# of every file written, per repeat.
 CHILD = """
 import contextlib, hashlib, io, json, os, sys, tempfile, time
 import distillab.cli as cli
 import distillab.stats as stats
+import distillab.trainer as trainer
 import distillab.world as world
 
 names = json.loads(sys.argv[2])
 seconds = {name: [] for name in names}
-calls = {name: [] for name in names}
+units = {name: [] for name in names}
+UNITS = {
+    "trainer._collect_episodes": lambda args, episodes: sum(len(ep.tokens) for ep in episodes),
+    "trainer.distillation_loss": lambda args, loss: args[0].total_tokens,
+}
 
 
 def timer(name, fn):
     def timed(*args, **kwargs):
         start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            seconds[name][-1] += time.perf_counter() - start
-            calls[name][-1] += 1
+        out = fn(*args, **kwargs)
+        seconds[name][-1] += time.perf_counter() - start
+        units[name][-1] += UNITS[name](args, out) if name in UNITS else 1
+        return out
     return timed
 
 
 for name in names:
     module, attr = name.split(".")
-    module = {"cli": cli, "world": world}[module]
+    module = {"cli": cli, "trainer": trainer, "world": world}[module]
     setattr(module, attr, timer(name, getattr(module, attr)))
 here, digests = os.getcwd(), []
 for _ in range(int(sys.argv[1])):
     for name in names:
         seconds[name].append(0.0)
-        calls[name].append(0)
+        units[name].append(0)
     stats._draw_counts.cache_clear()  # a fresh process draws the bootstrap matrix once
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -113,7 +128,7 @@ for _ in range(int(sys.argv[1])):
                     digest.update(path.encode() + b"\\0" + open(path, "rb").read())
         digests.append(digest.hexdigest())
         os.chdir(here)
-print(json.dumps({"seconds": seconds, "calls": calls, "stdout": out.getvalue(), "sha256": digests}))
+print(json.dumps({"seconds": seconds, "units": units, "stdout": out.getvalue(), "sha256": digests}))
 """
 
 
@@ -134,9 +149,9 @@ def one_run(tree: Path, command: str) -> dict:
         if layer == "fd_coord":
             units = [json.loads(out["stdout"])["compared"]] * REPEATS
         elif layer == "bootstrap_resample":
-            units = [calls * RESAMPLES for calls in out["calls"][timed[0]]]
+            units = [n * RESAMPLES for n in out["units"][timed[0]]]
         else:
-            units = out["calls"][timed[0]]
+            units = out["units"][timed[0]]
         layers[layer] = {
             "units": units,
             "seconds": [round(s, 5) for s in seconds],

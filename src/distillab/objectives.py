@@ -134,6 +134,24 @@ class RolloutBatch:
         self.lengths: list[int] = [q.shape[0] for q in teacher]
         self.offsets: np.ndarray = np.cumsum([0, *self.lengths])
 
+    @classmethod
+    def packed(cls, teacher: np.ndarray, student: np.ndarray, lengths: list[int]) -> RolloutBatch:
+        """The batch of packed (N_tokens, vocab) rows whose sequence i is
+        `lengths[i]` rows long, checked as a whole; a batch the per-sequence
+        checks would refuse is refused by them, naming its first bad sequence."""
+        offsets = np.cumsum([0, *lengths])
+        try:
+            if not (lengths and min(lengths) >= 1 and teacher.shape == student.shape and teacher.shape[1] >= 2):
+                raise InvalidInputError("not a packed batch")
+            if not np.isfinite(student).all():
+                raise InvalidInputError("non-finite student logits")
+            as_rows(teacher)
+        except InvalidInputError:  # refused: the per-sequence checks name the first bad sequence
+            return cls(*([a[i:j] for i, j in zip(offsets[:-1], offsets[1:])] for a in (teacher, student)))
+        batch = cls.__new__(cls)
+        batch.teacher, batch.student, batch.lengths, batch.offsets = teacher, student, list(lengths), offsets
+        return batch
+
     def split(self, packed: np.ndarray) -> list[np.ndarray]:
         """Per-sequence views of an array whose rows are the batch's tokens."""
         return [packed[a:b] for a, b in zip(self.offsets[:-1], self.offsets[1:])]

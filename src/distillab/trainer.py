@@ -9,6 +9,12 @@ settles instead of rattling inside the gradient-noise ball. Each step samples
 and differentiates one batch: `train_step` returns the packed gradient it
 applied, and `run_training` builds the gradient-norm profile from it.
 
+A run's tables are packed into one array (`StudentParams.logits`). Each
+step rebuilds the sampling rows of only the rows whose logits changed since
+their last build, gathers the batch with one index, and updates with one
+`np.subtract.at` in episode order: bit-identical to a softmax per problem,
+a table draw per episode and one scatter per episode.
+
 Evaluation samples the tabular policy with fresh seeds and pushes terminal
 answers through the multi-sample metrics pipeline. Held-out problems are
 evaluated at their initialization: a per-problem table cannot transfer what
@@ -20,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +48,9 @@ from .objectives import (
 from .schedules import PRESETS, preset
 from .seeding import TAG_EVAL, TAG_INIT, TAG_NORM_PROFILE, TAG_TRAIN, derive_rng
 from .workers import map_sharded
-from .world import Episode, ProblemInstance, WorldConfig, generate_problem, nucleus_sample, walk
+from .world import (
+    Episode, ProblemInstance, WorldConfig, generate_problem, nucleus_draw, nucleus_rows, nucleus_sample, walk
+)
 
 
 def weighting_from_name(name: str, vocab_size: int | None = None) -> Weighting:
@@ -136,25 +145,70 @@ class TrainConfig:
         return self.learning_rate * max(0.0, 1.0 - step / self.steps)
 
 
+def _pack(tables: dict[str, np.ndarray]) -> tuple[np.ndarray, dict[str, np.ndarray], dict[str, int]]:
+    """`tables` stacked along their first (layer) axis into one array, each
+    table as a view into it, and each table's first layer in it."""
+    if not tables:
+        return np.empty((0, 0, 0)), {}, {}
+    packed = np.concatenate(list(tables.values()))
+    first = dict(zip(tables, np.cumsum([0, *(len(t) for t in tables.values())]).tolist()))
+    return packed, {pid: packed[first[pid] : first[pid] + len(t)] for pid, t in tables.items()}, first
+
+
 @dataclass
 class StudentParams:
     """Trainable per-problem logit tables, teacher tables at the distillation
     temperature, and the step counter that drives round-robin problem choice
-    and rollout seeding."""
+    and rollout seeding.
+
+    Each dict is packed into one (sum of lengths, K, V) array, `logits` and
+    `teacher_rows`, whose entries are views into it: an edit in place through
+    either is seen by both."""
 
     tables: dict[str, np.ndarray]
     teachers: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
 
+    def __post_init__(self) -> None:
+        self.logits, self.tables, self._first = _pack(self.tables)
+        self.teacher_rows, self.teachers, self._teacher_first = _pack(self.teachers)
+        self._policy: tuple[np.ndarray, ...] | None = None
+
     def logits_finite(self) -> bool:
-        return all(np.isfinite(t).all() for t in self.tables.values())
+        return bool(np.isfinite(self.logits).all())
 
     def scale_teachers(self, problems: list[ProblemInstance], temperature: float) -> None:
         """Set each training problem's teacher table at `temperature`, once per run."""
         with np.errstate(invalid="ignore"):  # a row that underflows to all zeros: refused below
-            self.teachers = {p.problem_id: temperature_scaled(p.teacher, temperature) for p in problems}
-        if not all(np.isfinite(q).all() for q in self.teachers.values()):
+            teachers = {p.problem_id: temperature_scaled(p.teacher, temperature) for p in problems}
+        self.teacher_rows, self.teachers, self._teacher_first = _pack(teachers)
+        if not np.isfinite(self.teacher_rows).all():
             raise InvalidInputError(f"distill_temperature {temperature!r} empties a teacher row")
+
+    def policy(self, problems: list[ProblemInstance]) -> dict[ProblemInstance, tuple[np.ndarray, ...]]:
+        """Each problem's T = 1 nucleus rows, as `world.nucleus_draw` takes
+        them. The cache keeps, per row of `logits`, the logits its nucleus rows
+        were built from (NaN at first, unequal to every row); the rows of
+        these problems that differ from it are rebuilt, in one softmax."""
+        K, V = self.logits.shape[1:]
+        rows = self.logits.reshape(-1, V)
+        if self._policy is None:
+            self._policy = (np.full(rows.shape, np.nan), np.zeros(rows.shape, np.intp), np.zeros(rows.shape))
+        snapshot, order, cum = self._policy
+        first = {p: self._first[p.problem_id] for p in problems}
+        spans = {p: slice(first[p] * K, (first[p] + p.length) * K) for p in problems}
+        within = np.zeros(len(rows), dtype=bool)
+        for span in spans.values():
+            within[span] = True
+        changed = np.flatnonzero(within & (rows != snapshot).any(axis=1))
+        if changed.size:
+            z = rows[changed]
+            order[changed], cum[changed], _ = nucleus_rows(softmax_with_temperature(z, 1.0), 1.0)
+            snapshot[changed] = z
+        return {
+            p: (order.reshape(-1), cum[s].reshape(-1, K, V), np.arange(s.start, s.stop).reshape(-1, K) * V)
+            for p, s in spans.items()
+        }
 
 
 def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentParams:
@@ -172,10 +226,13 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
 
 
 def rollout_from_params(
-    problem: ProblemInstance, probs: np.ndarray, rng: np.random.Generator
+    problem: ProblemInstance, probs: np.ndarray | tuple[np.ndarray, ...], rng: np.random.Generator
 ) -> Episode:
     """Sample one episode from `probs`, the softmax of a logit table at T = 1
-    (plain categorical): one table draw, then a walk over the drawn tokens."""
+    (plain categorical), or its nucleus rows (`StudentParams.policy`): one
+    table draw, then a walk over the drawn tokens."""
+    if isinstance(probs, tuple):
+        return walk(problem, 0, 0, nucleus_draw(rng, *probs))
     return walk(problem, 0, 0, nucleus_sample(rng, probs, 1.0, 1.0))
 
 
@@ -183,21 +240,40 @@ def _collect_episodes(
     theta: StudentParams, problems: list[ProblemInstance], cfg: TrainConfig
 ) -> list[Episode]:
     """The batch of on-policy rollouts for the current step: the training pool
-    is visited round-robin so every problem refreshes at the same rate. Each
-    problem's policy is computed once: its table changes only at the update."""
+    is visited round-robin so every problem refreshes at the same rate. The
+    picked problems' nucleus rows are refreshed once, before the draws."""
     n = cfg.batch_sequences
     picked = [problems[(theta.step * n + i) % len(problems)] for i in range(n)]
-    probs = {p: softmax_with_temperature(theta.tables[p.problem_id], 1.0) for p in dict.fromkeys(picked)}
+    policy = theta.policy(list(dict.fromkeys(picked)))
     return [
-        rollout_from_params(p, probs[p], derive_rng(cfg.seed, TAG_TRAIN, theta.step, i))
+        rollout_from_params(p, policy[p], derive_rng(cfg.seed, TAG_TRAIN, theta.step, i))
         for i, p in enumerate(picked)
     ]
 
 
-def _batch_from_episodes(episodes: list[Episode], theta: StudentParams) -> RolloutBatch:
-    return RolloutBatch(
-        [ep.rows(theta.teachers[ep.problem.problem_id]) for ep in episodes],
-        [ep.rows(theta.tables[ep.problem.problem_id]) for ep in episodes],
+def _pool_rows(episodes: list[Episode], first: dict[str, int], lanes: int) -> np.ndarray:
+    """Each visited state's row in a packed pool of (layer, lane) rows whose
+    tables start at `first`, in episode and walk order."""
+    lengths = [len(ep.lanes) for ep in episodes]
+    starts = [first[ep.problem.problem_id] + ep.problem.length - n for ep, n in zip(episodes, lengths)]
+    offsets = np.cumsum([0, *lengths[:-1]])
+    layer = np.arange(sum(lengths)) + np.repeat(np.array(starts) - offsets, lengths)
+    return layer * lanes + np.fromiter(chain.from_iterable(ep.lanes for ep in episodes), np.intp)
+
+
+def _batch_from_episodes(
+    episodes: list[Episode], theta: StudentParams, rows: np.ndarray | None = None
+) -> RolloutBatch:
+    """The episodes' teacher and student rows, gathered from the packed
+    pools; `rows`, if given, holds the visited states' rows in `logits`."""
+    K, V = theta.logits.shape[1:]
+    rows = _pool_rows(episodes, theta._first, K) if rows is None else rows
+    # the teachers of a run are packed as its tables are, unless set apart
+    same = theta._teacher_first == theta._first
+    return RolloutBatch.packed(
+        theta.teacher_rows.reshape(-1, V)[rows if same else _pool_rows(episodes, theta._teacher_first, K)],
+        theta.logits.reshape(-1, V)[rows],
+        [len(ep.lanes) for ep in episodes],
     )
 
 
@@ -208,14 +284,15 @@ def train_step(
     descent update to visited-state logits only. Returns the updated params,
     the pre-update loss, the packed (N_tokens, vocab) gradient the update
     applied (before scaling by the step size) and its batch, whose gathered
-    rows the update leaves as sampled."""
+    rows the update leaves as sampled. The update subtracts in episode order,
+    so a state visited twice takes the same float steps as one episode at a
+    time would."""
     episodes = _collect_episodes(theta, problems, cfg)
-    batch = _batch_from_episodes(episodes, theta)
+    rows = _pool_rows(episodes, theta._first, theta.logits.shape[1])
+    batch = _batch_from_episodes(episodes, theta, rows)
     loss = distillation_loss(batch, cfg.objective, cfg.weighting, cfg.reduction)
     grad = loss_gradient_wrt_student_logits(batch, cfg.objective, cfg.weighting, cfg.reduction)
-    lr = cfg.step_size(theta.step)
-    for ep, g in zip(episodes, batch.split(grad)):
-        np.subtract.at(theta.tables[ep.problem.problem_id], ep.states, lr * g)
+    np.subtract.at(theta.logits.reshape(-1, grad.shape[1]), rows, cfg.step_size(theta.step) * grad)
     theta.step += 1
     return theta, loss, grad, batch
 

@@ -177,15 +177,10 @@ class Episode:
     def correct(self) -> bool:
         return self.answer == self.problem.gold_answer
 
-    @property
-    def states(self) -> tuple[np.ndarray, np.ndarray]:
-        """(layer, lane) index arrays of the visited states."""
-        first = self.problem.length - len(self.lanes)  # every walk ends at the answer
-        return np.arange(first, self.problem.length), np.array(self.lanes)
-
     def rows(self, table: np.ndarray) -> np.ndarray:
         """The visited rows of a (layer, lane, ...) table, in walk order."""
-        return table[self.states]
+        first = self.problem.length - len(self.lanes)  # every walk ends at the answer
+        return table[np.arange(first, self.problem.length), np.array(self.lanes)]
 
 
 def walk(problem: ProblemInstance, start: int, lane: int, tokens: np.ndarray) -> Episode:
@@ -317,15 +312,45 @@ def nucleus_sample(
     order, cum, starts, spread = _nucleus_table(p.tobytes(), shape, temperature, top_p)
     cum, starts = cum[first:], starts[first:]
     if spread[first] or not callable(rng):  # a point-mass suffix needs no uniform
-        rng = rng() if callable(rng) else rng
-        starts = starts + (cum > rng.random(cum.shape[:-2])[..., None, None]).argmax(axis=-1)
-    tokens = order[starts]
+        tokens = nucleus_draw(rng() if callable(rng) else rng, order, cum, starts)
+    else:
+        tokens = order[starts]
     return tokens if p.ndim > 1 else int(tokens[0])
 
 
-# A training step draws twice from each of four tables, and every forced
-# continuation of a problem from one, its student table; a larger memo only
-# costs resident memory (64 entries raise `train`'s peak RSS by 3.1 MiB over 4).
+def nucleus_rows(p: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nucleus of each row of (n, V) probabilities, V columns wide: the
+    token order, most probable first (a stable sort); the cumulative mass
+    over the kept prefix, renormalized, and set to inf at its last kept
+    column; and each row's count of kept tokens. A row's values do not
+    depend on the other rows, and the columns after its last kept one are
+    never read (`nucleus_draw`)."""
+    vocab = p.shape[-1]
+    order = np.argsort(-p, axis=-1, kind="stable")
+    ranked = np.take_along_axis(p, order, axis=-1)
+    cut = np.minimum((np.cumsum(ranked, axis=-1) < top_p).sum(axis=-1) + 1, vocab)
+    # a full nucleus renormalizes by the row's own sum; a shorter one alone
+    cum = np.cumsum(ranked / ranked.sum(axis=-1, keepdims=True), axis=-1)
+    for row in np.flatnonzero((cut > 1) & (cut < vocab)):
+        kept = ranked[row, : cut[row]]
+        cum[row, : cut[row]] = np.cumsum(kept / kept.sum())
+    cum[np.arange(len(cut)), cut - 1] = np.inf
+    return order, cum, cut
+
+
+def nucleus_draw(rng: np.random.Generator, order: np.ndarray, cum: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw from nucleus rows (`nucleus_rows`): `order` is the
+    flattened token order, `cum` the (..., K, W) cumulative rows and `starts`
+    each row's (..., K) start in `order`. The K rows at one leading index share
+    one uniform `u`, and each takes the first column whose mass exceeds it."""
+    return order[starts + (cum > rng.random(cum.shape[:-2])[..., None, None]).argmax(axis=-1)]
+
+
+# The memo serves runs of draws from one table: every forced continuation of a
+# problem draws from its student table, and `evaluate_policy` draws
+# `eval_samples` (12) times from each table in turn. Training steps draw from
+# their own cache (`StudentParams.policy`). A larger memo only costs resident
+# memory (64 entries raised `train`'s peak RSS by 3.1 MiB over 4).
 _TABLE_MEMO_SIZE = 4
 
 
@@ -333,34 +358,19 @@ _TABLE_MEMO_SIZE = 4
 def _nucleus_table(
     data: bytes, shape: tuple[int, ...], temperature: float, top_p: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
-    """The nucleus of every row of a (..., K, V) table, as many columns wide
-    as the longest nucleus: the flattened token order, most probable first
-    within each row; the cumulative renormalized mass over each row's kept
-    prefix, set to inf at its last kept token; each row's start in the
-    flattened order; and, per leading index i, whether a row at i or later
-    keeps more than one token. The first column whose mass exceeds a uniform
-    `u` is then `bisect_right` on the kept prefix, capped at its last token;
-    a row's columns do not depend on the table's other rows."""
-    vocab = shape[-1]
-    p = temperature_scaled(np.frombuffer(data).reshape(-1, vocab), temperature)
-    order = np.argsort(-p, axis=-1, kind="stable")
-    ranked = p.reshape(-1)[order + np.arange(0, p.size, vocab)[:, None]]
-    cut = np.minimum((np.cumsum(ranked, axis=-1) < top_p).sum(axis=-1) + 1, vocab)
+    """`nucleus_rows` of every row of a (..., K, V) table, cut to as many
+    columns as the longest nucleus: the flattened token order, the
+    cumulative rows, each row's start in the flattened order, and, per
+    leading index i, whether a row at i or later keeps more than one token."""
+    p = temperature_scaled(np.frombuffer(data).reshape(-1, shape[-1]), temperature)
+    order, cum, cut = nucleus_rows(p, top_p)
     width = int(cut.max())
-    # a full nucleus renormalizes by the row's own sum; a shorter one alone
-    cum = np.cumsum(ranked / ranked.sum(axis=-1, keepdims=True), axis=-1)
-    cum = np.ascontiguousarray(cum[:, :width])
-    for row in np.flatnonzero((cut > 1) & (cut < vocab)):
-        kept = ranked[row, : cut[row]]
-        cum[row, : cut[row]] = np.cumsum(kept / kept.sum())
-    starts = np.arange(0, cum.size, width)
-    cum.reshape(-1)[starts + cut - 1] = np.inf
     leading = shape[:-1]
     wide = (cut > 1).reshape(shape[0], -1).any(axis=1)
     return (
         np.ascontiguousarray(order[:, :width]).reshape(-1),
-        cum.reshape(*leading, width),
-        starts.reshape(leading),
+        np.ascontiguousarray(cum[:, :width]).reshape(*leading, width),
+        np.arange(0, cut.size * width, width).reshape(leading),
         np.logical_or.accumulate(wide[::-1])[::-1].tolist(),
     )
 

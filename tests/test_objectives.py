@@ -491,6 +491,40 @@ def test_batch_validation():
         RolloutBatch([bad], [np.array([[np.inf, 0.0]])])
 
 
+def _refusal(make):
+    with pytest.raises(InvalidInputError) as info:
+        make()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["none", "teacher_sum", "teacher_nan", "student_inf", "both", "vocab", "empty"])
+def test_packed_batch_equals_the_per_sequence_batch(bad):
+    # three sequences of 2, 1 and 3 rows; a bad row in the second or third
+    # sequence is refused with the message the per-sequence checks give
+    rng = derive_rng(31)
+    lengths = [2, 1, 3]
+    vocab = 1 if bad == "vocab" else 4
+    teacher = rng.dirichlet(np.ones(vocab), size=6)
+    student = rng.standard_normal((6, vocab))
+    if bad in ("teacher_sum", "both"):
+        teacher[4, 0] += 0.25
+    if bad == "teacher_nan":
+        teacher[2, 1] = np.nan
+    if bad in ("student_inf", "both"):
+        student[2, 0] = np.inf
+    if bad == "empty":
+        lengths = [2, 0, 4]
+    offsets = np.cumsum([0, *lengths])
+    seqs = [[a[i:j] for i, j in zip(offsets[:-1], offsets[1:])] for a in (teacher, student)]
+    if bad == "none":
+        got, want = RolloutBatch.packed(teacher, student, lengths), RolloutBatch(*seqs)
+        assert got.lengths == want.lengths
+        assert all(_same_bits(getattr(got, k), getattr(want, k)) for k in ("offsets", "teacher", "student"))
+    else:
+        message = _refusal(lambda: RolloutBatch(*seqs))
+        assert _refusal(lambda: RolloutBatch.packed(teacher, student, lengths)) == message
+
+
 def test_per_token_losses_shapes_and_order():
     batch = _random_batch(derive_rng(18), n_seqs=3, vocab=5, max_len=7)
     losses = batch.split(per_token_losses(batch, ObjectiveConfig(), UniformWeighting()))

@@ -9,14 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distillab.trainer as trainer_module
-from distillab.dists import temperature_scaled
+from distillab.dists import softmax_with_temperature, temperature_scaled
 from distillab.errors import InvalidInputError
 from distillab.objectives import (
     EntropyGateWeighting,
     ObjectiveConfig,
     PositionWeighting,
     Reduction,
+    RolloutBatch,
     UniformWeighting,
+    distillation_loss,
     finite_difference_check,
     loss_gradient_wrt_student_logits,
 )
@@ -35,7 +37,8 @@ from distillab.trainer import (
     weighting_from_name,
     weighting_name,
 )
-from distillab.world import ProblemInstance, WorldConfig, generate_problem
+from distillab.seeding import TAG_TRAIN, derive_rng
+from distillab.world import ProblemInstance, WorldConfig, generate_problem, nucleus_sample, walk
 
 
 def _small_world(**kw):
@@ -312,6 +315,94 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
         "skipped_boundary_tokens": spot.skipped_boundary_tokens,
     }
     assert report.grad_norm_profile == [s / c for s, c in zip(norm_sums, norm_counts)]
+
+
+def _reference_train_step(tables, teachers, step, problems, cfg):
+    """The per-episode step that the packed pool replaced: one softmax per
+    picked problem, one memoised table draw per episode, a list batch, and
+    one scatter per episode, on per-problem tables updated in place."""
+    n = cfg.batch_sequences
+    picked = [problems[(step * n + i) % len(problems)] for i in range(n)]
+    probs = {p: softmax_with_temperature(tables[p.problem_id], 1.0) for p in dict.fromkeys(picked)}
+    episodes = [
+        walk(p, 0, 0, nucleus_sample(derive_rng(cfg.seed, TAG_TRAIN, step, i), probs[p], 1.0, 1.0))
+        for i, p in enumerate(picked)
+    ]
+    batch = RolloutBatch(
+        [ep.rows(teachers[ep.problem.problem_id]) for ep in episodes],
+        [ep.rows(tables[ep.problem.problem_id]) for ep in episodes],
+    )
+    loss = distillation_loss(batch, cfg.objective, cfg.weighting, cfg.reduction)
+    grad = loss_gradient_wrt_student_logits(batch, cfg.objective, cfg.weighting, cfg.reduction)
+    for ep, g in zip(episodes, batch.split(grad)):
+        visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
+        np.subtract.at(tables[ep.problem.problem_id], visited, cfg.step_size(step) * g)
+    return loss, grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    world=st.builds(
+        WorldConfig,
+        vocab_size=st.integers(4, 12),
+        depth=st.integers(4, 16),
+        branch_count=st.integers(1, 4),
+        seed=st.integers(0, 1000),
+    ),
+    steps=st.integers(1, 4),
+    batch_sequences=st.integers(1, 9),
+    train_problems=st.integers(1, 4),
+    weighting=st.sampled_from(["uniform", "moderate", "entropy_gate"]),
+    reduction=st.sampled_from(list(Reduction)),
+    temperature=st.sampled_from([0.7, 1.0, 1.1, 2.5]),
+    noise=st.sampled_from([0.05, 1.0]),
+    edit=st.tuples(st.integers(0, 3), st.integers(0, 15), st.integers(0, 4), st.floats(-4.0, 4.0)),
+)
+def test_train_step_equals_the_per_episode_step(
+    world, steps, batch_sequences, train_problems, weighting, reduction, temperature, noise, edit
+):
+    cfg = TrainConfig(
+        steps=steps,
+        batch_sequences=batch_sequences,
+        train_problems=train_problems,
+        distill_temperature=temperature,
+        init_noise=noise,
+        weighting=weighting_from_name(weighting, world.vocab_size),
+        reduction=reduction,
+        seed=world.seed,
+    )
+    problems = [generate_problem(world, i) for i in range(train_problems)]
+    theta = init_student(cfg, problems)
+    theta.scale_teachers(problems, temperature)
+    # every episode starts at (0, 0): a near point mass there, two tokens at
+    # one half each and the rest below 1e-21, keeps a nucleus shorter than V
+    theta.tables[problems[0].problem_id][0, 0] = -50.0
+    theta.tables[problems[0].problem_id][0, 0, :2] = 0.0
+    tables = {pid: t.copy() for pid, t in theta.tables.items()}
+    teachers = {pid: t.copy() for pid, t in theta.teachers.items()}
+    seen = {}  # each problem's table at its last refresh
+    for step in range(steps):
+        if step == 1:  # an edit in place between two steps
+            p = problems[edit[0] % train_problems]
+            at = (edit[1] % p.length, edit[2] % (world.branch_count + 1), 0)
+            theta.tables[p.problem_id][at] += edit[3]
+            tables[p.problem_id][at] += edit[3]
+        picked = dict.fromkeys(problems[(step * batch_sequences + i) % train_problems] for i in range(batch_sequences))
+        changed = 0
+        for p in picked:
+            old = seen.get(p.problem_id, np.full_like(tables[p.problem_id], np.nan))
+            changed += int((tables[p.problem_id] != old).any(axis=-1).sum())
+            seen[p.problem_id] = tables[p.problem_id].copy()
+        with mock.patch.object(
+            trainer_module, "softmax_with_temperature", wraps=softmax_with_temperature
+        ) as spy:
+            theta, loss, grad, _ = train_step(theta, problems, cfg)
+        # one softmax, over the rows that changed since their last refresh
+        assert [len(call.args[0]) for call in spy.call_args_list] == ([changed] if changed else [])
+        want_loss, want_grad = _reference_train_step(tables, teachers, step, problems, cfg)
+        assert loss.hex() == want_loss.hex()
+        assert grad.tobytes() == want_grad.tobytes()
+        assert all(theta.tables[pid].tobytes() == t.tobytes() for pid, t in tables.items())
 
 
 def _loop_norm_profile(step_grads):

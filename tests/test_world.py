@@ -987,18 +987,31 @@ def test_generate_problem_equals_the_per_state_body(cfg, index):
 @settings(max_examples=20, deadline=None)
 @given(cfg=_worlds, step=st.integers(0, 4), batch=st.integers(1, 9), train_problems=st.integers(1, 4))
 def test_collect_episodes_computes_each_policy_once(cfg, step, batch, train_problems):
+    # one softmax per step, over the picked problems' rows that changed since
+    # their last one: every row at first, then only the rows edited
     tcfg = TrainConfig(batch_sequences=batch, train_problems=train_problems, init_noise=1.0)
     problems = [generate_problem(cfg, i) for i in range(train_problems)]
     theta = trainer_module.init_student(tcfg, problems)
     theta.step = step
     picked = [problems[(step * batch + i) % train_problems] for i in range(batch)]
-    with mock.patch.object(
-        trainer_module, "softmax_with_temperature", wraps=softmax_with_temperature
-    ) as spy:
-        episodes = trainer_module._collect_episodes(theta, problems, tcfg)
-    assert spy.call_count == len({p.problem_id for p in picked})
-    for i, (ep, p) in enumerate(zip(episodes, picked, strict=True)):
-        tokens, lanes, _, _ = _reference_rollout_from_params(
-            p, theta.tables[p.problem_id], derive_rng(tcfg.seed, trainer_module.TAG_TRAIN, step, i)
-        )
-        assert (ep.problem, list(ep.tokens), list(ep.lanes)) == (p, tokens, lanes)
+
+    def collect():
+        with mock.patch.object(
+            trainer_module, "softmax_with_temperature", wraps=softmax_with_temperature
+        ) as spy:
+            episodes = trainer_module._collect_episodes(theta, problems, tcfg)
+        for i, (ep, p) in enumerate(zip(episodes, picked, strict=True)):
+            tokens, lanes, _, _ = _reference_rollout_from_params(
+                p, theta.tables[p.problem_id], derive_rng(tcfg.seed, trainer_module.TAG_TRAIN, step, i)
+            )
+            assert (ep.problem, list(ep.tokens), list(ep.lanes)) == (p, tokens, lanes)
+        return [len(call.args[0]) for call in spy.call_args_list]
+
+    lanes = cfg.branch_count + 1
+    assert collect() == [sum(p.length for p in set(picked)) * lanes]
+    assert collect() == []
+    theta.tables[picked[-1].problem_id][-1, -1, 0] += 3.0  # an edit in place
+    unpicked = [p for p in problems if p not in picked]
+    for p in unpicked:  # not drawn from this step, so not refreshed
+        theta.tables[p.problem_id][0] += 1.0
+    assert collect() == [1]
