@@ -17,10 +17,13 @@ Layers, in three commands:
   summed over its 40 batches and divided by the coordinates compared.
 - `problem`, `forced_continuation` and `ensemble_score`: `distillab diagnose
   --out out --threads 2 --seed 0` (perfbench's `diagnose` workload), with
-  the time per call of `world.generate_problem`, of
-  `world.forced_continuation`, and of `world.teacher_ensemble` plus the
-  `score_ensemble` that follows it. Only the calling process's shard of
-  problems is timed: the forked worker's calls are not seen.
+  the time per call of `world.generate_problem` and of
+  `world.forced_continuation`, and per candidate of `world.teacher_ensemble`
+  plus the `score_ensemble` that follows it (a problem's candidates are one
+  stack: its leading dimension, or one candidate for an (M, V) ensemble, so
+  an older checkout that scores them one by one still compares). Only the
+  calling process's shard of problems is timed: the forked worker's calls
+  are not seen.
 - `bootstrap_resample`: one cluster-bootstrap resample, on the same
   `diagnose` command: the time inside `world.score_report` divided by its
   resamples (five reports of 2,000). The reports run in the calling process
@@ -90,6 +93,8 @@ units = {name: [] for name in names}
 UNITS = {
     "trainer._collect_episodes": lambda args, episodes: sum(len(ep.tokens) for ep in episodes),
     "trainer.distillation_loss": lambda args, loss: args[0].total_tokens,
+    # a problem's (C, M, V) stack holds C candidates; an (M, V) ensemble, one
+    "world.teacher_ensemble": lambda args, ensembles: len(ensembles) if ensembles.ndim == 3 else 1,
 }
 
 

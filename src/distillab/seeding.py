@@ -6,15 +6,19 @@ integers, so running units in any order -- or on any number of workers --
 produces identical results. Generators are numpy PCG64 seeded through
 SeedSequence; reports record RNG_ID so downstream readers know the algorithm.
 
-Two replays of numpy's own algorithms, bit for bit, take the place of
+Three replays of numpy's own algorithms, bit for bit, take the place of
 per-call numpy work where it is the cost: `RawDraws` serves one generator's
-small draws from blocks of its raw outputs, and `raw_outputs` computes the
-first raw outputs of many derived generators at once, in array operations
-across their paths.
+small draws from blocks of its raw outputs; `raw_outputs` computes the first
+raw outputs of many derived generators at once, in array operations across
+their paths; and `replayed` computes the seeded states of many derived
+generators at once and sets them on one reused Generator in turn, so
+numpy's own samplers (such as `standard_normal`) draw from each. The two
+array replays share one SeedSequence kernel, `_generate_state`.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not at the first draw
@@ -58,16 +62,78 @@ def derive_rng(*parts: int) -> np.random.Generator:
 
 # SeedSequence's hashmix constants and PCG64's 128-bit LCG multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LO32, _U16, _U32 = np.uint64(0xFFFFFFFF), np.uint32(16), np.uint64(32)
+# 0-d arrays: cheaper operands than numpy scalars for the replay's small arrays
+_MIX_L, _MIX_R, _U16 = (np.array(v, np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
+_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
+_LO32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix of a uint32 array, and the next hash constant."""
-    nxt = const * mult & 0xFFFFFFFF
-    value = (value ^ np.uint32(const)) * np.uint32(nxt)
-    return value ^ value >> _U16, nxt
+@lru_cache(maxsize=8)
+def _hash_consts(const: int, mult: int, n: int) -> np.ndarray:
+    """SeedSequence's first n + 1 hash constants from `const`, as a uint32 column."""
+    consts = [const]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, np.uint32)[:, None]
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of a (P,) or (n, P) uint32 array, row k of the
+    (n, P) result under the hash constant consts[k] (and consts[k + 1])."""
+    value = value ^ consts[:-1]
+    value *= consts[1:]
+    value ^= value >> _U16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    mixed ^= mixed >> _U16
+    return mixed
+
+
+def _generate_state(words: np.ndarray) -> np.ndarray:
+    """`SeedSequence(words[:, j]).generate_state(4, np.uint64)` for every
+    column j of a (W, P) uint32 array, as a (4, P) uint64 array: the hashmix
+    pool of four words (zero-padded), every word mixed into every other, each
+    word past the fourth mixed into all four, then the pool hashed out twice
+    and paired, low word first."""
+    extra = max(len(words) - 4, 0)
+    consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * extra)
+    entropy = np.zeros((4 + extra, words.shape[1]), np.uint32)
+    entropy[: len(words)] = words
+    pool = _hashmix(entropy[:4], consts[:5])
+    for src in range(4):  # pool[src] is read before any of its three updates
+        dst, k = [d for d in range(4) if d != src], 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k : k + 4]))
+    for k, word in enumerate(entropy[4:], 4):
+        pool = _mix(pool, _hashmix(word, consts[4 * k : 4 * k + 5]))
+    state = _hashmix(np.concatenate([pool, pool]), _hash_consts(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    return state[0::2] | state[1::2] << _U32
+
+
+def replayed(paths) -> Iterator[np.random.Generator]:
+    """`derive_rng(*path)` for each path in `paths`, all of one length, in
+    turn, as one reused Generator whose state is set per path: it is valid
+    only until the next is taken. When every part lies below 2**32 the state
+    is replayed: SeedSequence runs as one array pass across the paths
+    (`_generate_state`) and PCG64's seeding is finished per path in Python
+    ints, inc = 2 * initseq + 1 and state = (inc + initstate) * A + inc mod
+    2**128. Otherwise every path is derived and its state copied."""
+    paths = list(paths)
+    rng = np.random.Generator(np.random.PCG64(0))
+    if not (paths and all(paths) and min(map(min, paths)) >= 0 and max(map(max, paths)) < 2**32):
+        for path in paths:
+            rng.bit_generator.state = derive_rng(*path).bit_generator.state
+            yield rng
+        return
+    for init_hi, init_lo, seq_hi, seq_lo in zip(*_generate_state(np.array(paths, np.uint32).T).tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+        state = ((inc + (init_hi << 64 | init_lo)) * _PCG_MULT + inc) & _M128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+        }
+        yield rng
 
 
 def _mul128(x_hi, x_lo, k_hi, k_lo) -> tuple[np.ndarray, np.ndarray]:
@@ -86,8 +152,8 @@ def raw_outputs(seed: int, indices, n: int, rows: int | None = None) -> Iterator
     be shorter; one block of every row by default).
 
     When the seed and every index lie below 2**32, numpy's own steps run as
-    array operations across the indices: SeedSequence's hashmix pool of four
-    words and its `generate_state(4, uint64)`, PCG64's seeding (state 0,
+    array operations across the indices: SeedSequence's
+    `generate_state(4, uint64)` (`_generate_state`), PCG64's seeding (state 0,
     inc = 2 * initseq + 1, step, add initstate, step), and the k-th output as
     the XSL-RR of P_k * initstate + Q_k * inc mod 2**128, where P_k = A**(k+1)
     and Q_k = A**(k+1) + A**k + ... + 1 for the multiplier A. Any other path
@@ -100,23 +166,7 @@ def raw_outputs(seed: int, indices, n: int, rows: int | None = None) -> Iterator
             yield np.array(block, dtype=np.uint64).reshape(len(block), n)
         return
     b = np.array(paths, dtype=np.uint32)
-    const, pool = _INIT_A, []
-    zero = np.zeros(b.shape, np.uint32)  # the entropy [seed, b] padded to the pool's four words
-    for word in (np.full(b.shape, seed, np.uint32), b, zero, zero):
-        word, const = _hashmix(word, const, _MULT_A)
-        pool.append(word)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const, _MULT_A)
-                mixed = _MIX_L * pool[dst] - _MIX_R * hashed
-                pool[dst] = mixed ^ mixed >> _U16
-    const, state = _INIT_B, []
-    for word in pool * 2:
-        word, const = _hashmix(word, const, _MULT_B)
-        state.append(word.astype(np.uint64)[:, None])
-    # generate_state's uint64 words: each pair of uint32 words, low word first
-    init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << _U32 for i in range(0, 8, 2))
+    init_hi, init_lo, seq_hi, seq_lo = _generate_state(np.stack([np.full_like(b, seed), b]))[:, :, None]
     inc_hi, inc_lo = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1)
     power, total, coefficients = _PCG_MULT, 1, []  # P_k and Q_k for k = 1..n
     for _ in range(n):

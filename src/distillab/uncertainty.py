@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .dists import as_rows, entropy, row_entropies
+from .dists import as_rows, row_entropies
 from .errors import InvalidInputError
 
 DIRICHLET_EPSILON = 1e-6
@@ -36,6 +36,33 @@ def mutual_information(members) -> float:
     return score_ensemble(members, 0.0)["mutual_information"]
 
 
+def _checked(members, epsilon: float, ndim: int) -> np.ndarray:
+    """`members` as validated probability rows of M >= 2 members, one (M, V)
+    ensemble for ndim 2 or a (C, M, V) stack of them for ndim 3, returned as
+    a (C, M, V) stack. `epsilon` is checked first."""
+    if not (epsilon > 0.0) or not math.isfinite(epsilon):
+        raise InvalidInputError(f"epsilon must be positive and finite, got {epsilon!r}")
+    arr = np.asarray(members, dtype=float)
+    if arr.ndim != ndim or arr.shape[-2] < 2:
+        shape = "(M >= 2, vocab)" if ndim == 2 else "(C, M >= 2, vocab)"
+        raise InvalidInputError(f"ensemble must be {shape} probability rows, got shape {arr.shape}")
+    return as_rows(arr, "members").reshape(-1, *arr.shape[-2:])
+
+
+def _precisions(stack: np.ndarray, epsilon: float) -> list[tuple[float, float]]:
+    """dirichlet_precision of each ensemble of a validated (C, M, V) stack."""
+    spreads = stack.var(axis=1, ddof=1).sum(axis=1).tolist()
+    norms = (stack.mean(axis=1) ** 2).sum(axis=1).tolist()
+    out = []
+    for spread, norm in zip(spreads, norms):
+        if spread == 0.0:
+            out.append((math.inf, math.log(1.0 / epsilon)))
+        else:
+            kappa_hat = (1.0 - norm) / spread - 1.0
+            out.append((kappa_hat, math.log(max(kappa_hat, epsilon))))
+    return out
+
+
 def dirichlet_precision(members, epsilon: float = DIRICHLET_EPSILON) -> tuple[float, float]:
     """Moment-matched Dirichlet concentration (kappa_hat, log_kappa).
 
@@ -48,34 +75,36 @@ def dirichlet_precision(members, epsilon: float = DIRICHLET_EPSILON) -> tuple[fl
     ln(max(kappa_hat, epsilon)). Identical members give S = 0, reported as
     kappa_hat = +inf with log_kappa capped at ln(1 / epsilon).
     """
-    if not (epsilon > 0.0) or not math.isfinite(epsilon):
-        raise InvalidInputError(f"epsilon must be positive and finite, got {epsilon!r}")
-    arr = np.asarray(members, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise InvalidInputError(
-            f"ensemble must be (M >= 2, vocab) probability rows, got shape {arr.shape}"
-        )
-    arr = as_rows(arr, "members")
-    p_bar = arr.mean(axis=0)
-    spread = float(arr.var(axis=0, ddof=1).sum())
-    if spread == 0.0:
-        return math.inf, math.log(1.0 / epsilon)
-    kappa_hat = (1.0 - float((p_bar**2).sum())) / spread - 1.0
-    log_kappa = math.log(max(kappa_hat, epsilon))
-    return kappa_hat, log_kappa
+    return _precisions(_checked(members, epsilon, 2), epsilon)[0]
 
 
-def score_ensemble(members, truncated_entropy_value: float, epsilon: float = DIRICHLET_EPSILON) -> dict[str, float]:
+def score_ensemble(
+    members, truncated_entropy_value, epsilon: float = DIRICHLET_EPSILON
+) -> dict[str, float] | list[dict[str, float]]:
     """The three ensemble scores and a precomputed truncated entropy, keyed
     mean_entropy, mutual_information, log_kappa, truncated_entropy. One set
-    of row entropies serves both the mean entropy and the mutual information."""
-    _, log_kappa = dirichlet_precision(members, epsilon)  # checks epsilon, then the members
-    arr = np.asarray(members, dtype=float)
-    mean_entropy = float(np.mean(row_entropies(arr)))
-    mi = entropy(arr.mean(axis=0)) - mean_entropy
-    return {
-        "mean_entropy": mean_entropy,
-        "mutual_information": mi if mi > 0.0 else 0.0,
-        "log_kappa": log_kappa,
-        "truncated_entropy": float(truncated_entropy_value),
-    }
+    of row entropies serves both the mean entropy and the mutual information.
+
+    A sequence of C truncated entropies takes a (C, M, V) stack of C
+    ensembles and gives the list of their C dicts, each equal to its own
+    ensemble's, computed in one pass over the stack."""
+    stacked = np.ndim(truncated_entropy_value) == 1
+    stack = _checked(members, epsilon, 3 if stacked else 2)
+    truncated = list(truncated_entropy_value) if stacked else [truncated_entropy_value]
+    if len(truncated) != len(stack):
+        raise InvalidInputError(f"{len(stack)} ensembles need as many truncated entropies, got {len(truncated)}")
+    C, M, V = stack.shape
+    mean_entropies = row_entropies(stack.reshape(C * M, V)).reshape(C, M).mean(axis=1)
+    mis = row_entropies(stack.mean(axis=1)) - mean_entropies
+    scores = [
+        {
+            "mean_entropy": mean_entropy,
+            "mutual_information": mi if mi > 0.0 else 0.0,
+            "log_kappa": log_kappa,
+            "truncated_entropy": float(t),
+        }
+        for mean_entropy, mi, (_, log_kappa), t in zip(
+            mean_entropies.tolist(), mis.tolist(), _precisions(stack, epsilon), truncated
+        )
+    ]
+    return scores if stacked else scores[0]

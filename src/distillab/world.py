@@ -36,7 +36,7 @@ import numpy as np
 
 from .dists import floored_log, softmax_with_temperature, temperature_scaled
 from .errors import DegenerateInputError, InvalidInputError
-from .seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, RawDraws, derive_rng
+from .seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, RawDraws, derive_rng, replayed
 from .stats import BootstrapConfig, ScoredCandidate, score_report
 from .uncertainty import score_ensemble
 from .viability import (
@@ -435,29 +435,39 @@ def forced_continuation(
 
 def teacher_ensemble(
     problem: ProblemInstance,
-    position: int,
-    lane: int,
+    position: int | list[int],
+    lane: int | list[int],
     members: int = 5,
     perturb_scale: float = 0.1,
 ) -> np.ndarray:
     """Stochastic ensemble for a state: seeded logit-noise perturbations of the
-    teacher distribution, one generator per member and one softmax of the
-    (members, V) logits. Zero perturbation returns exact copies. A scale
-    whose logits, or their shift by the row max, overflow is refused."""
+    teacher distribution, one generator per (position, member) and one
+    softmax of the (members, V) logits. Equal sequences of positions and
+    lanes give the (C, members, V) stack of their ensembles, with one
+    overflow check and one softmax for the stack. The generators' states are
+    replayed (`seeding.replayed`), so each member's noise is numpy's own
+    `standard_normal`. Zero perturbation returns exact copies. A scale whose
+    logits, or their shift by the row max, overflow is refused."""
     if members < 2:
         raise InvalidInputError(f"members must be >= 2, got {members}")
     if perturb_scale < 0.0:
         raise InvalidInputError(f"perturb_scale must be >= 0, got {perturb_scale!r}")
-    q = problem.teacher[position, lane]
+    positions = np.atleast_1d(position)
+    q = problem.teacher[positions, np.atleast_1d(lane)][:, None, :]
     if perturb_scale == 0.0:
-        return np.tile(q, (members, 1))
-    rngs = (derive_rng(problem.cfg.seed, TAG_ENSEMBLE, problem.index, position, m) for m in range(members))
-    noise = np.array([rng.standard_normal(q.size) for rng in rngs])
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits = floored_log(q) + perturb_scale * noise
-        if not np.isfinite(logits - logits.max(axis=1, keepdims=True)).all():
-            raise InvalidInputError(f"perturb_scale {perturb_scale!r} overflows the ensemble logits")
-    return softmax_with_temperature(logits, 1.0)
+        ensembles = np.repeat(q, members, axis=1)
+    else:
+        prefix = (problem.cfg.seed, TAG_ENSEMBLE, problem.index)
+        paths = [(*prefix, p, m) for p in positions.tolist() for m in range(members)]
+        noise = np.empty((len(paths), q.shape[-1]))
+        for row, rng in zip(noise, replayed(paths)):
+            rng.standard_normal(out=row)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = floored_log(q) + perturb_scale * noise.reshape(len(positions), members, -1)
+            if not np.isfinite(logits - logits.max(axis=-1, keepdims=True)).all():
+                raise InvalidInputError(f"perturb_scale {perturb_scale!r} overflows the ensemble logits")
+        ensembles = softmax_with_temperature(logits, 1.0)
+    return ensembles if np.ndim(position) else ensembles[0]
 
 
 SCORE_NAMES = (
@@ -536,15 +546,15 @@ def _probe_problem(
             viabilities.append(child_viability(outcomes))
         cand.child_viabilities = viabilities
         cand.label = label_candidate(viabilities, thresholds)
-        ensemble = teacher_ensemble(
-            problem, cand.spine_pos, lane, ensemble_members, perturb_scale
+        cand.ground_truth_reliable = int(problem.kind[cand.spine_pos, lane]) != UNRELIABLE
+    if candidates:
+        positions = [cand.spine_pos for cand in candidates]
+        ensembles = teacher_ensemble(
+            problem, positions, [trace.lanes[p] for p in positions], ensemble_members, perturb_scale
         )
-        cand.scores = {
-            "oriented_position": cand.oriented_score,
-            **score_ensemble(ensemble, cand.truncated_entropy),
-        }
-        state_kind = int(problem.kind[cand.spine_pos, lane])
-        cand.ground_truth_reliable = state_kind != UNRELIABLE
+        scores = score_ensemble(ensembles, [cand.truncated_entropy for cand in candidates])
+        for cand, ensemble_scores in zip(candidates, scores):
+            cand.scores = {"oriented_position": cand.oriented_score, **ensemble_scores}
     return spine_record, candidates
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -153,3 +155,44 @@ def test_raw_outputs_refuse_negative_paths():
     for seed, indices in ((-1, [0]), (0, [3, -2])):
         with pytest.raises(InvalidInputError):
             _raw_rows(seed, indices, 4)
+
+
+_part = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
+
+
+# one word, the pool's four, and the words past four that are mixed into all
+# of the pool; a part of 2**32 or more sends every path to derive_rng
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 6), wide=st.booleans(), data=st.data())
+@example(width=1, wide=False, data=None)
+def test_replayed_states_equal_each_generator(width, wide, data):
+    if data is None:  # the boundary words, each its own path
+        paths = [[0], [2**31], [2**32 - 1]]
+    else:
+        paths = data.draw(st.lists(st.lists(_part, min_size=width, max_size=width), min_size=1, max_size=8))
+    if wide:
+        at = data.draw(st.integers(0, len(paths) - 1)), data.draw(st.integers(0, width - 1))
+        paths[at[0]][at[1]] = data.draw(st.integers(2**32, 2**70))
+    with mock.patch.object(seeding, "derive_rng", wraps=seeding.derive_rng) as spy:
+        got = [rng.bit_generator.state for rng in seeding.replayed(paths)]
+    assert spy.call_count == (len(paths) if wide else 0)
+    assert got == [seeding.derive_rng(*path).bit_generator.state for path in paths]
+
+
+@pytest.mark.parametrize("paths", [[[0], [2**31], [2**32 - 1]], [[0, 2**31, 2**32 - 1, 7, 0, 2**31]] * 2, [[3, 2**32, 1]]])
+def test_replayed_generators_draw_as_each_derived_generator(paths):
+    got = [rng.standard_normal(5).tobytes() for rng in seeding.replayed(paths)]
+    assert got == [seeding.derive_rng(*path).standard_normal(5).tobytes() for path in paths]
+
+
+@pytest.mark.parametrize("paths", [[[0, 1], [2, 3]], [[0, 2**32], [2, 3]]])  # replayed, and the fallback
+def test_replayed_yields_one_reused_generator(paths):
+    rngs = list(seeding.replayed(paths))
+    assert rngs[0] is rngs[1]
+    assert rngs[0].bit_generator.state == seeding.derive_rng(*paths[-1]).bit_generator.state
+
+
+def test_replayed_refuses_negative_paths():
+    for paths in ([[0, -1]], [[1, 2], [3, -4]]):
+        with pytest.raises(InvalidInputError):
+            list(seeding.replayed(paths))

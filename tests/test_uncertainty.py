@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,8 +116,8 @@ def _reference_scores(members, epsilon):
 
 
 @st.composite
-def _ensembles(draw):
-    members, vocab = draw(st.integers(2, 6)), draw(st.integers(2, 12))
+def _ensembles(draw, shape=None):
+    members, vocab = shape or (draw(st.integers(2, 6)), draw(st.integers(2, 12)))
     kind = draw(st.sampled_from(["dirichlet", "weights", "identical"]))
     if kind == "dirichlet":
         alpha = draw(st.sampled_from([0.05, 0.5, 5.0]))
@@ -166,3 +167,40 @@ def test_score_ensemble_refuses_what_dirichlet_precision_refuses(members, epsilo
     with pytest.raises(InvalidInputError) as got:
         score_ensemble(members, 0.0, epsilon)
     assert str(got.value) == str(expected.value)
+
+
+def _scores_bits(scores):
+    return {key: float(value).hex() for key, value in scores.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    members=st.integers(2, 6),
+    vocab=st.integers(2, 12),
+    count=st.integers(1, 5),
+    epsilon=st.sampled_from([DIRICHLET_EPSILON, 1e-3, 0.5]),
+    data=st.data(),
+)
+def test_stacked_score_ensemble_equals_each_ensemble(members, vocab, count, epsilon, data):
+    # each ensemble is drawn as dirichlet rows, rows with exact zeros, or identical members (zero spread)
+    stack = [np.asarray(data.draw(_ensembles((members, vocab))), dtype=float) for _ in range(count)]
+    truncated = data.draw(st.lists(st.floats(0.0, 5.0), min_size=count, max_size=count))
+    got = score_ensemble(np.array(stack), truncated, epsilon)
+    assert [_scores_bits(d) for d in got] == [_scores_bits(score_ensemble(e, t, epsilon)) for e, t in zip(stack, truncated)]
+    reference = [(*_reference_scores(e, epsilon), t) for e, t in zip(stack, truncated)]
+    assert [list(_scores_bits(d).values()) for d in got] == [[float(v).hex() for v in r] for r in reference]
+
+
+@pytest.mark.parametrize(
+    "members, truncated, message",
+    [
+        ([[[0.5, 0.5], [0.5, 0.5]]], [0.0, 0.0], "1 ensembles need as many truncated entropies, got 2"),
+        ([[[0.5, 0.5]], [[1.0, 0.0]]], [0.0, 0.0], "ensemble must be (C, M >= 2, vocab) probability rows"),
+        ([[0.5, 0.5], [0.5, 0.5]], [0.0], "ensemble must be (C, M >= 2, vocab) probability rows"),
+        ([[[0.5, 0.5], [0.5, 0.5]]], 0.0, "ensemble must be (M >= 2, vocab) probability rows"),  # as the public functions
+        ([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.6]]], [0.0, 0.0], "members[1, 1] sums to"),
+    ],
+)
+def test_stacked_score_ensemble_refusals(members, truncated, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        score_ensemble(members, truncated)

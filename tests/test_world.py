@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import warnings
@@ -15,7 +16,8 @@ from distillab.errors import InvalidInputError
 from distillab.seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, derive_rng
 from distillab.stats import BootstrapConfig
 from distillab.trainer import TrainConfig
-from distillab.uncertainty import mutual_information
+from distillab.uncertainty import mutual_information, score_ensemble
+from distillab.viability import LabelThresholds
 from distillab.world import (
     AMBIGUITY_JITTER,
     BRANCH_DENSITY,
@@ -866,7 +868,30 @@ def test_teacher_ensemble_equals_the_per_member_loop(cfg, index, members, pertur
             warnings.simplefilter("error")
             got = teacher_ensemble(p, position, lane, members, perturb_scale)
     assert _bits(got) == _bits(expected)
-    assert spy.call_count == (0 if perturb_scale == 0.0 else members)  # one generator per member
+    assert spy.call_count == 0  # the members' generator states are replayed, not derived
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cfg=_worlds,
+    index=st.integers(0, 5),
+    members=st.integers(2, 6),
+    perturb_scale=st.sampled_from([0.0, 0.1, 3.0, 1e300, 1e306]),
+    wide_seed=st.booleans(),  # a seed of two words: every member is derived
+    data=st.data(),
+)
+def test_stacked_teacher_ensemble_equals_each_pair(cfg, index, members, perturb_scale, wide_seed, data):
+    if wide_seed:
+        cfg = dataclasses.replace(cfg, seed=2**32 + cfg.seed)
+    p = generate_problem(cfg, index)
+    pair = st.tuples(st.integers(0, p.length - 1), st.integers(0, cfg.branch_count))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=5), label="pairs")
+    pairs.append(pairs[0])  # a duplicate pair shares its members' noise
+    expected = np.array([_reference_teacher_ensemble(p, pos, lane, members, perturb_scale) for pos, lane in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = teacher_ensemble(p, [pos for pos, _ in pairs], np.array([lane for _, lane in pairs]), members, perturb_scale)
+    assert _bits(got) == _bits(expected)
 
 
 @pytest.mark.parametrize("perturb_scale", [1e308, float("inf"), float("nan")])
@@ -876,6 +901,37 @@ def test_teacher_ensemble_refuses_overflowing_logits_by_name(perturb_scale):
         warnings.simplefilter("error")  # refused before numpy warns
         with pytest.raises(InvalidInputError, match=re.escape(f"perturb_scale {perturb_scale!r} ")):
             teacher_ensemble(p, 1, 0, members=5, perturb_scale=perturb_scale)
+
+
+@pytest.mark.parametrize("perturb_scale", [1e308, float("inf"), float("nan")])
+def test_stacked_teacher_ensemble_refuses_overflowing_logits_by_name(perturb_scale):
+    p = generate_problem(_small_cfg(), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before numpy warns
+        with pytest.raises(InvalidInputError) as got:
+            teacher_ensemble(p, [1, 2, 1], [0, 1, 0], members=5, perturb_scale=perturb_scale)
+    with pytest.raises(InvalidInputError) as expected:
+        teacher_ensemble(p, 1, 0, members=5, perturb_scale=perturb_scale)
+    assert str(got.value) == str(expected.value) == f"perturb_scale {perturb_scale!r} overflows the ensemble logits"
+
+
+def test_probe_problem_scores_each_candidate_as_its_own_ensemble():
+    cfg, probed = _small_cfg(), 0
+    for index in range(6):
+        with mock.patch.object(world_module, "teacher_ensemble", wraps=teacher_ensemble) as ensembles:
+            with mock.patch.object(world_module, "score_ensemble", wraps=score_ensemble) as scores:
+                _, candidates = world_module._probe_problem(
+                    cfg, index, default_filter_for_depth(cfg.depth), LabelThresholds(), 4, 0.1, 3
+                )
+        assert ensembles.call_count == scores.call_count == (1 if candidates else 0)  # one stack per problem
+        p = generate_problem(cfg, index)
+        lanes = student_rollout(p, "greedy").lanes
+        for cand in candidates:
+            ensemble = _reference_teacher_ensemble(p, cand.spine_pos, lanes[cand.spine_pos], 4, 0.1)
+            expected = {"oriented_position": cand.oriented_score, **score_ensemble(ensemble, cand.truncated_entropy)}
+            assert {k: float(v).hex() for k, v in cand.scores.items()} == {k: float(v).hex() for k, v in expected.items()}
+        probed += len(candidates)
+    assert probed > 0
 
 
 def _reference_concentrated(vocab, token, top_mass):
