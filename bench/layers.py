@@ -13,8 +13,11 @@ Layers, in three commands:
 
 - `fd_coord`: one finite-difference coordinate. `distillab gradcheck
   --batches 40 --weighting entropy_gate:3.0 --seed 0` (perfbench's
-  `gradcheck` workload), with the time inside `finite_difference_check`
-  summed over its 40 batches and divided by the coordinates compared.
+  `gradcheck` workload) at `--threads 1`, with the time inside
+  `finite_difference_check` summed over its 40 batches and divided by the
+  coordinates compared. The timer sees only the calling process, so the
+  command is pinned to one process: at the default, a forked worker would
+  check some of the batches unseen while every coordinate still counts.
 - `problem`, `forced_continuation` and `ensemble_score`: `distillab diagnose
   --out out --threads 2 --seed 0` (perfbench's `diagnose` workload), with
   the time per call of `world.generate_problem` and of
@@ -59,9 +62,11 @@ from sweep import tree_stamp
 ROOT = Path(__file__).resolve().parent.parent
 REPEATS = 3  # timed runs of the command in each sample's process
 RESAMPLES = 2000  # diagnose's default --resamples: the resamples of each score report
-# perfbench's gradcheck, diagnose and train workloads at seed 0
+# perfbench's gradcheck, diagnose and train workloads at seed 0, gradcheck in one process
 COMMANDS = {
-    "gradcheck": ["gradcheck", "--batches", "40", "--weighting", "entropy_gate:3.0", "--seed", "0"],
+    "gradcheck": [
+        "gradcheck", "--batches", "40", "--weighting", "entropy_gate:3.0", "--seed", "0", "--threads", "1"
+    ],
     "diagnose": ["diagnose", "--out", "out", "--threads", "2", "--seed", "0"],
     "train": ["train", "--out", "out", "--seed", "0", "--world-seed", "0"],
 }

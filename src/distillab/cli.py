@@ -12,10 +12,11 @@ by flag destination (dashes as underscores); each entry is parsed as that
 flag, with its checks, and flags given on the command line win. Unknown
 keys and values other than numbers and strings (or lists of them for a
 flag taking several) are rejected; a worker that dies without a result is
-a WorkerError. `--threads N` shards work over forked processes in
-`diagnose` (its problems) and `sweep` (its distinct trainings), capped at the
-CPU count and the number of units; the other commands run serially. No
-output depends on it: `run_meta.json` records the workers actually used.
+a WorkerError. `--threads N` (default: the CPU count) shards work over
+forked processes in `diagnose` (its problems), `sweep` (its distinct
+trainings) and `gradcheck` (its batches), capped at the CPU count and the
+number of units; the other commands run serially. No output depends on it:
+`run_meta.json` records the workers actually used.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -55,12 +57,13 @@ from .trainer import (
 )
 from .uncertainty import score_ensemble
 from .viability import FilterConfig, write_candidates_jsonl
+from .workers import map_sharded
 from .world import WorldConfig, run_diagnostic
 
 
 # Bound on gradcheck's batches * batch_size * max_len * vocab^2: a token costs about
-# 0.45 us per vocab^2 on a 2-vCPU x86 host (0.45 s at vocab 1024, 2.0 s at 2048), so
-# an allowed run takes at most about 45 s there.
+# 0.45 us of CPU per vocab^2 on a 2-vCPU x86 host (0.45 s at vocab 1024, 2.0 s at 2048),
+# so an allowed run costs at most about 45 s of CPU there, shared by its --threads workers.
 GRADCHECK_WORK_LIMIT = 10**8
 # Largest relative error a gradient check may report and pass (acceptance criterion 1).
 GRADCHECK_TOLERANCE = 1e-6
@@ -119,9 +122,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        default=1,
-        help="worker processes for diagnose and sweep, capped at the CPU count; "
-        "outputs never depend on it",
+        default=os.cpu_count() or 1,
+        help="worker processes for diagnose, sweep and gradcheck (default: the CPU "
+        "count), capped at the CPU count; outputs never depend on it",
     )
 
 
@@ -506,11 +509,8 @@ def _cmd_gradcheck(args: argparse.Namespace, argv: list[str]) -> int:
     objective = ObjectiveConfig(distill_temperature=args.temperature, clip_threshold=args.clip)
     weighting = weighting_from_name(args.weighting, args.vocab)
     reduction = Reduction(args.reduction)
-    worst_rel = 0.0
-    worst_abs = 0.0
-    compared = 0
-    skipped = 0
-    for b in range(args.batches):
+
+    def check_batch(b: int):
         rng = derive_rng(args.seed, TAG_GRADCHECK, b)
         teacher = []
         logits = []
@@ -519,7 +519,14 @@ def _cmd_gradcheck(args: argparse.Namespace, argv: list[str]) -> int:
             teacher.append(rng.dirichlet(np.ones(args.vocab), size=length))
             logits.append(rng.standard_normal((length, args.vocab)))
         batch = RolloutBatch(teacher, logits)
-        report = finite_difference_check(batch, objective, weighting, reduction, step=args.step)
+        return finite_difference_check(batch, objective, weighting, reduction, step=args.step)
+
+    # maxima and integer sums in batch order: the same totals whichever process checked a batch
+    worst_rel = 0.0
+    worst_abs = 0.0
+    compared = 0
+    skipped = 0
+    for report in map_sharded(check_batch, range(args.batches), args.threads)[0]:
         worst_rel = max(worst_rel, report.max_rel_err)
         worst_abs = max(worst_abs, report.max_abs_err)
         compared += report.compared

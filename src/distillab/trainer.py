@@ -46,7 +46,7 @@ from .objectives import (
     token_weights,
 )
 from .schedules import PRESETS, preset
-from .seeding import TAG_EVAL, TAG_INIT, TAG_NORM_PROFILE, TAG_TRAIN, derive_rng
+from .seeding import TAG_EVAL, TAG_INIT, TAG_NORM_PROFILE, TAG_TRAIN, derive_rng, replayed
 from .workers import map_sharded
 from .world import (
     Episode, ProblemInstance, WorldConfig, generate_problem, nucleus_draw, nucleus_rows, nucleus_sample, walk
@@ -304,14 +304,18 @@ def evaluate_policy(
     eval_tag: int,
 ) -> dict:
     """Fresh-seed rollouts per problem, graded through the answer-matching
-    metrics pipeline (answers are wrapped in the boxed marker it parses)."""
+    metrics pipeline (answers are wrapped in the boxed marker it parses).
+    Sample s of a problem draws from `derive_rng(seed, TAG_EVAL, eval_tag,
+    problem.index, s)`, every sample's generator replayed in one pass."""
+    rngs = replayed(
+        (cfg.seed, TAG_EVAL, eval_tag, problem.index, s) for problem in problems for s in range(cfg.eval_samples)
+    )
     per_problem = []
     for problem in problems:
         texts = []
         probs = softmax_with_temperature(tables[problem.problem_id], 1.0)
-        for s in range(cfg.eval_samples):
-            rng = derive_rng(cfg.seed, TAG_EVAL, eval_tag, problem.index, s)
-            ep = rollout_from_params(problem, probs, rng)
+        for _ in range(cfg.eval_samples):
+            ep = rollout_from_params(problem, probs, next(rngs))
             texts.append(f"final \\boxed{{{ep.answer}}}")
         grades = grade_and_cluster(texts, problem.gold_answer)
         per_problem.append(problem_metrics(grades))

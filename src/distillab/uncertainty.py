@@ -23,19 +23,6 @@ from .errors import InvalidInputError
 DIRICHLET_EPSILON = 1e-6
 
 
-def mean_predictive_entropy(members) -> float:
-    """Average Shannon entropy of the ensemble members."""
-    return score_ensemble(members, 0.0)["mean_entropy"]
-
-
-def mutual_information(members) -> float:
-    """Entropy of the mean distribution minus mean member entropy.
-
-    Non-negative by Jensen; floating-point residue below zero is clamped to 0.
-    """
-    return score_ensemble(members, 0.0)["mutual_information"]
-
-
 def _checked(members, epsilon: float, ndim: int) -> np.ndarray:
     """`members` as validated probability rows of M >= 2 members, one (M, V)
     ensemble for ndim 2 or a (C, M, V) stack of them for ndim 3, returned as
@@ -83,7 +70,8 @@ def score_ensemble(
 ) -> dict[str, float] | list[dict[str, float]]:
     """The three ensemble scores and a precomputed truncated entropy, keyed
     mean_entropy, mutual_information, log_kappa, truncated_entropy. One set
-    of row entropies serves both the mean entropy and the mutual information.
+    of row entropies serves both the mean entropy and the mutual information,
+    whose floating-point residue below zero is clamped to 0.
 
     A sequence of C truncated entropies takes a (C, M, V) stack of C
     ensembles and gives the list of their C dicts, each equal to its own

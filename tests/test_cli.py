@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -198,6 +199,64 @@ def test_gradcheck_tolerance_is_criterion_one():
     from distillab.cli import GRADCHECK_TOLERANCE
 
     assert GRADCHECK_TOLERANCE == 1e-6
+
+
+def _sharded_gradcheck(monkeypatch, capsys, argv):
+    """(exit code, stdout, stderr, workers used) of one in-process run."""
+    import distillab.cli as cli
+    from distillab.workers import map_sharded
+
+    used = []
+
+    def spy(fn, items, threads):
+        results, workers = map_sharded(fn, items, threads)
+        used.append(workers)
+        return results, workers
+
+    monkeypatch.setattr(cli, "map_sharded", spy)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, used
+
+
+@pytest.mark.parametrize("weighting", ["uniform", "sharp", "entropy_gate:3.0"])
+@pytest.mark.parametrize("reduction", ["global_token_mean", "per_sequence_mean"])
+def test_gradcheck_stdout_does_not_depend_on_threads(monkeypatch, capsys, weighting, reduction):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # fork even on a one-CPU host
+    argv = ["gradcheck", "--batches", "3", "--vocab", "12", "--max-len", "6",
+            "--weighting", weighting, "--reduction", reduction]
+    runs = {t: _sharded_gradcheck(monkeypatch, capsys, argv + ["--threads", t]) for t in ("1", "2", "8")}
+    assert [run[3] for run in runs.values()] == [[1], [2], [3]]  # capped at the 3 batches
+    assert all(run[:3] == runs["1"][:3] for run in runs.values())
+    assert runs["1"][0] == 0 and runs["1"][2] == ""
+    assert json.loads(runs["1"][1])["compared"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, kind",
+    [
+        (["--temperature", "1e-300"], 2, "NumericDomainError"),
+        (["--step", "1e300"], 3, "DegenerateInputError"),  # nothing compared
+    ],
+)
+def test_gradcheck_failures_do_not_depend_on_threads(monkeypatch, capsys, argv, code, kind):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    argv = ["gradcheck", "--batches", "3", *argv]
+    one, two = (_sharded_gradcheck(monkeypatch, capsys, argv + ["--threads", t]) for t in ("1", "2"))
+    assert (one[3], two[3]) == ([1], [2])
+    assert one[:3] == two[:3]
+    assert one[0] == code and one[1] == ""
+    lines = one[2].splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == kind
+
+
+def test_threads_defaults_to_the_cpu_count(monkeypatch):
+    from distillab.cli import _parse_args
+
+    assert _parse_args(["gradcheck"]).threads == (os.cpu_count() or 1)
+    for cpus, threads in ((5, 5), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert _parse_args(["gradcheck"]).threads == threads
 
 
 def test_config_nested_too_deep_exits_two(tmp_path, capsys):

@@ -37,7 +37,8 @@ from distillab.trainer import (
     weighting_from_name,
     weighting_name,
 )
-from distillab.seeding import TAG_TRAIN, derive_rng
+from distillab.metrics import aggregate_metrics, grade_and_cluster, problem_metrics
+from distillab.seeding import TAG_EVAL, TAG_TRAIN, derive_rng
 from distillab.world import ProblemInstance, WorldConfig, generate_problem, nucleus_sample, walk
 
 
@@ -458,6 +459,44 @@ def test_norm_profile_equals_the_per_token_loop(
         report = run_training(cfg, world)
     want = _loop_norm_profile(step_grads)
     assert [x.hex() for x in report.grad_norm_profile] == [x.hex() for x in want]
+
+
+def _per_sample_evaluate(cfg, problems, tables, eval_tag):
+    """The reference evaluate_policy: one derived generator per sample."""
+    per_problem = []
+    for problem in problems:
+        probs = softmax_with_temperature(tables[problem.problem_id], 1.0)
+        texts = []
+        for s in range(cfg.eval_samples):
+            rng = derive_rng(cfg.seed, TAG_EVAL, eval_tag, problem.index, s)
+            texts.append(f"final \\boxed{{{trainer_module.rollout_from_params(problem, probs, rng).answer}}}")
+        per_problem.append(problem_metrics(grade_and_cluster(texts, problem.gold_answer)))
+    return {**aggregate_metrics(per_problem), "n": cfg.eval_samples, "problems": len(problems)}
+
+
+def _metrics_bits(agg):
+    return {key: value.hex() if isinstance(value, float) else value for key, value in agg.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_problems=st.integers(1, 4),
+    samples=st.integers(1, 13),
+    seed=st.one_of(st.integers(0, 1000), st.just(2**32 + 5)),  # a two-word seed takes the fallback
+    eval_tag=st.integers(0, 2),
+    scale=st.sampled_from([0.0, 1.0, 4.0]),
+)
+def test_evaluate_policy_equals_one_generator_per_sample(n_problems, samples, seed, eval_tag, scale):
+    world = WorldConfig(vocab_size=8, depth=10, seed=seed % 1000)
+    cfg = TrainConfig(eval_samples=samples, seed=seed)
+    problems = [generate_problem(world, i) for i in range(n_problems)]
+    # random logit tables, so samples reach different answers
+    noise = np.random.default_rng(seed)
+    tables = {p.problem_id: scale * noise.standard_normal(p.teacher.shape) for p in problems}
+    with mock.patch.object(trainer_module, "derive_rng", wraps=derive_rng) as spy:
+        got = trainer_module.evaluate_policy(cfg, problems, tables, eval_tag)
+    assert spy.call_count == 0  # the generators come from one replayed pass
+    assert _metrics_bits(got) == _metrics_bits(_per_sample_evaluate(cfg, problems, tables, eval_tag))
 
 
 def test_run_training_skips_heldout_when_disabled():

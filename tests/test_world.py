@@ -16,7 +16,7 @@ from distillab.errors import InvalidInputError
 from distillab.seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, derive_rng
 from distillab.stats import BootstrapConfig
 from distillab.trainer import TrainConfig
-from distillab.uncertainty import mutual_information, score_ensemble
+from distillab.uncertainty import score_ensemble
 from distillab.viability import LabelThresholds
 from distillab.world import (
     AMBIGUITY_JITTER,
@@ -449,7 +449,7 @@ def test_teacher_ensemble_zero_perturbation_is_exact():
     for row in ens:
         assert np.array_equal(row, p.teacher[1, 0])
     # exact copies carry zero mutual information
-    assert mutual_information(ens) < 1e-14
+    assert score_ensemble(ens, 0.0)["mutual_information"] < 1e-14
 
 
 def test_teacher_ensemble_perturbation_is_seeded_and_spreads():
@@ -459,7 +459,7 @@ def test_teacher_ensemble_perturbation_is_seeded_and_spreads():
     e2 = teacher_ensemble(p, 1, 0, members=5, perturb_scale=0.1)
     assert np.array_equal(e1, e2)
     assert np.all(np.abs(e1.sum(axis=1) - 1.0) < 1e-12)
-    assert mutual_information(e1) > 0.0
+    assert score_ensemble(e1, 0.0)["mutual_information"] > 0.0
     with pytest.raises(InvalidInputError):
         teacher_ensemble(p, 1, 0, members=1)
     with pytest.raises(InvalidInputError):
