@@ -39,7 +39,8 @@ Layers, in three commands:
   the step's draws and walks) divided by the tokens its episodes hold; a
   loss-plus-gradient token is the time inside `distillation_loss` and
   `loss_gradient_wrt_student_logits`, as `train_step` calls them, divided
-  by the batch's tokens.
+  by the batch's tokens. Where the two read one memoised objective pass,
+  the first call pays for it and the second scales its gradient rows.
 
 Every run of a command must print the same stdout and write the same files,
 in every tree. The output holds the host, the Python and numpy versions,

@@ -168,6 +168,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     _add_common(p)
 
 
+def _add_objective_flags(p: argparse.ArgumentParser, weighting: str, reduction: str) -> None:
+    """The weighting and reduction flags of train and gradcheck."""
+    p.add_argument("--weighting", type=str, default=weighting)
+    p.add_argument("--reduction", type=str, default=reduction, choices=[r.value for r in Reduction])
+
+
 def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]]:
     """The top-level parser and the subcommand parsers by name."""
     parser = _JsonArgumentParser(prog="distillab")
@@ -196,13 +202,7 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
 
     t = sub.add_parser("train", help="run the tabular distillation trainer")
     _add_train_flags(t)
-    t.add_argument("--weighting", type=str, default="moderate")
-    t.add_argument(
-        "--reduction",
-        type=str,
-        default="per_sequence_mean",
-        choices=[r.value for r in Reduction],
-    )
+    _add_objective_flags(t, "moderate", "per_sequence_mean")
     t.set_defaults(run=_cmd_train)
 
     s = sub.add_parser("sweep", help="weighting-by-reduction factorial plus schedule sweep")
@@ -241,13 +241,7 @@ def _build_parser() -> tuple[_JsonArgumentParser, dict[str, _JsonArgumentParser]
     g.add_argument("--step", type=float, default=1e-5)
     g.add_argument("--temperature", type=float, default=1.1)
     g.add_argument("--clip", type=float, default=0.05)
-    g.add_argument("--weighting", type=str, default="uniform")
-    g.add_argument(
-        "--reduction",
-        type=str,
-        default="global_token_mean",
-        choices=[r.value for r in Reduction],
-    )
+    _add_objective_flags(g, "uniform", "global_token_mean")
     _add_common(g)
     g.set_defaults(run=_cmd_gradcheck)
 

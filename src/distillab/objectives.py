@@ -24,13 +24,17 @@ Reductions:
 
 The analytic gradient with respect to student logits treats the teacher as a
 constant. A vocabulary entry exactly at the clip boundary is treated as
-clipped (zero pull from that entry).
+clipped (zero pull from that entry). The loss, the gradient and the
+finite-difference check read one memoised pass over a batch, whose arrays
+are read-only once it is built; none hands out an array of that pass.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,8 +99,8 @@ def default_gate_threshold(vocab_size: int) -> float:
 
 class RolloutBatch:
     """Ragged batch of (teacher distribution rows, student logit rows) pairs,
-    packed: `teacher` and `student` are (N_tokens, vocab) arrays, and sequence
-    i is their rows offsets[i]:offsets[i+1]."""
+    packed: `teacher` and `student` are read-only (N_tokens, vocab) arrays,
+    and sequence i is their rows offsets[i]:offsets[i+1]."""
 
     def __init__(self, teacher_dists, student_logits):
         if len(teacher_dists) != len(student_logits):
@@ -131,6 +135,7 @@ class RolloutBatch:
             student.append(za)
         self.teacher: np.ndarray = np.concatenate(teacher)
         self.student: np.ndarray = np.concatenate(student)
+        self.teacher.flags.writeable = self.student.flags.writeable = False
         self.lengths: list[int] = [q.shape[0] for q in teacher]
         self.offsets: np.ndarray = np.cumsum([0, *self.lengths])
 
@@ -149,6 +154,7 @@ class RolloutBatch:
         except InvalidInputError:  # refused: the per-sequence checks name the first bad sequence
             return cls(*([a[i:j] for i, j in zip(offsets[:-1], offsets[1:])] for a in (teacher, student)))
         batch = cls.__new__(cls)
+        teacher.flags.writeable = student.flags.writeable = False
         batch.teacher, batch.student, batch.lengths, batch.offsets = teacher, student, list(lengths), offsets
         return batch
 
@@ -171,23 +177,36 @@ def token_weights(batch: RolloutBatch, weighting: Weighting) -> np.ndarray:
     return np.ones(batch.total_tokens)
 
 
-def _gate_open(batch: RolloutBatch, weighting: Weighting) -> np.ndarray | None:
-    """For entropy gating: a packed boolean per token, True = forward KL."""
-    if not isinstance(weighting, EntropyGateWeighting):
-        return None
-    return row_entropies(batch.teacher) > weighting.gate_threshold
+class _Objective(NamedTuple):  # packed by token
+    terms: np.ndarray  # fkl_terms(teacher, p) for p = softmax(student / T), before the clip
+    unclipped: np.ndarray  # terms < clip: U, the boundary counting as clipped
+    gates: np.ndarray | None  # entropy gating only: True = forward KL
+    weights: np.ndarray  # token_weights
+    losses: np.ndarray  # unweighted per-token losses
+    grad: np.ndarray  # gradient rows before weight and reduction scaling
 
 
-def per_token_losses(batch: RolloutBatch, cfg: ObjectiveConfig, weighting: Weighting) -> np.ndarray:
-    """Unweighted per-token losses, packed (N_tokens,)."""
+@lru_cache(maxsize=1)
+def _objective(batch: RolloutBatch, cfg: ObjectiveConfig, weighting: Weighting) -> _Objective:
+    """The parts the loss, its gradient and the finite-difference check share,
+    for the last batch asked (a batch hashes by identity and never changes)."""
+    T = cfg.distill_temperature
     q = batch.teacher
-    p = softmax_with_temperature(batch.student, cfg.distill_temperature)
-    losses = np.minimum(fkl_terms(q, p), cfg.clip_threshold).sum(axis=1)
-    gates = _gate_open(batch, weighting)
-    if gates is not None:  # reverse KL on the closed-gate rows
+    p = softmax_with_temperature(batch.student, T)
+    terms = fkl_terms(q, p)
+    losses = np.minimum(terms, cfg.clip_threshold).sum(axis=1)
+    unclipped = terms < cfg.clip_threshold
+    q_unclipped = np.where(unclipped, q, 0.0)
+    grad = (p * q_unclipped.sum(axis=1, keepdims=True) - q_unclipped) / T
+    gates = None
+    if isinstance(weighting, EntropyGateWeighting):  # reverse KL on the closed-gate rows
+        gates = row_entropies(q) > weighting.gate_threshold
         closed = ~gates
-        losses[closed] = fkl_terms(p[closed], q[closed]).sum(axis=1)
-    return losses
+        pc, qc = p[closed], q[closed]
+        rkl = fkl_terms(pc, qc).sum(axis=1)
+        losses[closed] = rkl
+        grad[closed] = pc * ((floored_log(pc) - floored_log(qc)) - rkl[:, None]) / T
+    return _Objective(terms, unclipped, gates, token_weights(batch, weighting), losses, grad)
 
 
 def weighted_reduction(losses: list[np.ndarray], weights: list[np.ndarray], reduction: Reduction) -> float:
@@ -221,9 +240,8 @@ def distillation_loss(
 ) -> float:
     """Scalar training loss for the batch under the given weighting and reduction,
     summed sequence by sequence."""
-    losses = batch.split(per_token_losses(batch, cfg, weighting))
-    weights = batch.split(token_weights(batch, weighting))
-    return weighted_reduction(losses, weights, reduction)
+    obj = _objective(batch, cfg, weighting)
+    return weighted_reduction(batch.split(obj.losses), batch.split(obj.weights), reduction)
 
 
 def loss_gradient_wrt_student_logits(
@@ -253,20 +271,8 @@ def loss_gradient_wrt_student_logits(
         coef = np.repeat(1.0 / (len(batch) * np.array(batch.lengths)), batch.lengths)
     else:
         raise InvalidInputError(f"unknown reduction {reduction!r}")
-    T = cfg.distill_temperature
-    q = batch.teacher
-    p = softmax_with_temperature(batch.student, T)
-    unclipped = fkl_terms(q, p) < cfg.clip_threshold
-    q_mass_unclipped = np.where(unclipped, q, 0.0).sum(axis=1, keepdims=True)
-    g = (p * q_mass_unclipped - np.where(unclipped, q, 0.0)) / T
-    gates = _gate_open(batch, weighting)
-    if gates is not None:
-        closed = ~gates
-        pc, qc = p[closed], q[closed]
-        rkl = fkl_terms(pc, qc).sum(axis=1, keepdims=True)
-        g[closed] = pc * ((floored_log(pc) - floored_log(qc)) - rkl) / T
-    g *= (token_weights(batch, weighting) * coef)[:, None]
-    return g
+    obj = _objective(batch, cfg, weighting)
+    return obj.grad * (obj.weights * coef)[:, None]
 
 
 @dataclass(frozen=True)
@@ -283,10 +289,10 @@ _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 
 def _token_losses_from_exps(q_row, e, cfg: ObjectiveConfig, fkl: bool) -> np.ndarray:
     """One token's unweighted loss for each (..., V) row of exponentials
-    exp(z/T - max(z/T)) of a logit row z. Mirrors per_token_losses row-wise
-    for a single teacher row, in np.longdouble so that central differences of
-    the result are not drowned by float64 rounding of the loss values
-    themselves."""
+    exp(z/T - max(z/T)) of a logit row z. Mirrors `_objective`'s losses
+    row-wise for a single teacher row, in np.longdouble so that central
+    differences of the result are not drowned by float64 rounding of the loss
+    values themselves."""
     p = e / e.sum(axis=-1, keepdims=True)
     q = q_row.astype(np.longdouble)
     if fkl:
@@ -369,15 +375,13 @@ def finite_difference_check(
     if max_tokens is not None and max_tokens < 1:
         raise InvalidInputError(f"max_tokens must be >= 1, got {max_tokens}")
     analytic = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
+    obj = _objective(batch, cfg, weighting)
     # weighted_reduction of each token's indicator, less its exact-zero terms
-    weights = token_weights(batch, weighting)
     if reduction is Reduction.GLOBAL_TOKEN_MEAN:
-        scales = weights / batch.total_tokens
+        scales = obj.weights / batch.total_tokens
     else:
-        scales = weights / np.repeat(batch.lengths, batch.lengths) / len(batch)
-    gates = _gate_open(batch, weighting)
+        scales = obj.weights / np.repeat(batch.lengths, batch.lengths) / len(batch)
     margin = 10.0 * step
-    raw = fkl_terms(batch.teacher, softmax_with_temperature(batch.student, cfg.distill_temperature))
 
     max_rel = 0.0
     max_abs = 0.0
@@ -386,8 +390,8 @@ def finite_difference_check(
     for t in range(batch.total_tokens):
         if max_tokens is not None and tokens_done >= max_tokens:
             break
-        fkl_token = gates is None or gates[t]
-        if fkl_token and np.any(np.abs(raw[t] - cfg.clip_threshold) <= margin):
+        fkl_token = obj.gates is None or obj.gates[t]
+        if fkl_token and np.any(np.abs(obj.terms[t] - cfg.clip_threshold) <= margin):
             skipped += 1
             continue
         tokens_done += 1

@@ -22,7 +22,7 @@ from distillab.dists import (
     truncated_entropy,
 )
 from distillab.errors import DegenerateInputError, InvalidInputError
-from distillab.objectives import EntropyGateWeighting, RolloutBatch, _gate_open
+from distillab.objectives import EntropyGateWeighting, ObjectiveConfig, RolloutBatch, _objective
 
 
 def test_softmax_two_point_fixture():
@@ -224,7 +224,7 @@ def test_row_entropies_equal_per_row_entropy_bit_for_bit(seed, rows, vocab, kind
         # the gate on the same rows, with the threshold exactly at one row's entropy
         threshold = float(expected[rng.integers(rows)])
         batch = RolloutBatch([table], [np.zeros((rows, vocab))])
-        mask = _gate_open(batch, EntropyGateWeighting(threshold))
+        mask = _objective(batch, ObjectiveConfig(), EntropyGateWeighting(threshold)).gates
         assert mask.tolist() == [h > threshold for h in expected]
 
 

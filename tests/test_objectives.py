@@ -31,18 +31,21 @@ from distillab.objectives import (
     distillation_loss,
     finite_difference_check,
     loss_gradient_wrt_student_logits,
-    per_token_losses,
     token_weights,
     weighted_reduction,
 )
-from distillab.objectives import _gate_open
+from distillab.objectives import _objective
 from distillab.schedules import PRESETS, PositionSchedule, preset, weights_for_length
 from distillab.seeding import derive_rng
 
 
 def _gate_masks(batch, weighting):
-    gates = _gate_open(batch, weighting)
+    gates = _objective(batch, ObjectiveConfig(), weighting).gates
     return None if gates is None else batch.split(gates)
+
+
+def _losses(batch, cfg, weighting):
+    return _objective(batch, cfg, weighting).losses
 
 
 def _random_batch(rng, n_seqs=4, vocab=32, max_len=16):
@@ -525,9 +528,89 @@ def test_packed_batch_equals_the_per_sequence_batch(bad):
         assert _refusal(lambda: RolloutBatch.packed(teacher, student, lengths)) == message
 
 
+@pytest.mark.parametrize("weighting", [UniformWeighting(), PositionWeighting(preset("sharp")), EntropyGateWeighting(1.8)])
+def test_alternating_batches_give_each_its_own_loss_and_gradient(weighting):
+    # the memo holds one batch: A, B, A must recompute A, and get A's bits
+    rng = derive_rng(32)
+    a, b = _random_batch(rng, n_seqs=3, vocab=9, max_len=6), _random_batch(rng, n_seqs=2, vocab=9, max_len=6)
+    cfg, reduction = ObjectiveConfig(), Reduction.PER_SEQUENCE_MEAN
+    seen = []
+    for batch in (a, b, a):
+        loss = distillation_loss(batch, cfg, weighting, reduction)
+        grad = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
+        seen.append((loss.hex(), grad.tobytes()))
+    assert seen[0] == seen[2] and seen[0] != seen[1]
+    # each reader hands out its own array: writing into one leaves the next call's alone
+    grad[:] = 0.0
+    assert loss_gradient_wrt_student_logits(a, cfg, weighting, reduction).tobytes() == seen[0][1]
+
+
+@pytest.mark.parametrize("packed", [False, True])
+def test_batch_arrays_are_read_only(packed):
+    rng = derive_rng(33)
+    teacher, student = rng.dirichlet(np.ones(4), size=5), rng.standard_normal((5, 4))
+    batch = RolloutBatch.packed(teacher, student, [2, 3]) if packed else RolloutBatch([teacher], [student])
+    for array in (batch.teacher, batch.student, *batch.split(batch.student), *batch.split(batch.teacher)):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            array += 1.0
+
+
+@st.composite
+def _theorem_cases(draw):
+    """Batches under every weighting (uniform, each preset, and an entropy gate
+    at the median row entropy, which closes the rows at or below it), with
+    teacher zeros, and a clip that is a drawn constant or exactly one of the
+    batch's positive forward-KL terms."""
+    vocab = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    teachers, logits = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        L = draw(st.integers(1, 8))
+        q = rng.dirichlet(np.full(vocab, draw(st.sampled_from([0.05, 0.3, 1.0]))), size=L)
+        if vocab > 2 and draw(st.booleans()):
+            q[np.arange(L), q.argmin(axis=1)] = 0.0
+            q /= q.sum(axis=1, keepdims=True)
+        teachers.append(q)
+        logits.append(draw(st.sampled_from([0.5, 1.0, 4.0])) * rng.standard_normal((L, vocab)))
+    batch = RolloutBatch(teachers, logits)
+    kind = draw(st.sampled_from(["uniform", *sorted(PRESETS), "gate"]))
+    if kind == "uniform":
+        weighting = UniformWeighting()
+    elif kind == "gate":
+        entropies = np.sort(row_entropies(batch.teacher))
+        weighting = EntropyGateWeighting(float(entropies[len(entropies) // 2]))
+    else:
+        weighting = PositionWeighting(preset(kind))
+    temperature = draw(st.sampled_from([0.5, 1.1, 2.5]))
+    terms = _objective(batch, ObjectiveConfig(temperature, 1.0), weighting).terms
+    positive = np.sort(terms[terms > 0.0])
+    if positive.size and draw(st.booleans()):
+        clip = float(positive[draw(st.integers(0, positive.size - 1))])
+    else:
+        clip = draw(st.sampled_from([0.01, 0.05, 0.3]))
+    return batch, ObjectiveConfig(temperature, clip), weighting
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_theorem_cases())
+def test_clipped_terms_never_pull_their_logit_up(case):
+    # where token k's forward-KL term is at or above the clip, k is outside U,
+    # so g_k = w * c * p_k * Q_U / T >= 0: descent never raises that logit
+    batch, cfg, weighting = case
+    obj = _objective(batch, cfg, weighting)
+    fkl_rows = np.ones(batch.total_tokens, bool) if obj.gates is None else obj.gates
+    assert np.array_equal(~obj.unclipped, obj.terms >= cfg.clip_threshold)
+    clipped = (obj.terms >= cfg.clip_threshold) & fkl_rows[:, None]
+    for reduction in Reduction:
+        g = loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)
+        assert (g[clipped] >= 0.0).all()
+
+
 def test_per_token_losses_shapes_and_order():
     batch = _random_batch(derive_rng(18), n_seqs=3, vocab=5, max_len=7)
-    losses = batch.split(per_token_losses(batch, ObjectiveConfig(), UniformWeighting()))
+    losses = batch.split(_losses(batch, ObjectiveConfig(), UniformWeighting()))
     assert [l.shape[0] for l in losses] == batch.lengths
 
 
@@ -605,8 +688,9 @@ def _identical(a, b):  # equal values and zero signs, without a longdouble's pad
     gate_at=st.floats(0.0, 1.0),
     temperature=st.sampled_from([0.5, 1.0, 1.1, 2.5]),
     reduction=st.sampled_from(list(Reduction)),
+    boundary=st.booleans(),
 )
-def test_masked_gate_rows_equal_per_row_loops(seed, vocab, zeros, gate_at, temperature, reduction):
+def test_masked_gate_rows_equal_per_row_loops(seed, vocab, zeros, gate_at, temperature, reduction, boundary):
     rng = np.random.default_rng(seed)
     teachers, logits = [], []
     for _ in range(int(rng.integers(1, 4))):
@@ -626,7 +710,12 @@ def test_masked_gate_rows_equal_per_row_loops(seed, vocab, zeros, gate_at, tempe
     # a threshold at a token's entropy: open and closed rows mixed, or all closed
     weighting = EntropyGateWeighting(entropies[int(gate_at * (len(entropies) - 1))])
     cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=0.05)
-    for got, want in zip(batch.split(per_token_losses(batch, cfg, weighting)), _ref_per_token_losses(batch, cfg, weighting)):
+    obj = _objective(batch, cfg, weighting)
+    terms = obj.terms[obj.gates] if obj.gates.any() else obj.terms
+    if boundary and (terms > 0.0).any():  # a clip exactly at the largest term, of an open row if any
+        cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=float(terms.max()))
+        assert (_objective(batch, cfg, weighting).terms == cfg.clip_threshold).any()
+    for got, want in zip(batch.split(_losses(batch, cfg, weighting)), _ref_per_token_losses(batch, cfg, weighting)):
         assert _identical(got, want)
     got_grads = batch.split(loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction))
     for got, want in zip(got_grads, _ref_gradient(batch, cfg, weighting, reduction)):
@@ -844,7 +933,7 @@ def test_packed_objective_equals_per_sequence_reference(case):
     batch, ref = RolloutBatch(teachers, logits), _ListBatch(teachers, logits)
     pairs = [
         (batch.split(token_weights(batch, weighting)), _seq_token_weights(ref, weighting)),
-        (batch.split(per_token_losses(batch, cfg, weighting)), _seq_per_token_losses(ref, cfg, weighting)),
+        (batch.split(_losses(batch, cfg, weighting)), _seq_per_token_losses(ref, cfg, weighting)),
         (
             batch.split(loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction)),
             _seq_gradient(ref, cfg, weighting, reduction),

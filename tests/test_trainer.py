@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distillab.objectives as objectives_module
 import distillab.trainer as trainer_module
 from distillab.dists import softmax_with_temperature, temperature_scaled
 from distillab.errors import InvalidInputError
@@ -186,6 +187,34 @@ def test_single_state_update_matches_closed_form():
     assert abs(delta[1] - 0.12235887753426644) < 1e-12
     # unvisited lanes never move
     assert np.array_equal(theta.tables["hand"][0, 1:], z[0, 1:])
+
+
+def test_objective_pass_runs_once_per_training_batch():
+    # the loss and the gradient of a step, and a check of its batch, share one
+    # softmax of the student rows; a batch never seen before costs one
+    world = _small_world()
+    problems = [generate_problem(world, i) for i in range(2)]
+    for weighting in (PositionWeighting(PositionSchedule(0.3, 0.5, 0.1)), EntropyGateWeighting(1.0)):
+        cfg = _small_cfg(weighting=weighting)
+        theta = init_student(cfg, problems)
+        theta.scale_teachers(problems, cfg.distill_temperature)
+        calls = []
+        softmax = objectives_module.softmax_with_temperature
+
+        def spy(*args):
+            calls.append(args)
+            return softmax(*args)
+
+        with mock.patch.object(objectives_module, "softmax_with_temperature", spy):
+            for _ in range(3):
+                theta, _, _, batch = train_step(theta, problems, cfg)
+                assert len(calls) == 1
+                calls.clear()
+            finite_difference_check(batch, cfg.objective, cfg.weighting, cfg.reduction, max_tokens=1)
+            assert len(calls) == 0
+            fresh = RolloutBatch(batch.split(batch.teacher), batch.split(batch.student))
+            finite_difference_check(fresh, cfg.objective, cfg.weighting, cfg.reduction, max_tokens=1)
+            assert len(calls) == 1
 
 
 def test_train_step_is_deterministic():
