@@ -6,14 +6,13 @@ integers, so running units in any order -- or on any number of workers --
 produces identical results. Generators are numpy PCG64 seeded through
 SeedSequence; reports record RNG_ID so downstream readers know the algorithm.
 
-Three replays of numpy's own algorithms, bit for bit, take the place of
+Two replays of numpy's own algorithms, bit for bit, take the place of
 per-call numpy work where it is the cost: `RawDraws` serves one generator's
-small draws from blocks of its raw outputs; `raw_outputs` computes the first
-raw outputs of many derived generators at once, in array operations across
-their paths; and `replayed` computes the seeded states of many derived
-generators at once and sets them on one reused Generator in turn, so
-numpy's own samplers (such as `standard_normal`) draw from each. The two
-array replays share one SeedSequence kernel, `_generate_state`.
+small draws from blocks of its raw outputs; and `replayed` derives many
+generators at once, running SeedSequence's hashing as one array pass across
+their paths (`_generate_state`) and handing each path's four words to
+numpy's PCG64, which finishes the seeding itself. numpy reads those words
+through a raw pointer, so each path's must be a contiguous (4,) array.
 """
 from __future__ import annotations
 
@@ -22,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it at import, not at the first draw
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InvalidInputError
 
@@ -60,12 +60,11 @@ def derive_rng(*parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-# SeedSequence's hashmix constants and PCG64's 128-bit LCG multiplier
+# SeedSequence's hashmix constants
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 # 0-d arrays: cheaper operands than numpy scalars for the replay's small arrays
 _MIX_L, _MIX_R, _U16 = (np.array(v, np.uint32) for v in (0xCA01F9DD, 0x4973F715, 16))
-_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
-_LO32, _U32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_U32 = np.uint64(32)
 
 
 @lru_cache(maxsize=8)
@@ -112,77 +111,34 @@ def _generate_state(words: np.ndarray) -> np.ndarray:
     return state[0::2] | state[1::2] << _U32
 
 
+class _Words(ISeedSequence):
+    """A seed sequence holding one path's `SeedSequence.generate_state(4,
+    np.uint64)` words, a contiguous (4,) uint64 array: numpy reads them
+    through a raw pointer, so a strided view would seed a wrong state."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:  # what numpy's PCG64 asks for
+            raise RuntimeError(f"PCG64 asked for {n_words} {np.dtype(dtype)} words, not 4 uint64")
+        return self.words
+
+
 def replayed(paths) -> Iterator[np.random.Generator]:
     """`derive_rng(*path)` for each path in `paths`, all of one length, in
-    turn, as one reused Generator whose state is set per path: it is valid
-    only until the next is taken. When every part lies below 2**32 the state
-    is replayed: SeedSequence runs as one array pass across the paths
-    (`_generate_state`) and PCG64's seeding is finished per path in Python
-    ints, inc = 2 * initseq + 1 and state = (inc + initstate) * A + inc mod
-    2**128. Otherwise every path is derived and its state copied."""
+    turn, each a Generator of its own. When every part lies below 2**32,
+    SeedSequence runs as one array pass across the paths (`_generate_state`)
+    and numpy's PCG64 finishes each path's seeding from its four words.
+    Otherwise every path is derived."""
     paths = list(paths)
-    rng = np.random.Generator(np.random.PCG64(0))
     if not (paths and all(paths) and min(map(min, paths)) >= 0 and max(map(max, paths)) < 2**32):
         for path in paths:
-            rng.bit_generator.state = derive_rng(*path).bit_generator.state
-            yield rng
+            yield derive_rng(*path)
         return
-    for init_hi, init_lo, seq_hi, seq_lo in zip(*_generate_state(np.array(paths, np.uint32).T).tolist()):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-        state = ((inc + (init_hi << 64 | init_lo)) * _PCG_MULT + inc) & _M128
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
-        }
-        yield rng
-
-
-def _mul128(x_hi, x_lo, k_hi, k_lo) -> tuple[np.ndarray, np.ndarray]:
-    """x * k mod 2**128 on (high, low) uint64 words; the high word of
-    x_lo * k_lo comes from 32-bit limbs."""
-    x0, x1, k0, k1 = x_lo & _LO32, x_lo >> _U32, k_lo & _LO32, k_lo >> _U32
-    p01, p10 = x0 * k1, x1 * k0
-    mid = (x0 * k0 >> _U32) + (p01 & _LO32) + (p10 & _LO32)
-    carry = x1 * k1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
-    return carry + x_hi * k_lo + x_lo * k_hi, x_lo * k_lo
-
-
-def raw_outputs(seed: int, indices, n: int, rows: int | None = None) -> Iterator[np.ndarray]:
-    """`derive_rng(seed, b).bit_generator.random_raw(n)` for every b in
-    `indices`, in index order, as uint64 blocks of `rows` rows (the last may
-    be shorter; one block of every row by default).
-
-    When the seed and every index lie below 2**32, numpy's own steps run as
-    array operations across the indices: SeedSequence's
-    `generate_state(4, uint64)` (`_generate_state`), PCG64's seeding (state 0,
-    inc = 2 * initseq + 1, step, add initstate, step), and the k-th output as
-    the XSL-RR of P_k * initstate + Q_k * inc mod 2**128, where P_k = A**(k+1)
-    and Q_k = A**(k+1) + A**k + ... + 1 for the multiplier A. Any other path
-    is derived row by row."""
-    paths = [int(i) for i in indices]
-    rows = rows or max(len(paths), 1)
-    if not (0 <= seed < 2**32 and paths and min(paths) >= 0 and max(paths) < 2**32):
-        for start in range(0, len(paths), rows):
-            block = [derive_rng(seed, i).bit_generator.random_raw(n) for i in paths[start : start + rows]]
-            yield np.array(block, dtype=np.uint64).reshape(len(block), n)
-        return
-    b = np.array(paths, dtype=np.uint32)
-    init_hi, init_lo, seq_hi, seq_lo = _generate_state(np.stack([np.full_like(b, seed), b]))[:, :, None]
-    inc_hi, inc_lo = seq_hi << np.uint64(1) | seq_lo >> np.uint64(63), seq_lo << np.uint64(1) | np.uint64(1)
-    power, total, coefficients = _PCG_MULT, 1, []  # P_k and Q_k for k = 1..n
-    for _ in range(n):
-        total += power
-        power = power * _PCG_MULT % 2**128
-        coefficients.extend((power, (power + total) % 2**128))
-    words = np.array([[c >> 64, c & 2**64 - 1] for c in coefficients], dtype=np.uint64)
-    p_hi, p_lo, q_hi, q_lo = words.reshape(n, 4).T
-    for start in range(0, len(paths), rows):
-        block = slice(start, start + rows)
-        a_hi, a_lo = _mul128(init_hi[block], init_lo[block], p_hi, p_lo)
-        c_hi, c_lo = _mul128(inc_hi[block], inc_lo[block], q_hi, q_lo)
-        lo = a_lo + c_lo
-        hi = a_hi + c_hi + (lo < a_lo)
-        mixed, rot = hi ^ lo, hi >> np.uint64(58)
-        yield mixed >> rot | mixed << (np.uint64(64) - rot & np.uint64(63))
+    # rows of a copy, not columns of the (4, P) result: each (4,) contiguous
+    for words in _generate_state(np.array(paths, np.uint32).T).T.copy():
+        yield np.random.Generator(np.random.PCG64(_Words(words)))
 
 
 class RawDraws:

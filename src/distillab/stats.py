@@ -27,17 +27,19 @@ bit-identical to the direct resample-and-rank loop, which `_group_indices`,
 reference. The draw counts depend only on (seed, resamples, number of
 problems), so several scores over the same candidates share one set of draws.
 Each resample's counts are those of its own generator's `integers` draw,
-computed for all resamples at once from `seeding.raw_outputs`.
+computed in blocks of resamples from the raw outputs of generators that
+`seeding.replayed` derives in one pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .seeding import RNG_ID, derive_rng, raw_outputs
+from .seeding import RNG_ID, derive_rng, replayed
 
 
 @dataclass(frozen=True)
@@ -204,17 +206,19 @@ def _draw_counts(seed: int, resamples: int, n_problems: int) -> np.ndarray:
     bootstrapped over the same problems reuses one matrix.
 
     Row b is `derive_rng(seed, b).integers(0, n, size=n)` counted, computed in
-    blocks of rows from `raw_outputs`: numpy's 32-bit Lemire rule on a fresh
-    buffer, the low half of each raw output and then its high half, each
-    word w giving (w * n) >> 32. A row in which a word would be rejected (the
-    low 32 bits of w * n below (2**32 - n) mod n) is redrawn from its own
-    generator. Row 0 is always redrawn so, and if it differs every row is."""
+    blocks of rows from the raw outputs of the `replayed` generators: numpy's
+    32-bit Lemire rule on a fresh buffer, the low half of each raw output and
+    then its high half, each word w giving (w * n) >> 32. A row in which a
+    word would be rejected (the low 32 bits of w * n below (2**32 - n) mod n)
+    is redrawn from its own generator. Row 0 is always redrawn so, and if it
+    differs every row is."""
     n = n_problems
     counts = np.empty((resamples, n), dtype=float)
     threshold = np.uint64((2**32 - n) % n)
     step = max(1, 2**13 // n)  # rows per block: temporaries of 64 KiB at up to 8,192 problems
-    blocks = raw_outputs(seed, range(resamples), (n + 1) // 2, step)
-    for start, raws in zip(range(0, resamples, step), blocks):
+    rngs = replayed((seed, b) for b in range(resamples))
+    for start in range(0, resamples, step):
+        raws = np.array([rng.bit_generator.random_raw((n + 1) // 2) for rng in islice(rngs, step)])
         stop = start + raws.shape[0]
         # a raw output's two 32-bit halves, low first, on any byte order
         words = raws.astype("<u8").view("<u4")[:, :n].astype(np.uint64) * np.uint64(n)

@@ -34,12 +34,14 @@ from .dists import floored_log, softmax_with_temperature, temperature_scaled
 from .errors import InvalidInputError, NumericDomainError
 from .metrics import aggregate_metrics, grade_and_cluster, problem_metrics, seed_spread
 from .objectives import (
+    EntropyGateWeighting,
     ObjectiveConfig,
     PositionWeighting,
     Reduction,
     RolloutBatch,
     UniformWeighting,
     Weighting,
+    default_gate_threshold,
     distillation_loss,
     finite_difference_check,
     loss_gradient_wrt_student_logits,
@@ -56,8 +58,6 @@ from .world import (
 def weighting_from_name(name: str, vocab_size: int | None = None) -> Weighting:
     """Resolve a weighting by name: 'uniform', a schedule preset name, or
     'entropy_gate' (optionally 'entropy_gate:<threshold>')."""
-    from .objectives import EntropyGateWeighting, default_gate_threshold
-
     key = name.strip().lower()
     if key == "uniform":
         return UniformWeighting()

@@ -111,52 +111,6 @@ def test_raw_draws_refuse_empty_and_2_32_ranges(args):
         seeding.RawDraws(seeding.derive_rng(0)).integers(*args)
 
 
-def _raw_rows(seed, indices, n, rows=None):
-    blocks = list(seeding.raw_outputs(seed, indices, n, rows))
-    return np.concatenate(blocks) if blocks else np.zeros((0, n), dtype=np.uint64)
-
-
-# seeds and indices of one 32-bit word take the array path; wider ones are
-# derived row by row
-_words = st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.just(2**32 - 1), st.integers(2**32, 2**70))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=_words,
-    indices=st.lists(_words, max_size=12),
-    n=st.one_of(st.integers(1, 8), st.integers(1, 600)),
-    rows=st.one_of(st.none(), st.integers(1, 5)),
-)
-@example(seed=0, indices=[0, 1, 2**32 - 1], n=600, rows=None)
-@example(seed=2**32 - 1, indices=[5, 0], n=1, rows=1)
-@example(seed=2**32, indices=[0, 1, 2], n=3, rows=2)  # two-word seed: row by row
-@example(seed=2**40, indices=[7], n=2, rows=None)
-@example(seed=3, indices=[2**32, 1], n=4, rows=None)  # a two-word index
-def test_raw_outputs_equal_each_generator(seed, indices, n, rows):
-    got = _raw_rows(seed, indices, n, rows)
-    expected = [seeding.derive_rng(seed, b).bit_generator.random_raw(n) for b in indices]
-    assert got.dtype == np.uint64 and got.shape == (len(indices), n)
-    assert got.tobytes() == np.array(expected, dtype=np.uint64).reshape(len(indices), n).tobytes()
-    if rows is not None:  # blocks of `rows` rows, in index order
-        sizes = [block.shape[0] for block in seeding.raw_outputs(seed, indices, n, rows)]
-        assert sizes == [min(rows, len(indices) - i) for i in range(0, len(indices), rows)]
-
-
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40])
-def test_raw_outputs_at_word_boundaries(seed):
-    indices = [0, 1, 2, 1999, 2**32 - 1]
-    got = _raw_rows(seed, indices, 40, rows=2)
-    for row, b in zip(got, indices):
-        assert row.tobytes() == seeding.derive_rng(seed, b).bit_generator.random_raw(40).tobytes()
-
-
-def test_raw_outputs_refuse_negative_paths():
-    for seed, indices in ((-1, [0]), (0, [3, -2])):
-        with pytest.raises(InvalidInputError):
-            _raw_rows(seed, indices, 4)
-
-
 _part = st.one_of(st.sampled_from([0, 1, 2**31, 2**32 - 1]), st.integers(0, 2**32 - 1))
 
 
@@ -185,11 +139,19 @@ def test_replayed_generators_draw_as_each_derived_generator(paths):
     assert got == [seeding.derive_rng(*path).standard_normal(5).tobytes() for path in paths]
 
 
-@pytest.mark.parametrize("paths", [[[0, 1], [2, 3]], [[0, 2**32], [2, 3]]])  # replayed, and the fallback
-def test_replayed_yields_one_reused_generator(paths):
-    rngs = list(seeding.replayed(paths))
-    assert rngs[0] is rngs[1]
-    assert rngs[0].bit_generator.state == seeding.derive_rng(*paths[-1]).bit_generator.state
+@pytest.mark.parametrize("paths", [[[0, 1], [2, 3], [0, 1]], [[0, 2**32], [2, 3], [0, 2**32]]])  # replayed, and the fallback
+def test_replayed_generators_are_independent(paths):
+    rngs = list(seeding.replayed(paths))  # every generator taken before any draws
+    got = [rng.bit_generator.random_raw(3).tobytes() for rng in rngs]
+    assert got == [seeding.derive_rng(*path).bit_generator.random_raw(3).tobytes() for path in paths]
+
+
+@pytest.mark.parametrize("request_", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
+def test_replayed_words_refuse_any_request_but_four_uint64(request_):
+    words = seeding._Words(np.zeros(4, np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    with pytest.raises(RuntimeError, match="PCG64 asked for"):
+        words.generate_state(*request_)
 
 
 def test_replayed_refuses_negative_paths():

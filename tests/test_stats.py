@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from distillab import stats
 from distillab.errors import DegenerateInputError, InvalidInputError
-from distillab.seeding import RNG_ID, derive_rng, raw_outputs
+from distillab.seeding import RNG_ID, derive_rng, replayed
 from distillab.stats import (
     BootstrapConfig,
     BootstrapResult,
@@ -417,13 +417,29 @@ def test_draw_counts_derive_only_row_zero_and_rejected_rows(monkeypatch):
     assert sorted(calls) == [(0, 0), (0, 3), (0, 4)]
 
 
+# one-word seeds replay their generators, wider ones derive each; odd counts
+# draw the low half of their last raw output only
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**70)),
+    resamples=st.integers(1, 40),
+    n=st.one_of(st.integers(1, 9), st.integers(1, 600)),
+)
+@example(seed=2**32 - 1, resamples=40, n=599)
+@example(seed=2**32, resamples=1, n=1)
+def test_draw_counts_equal_the_reference_at_any_seed(seed, resamples, n):
+    stats._draw_counts.cache_clear()
+    assert stats._draw_counts(seed, resamples, n).tobytes() == _reference_draw_counts(seed, resamples, n).tobytes()
+
+
 def test_draw_counts_fall_back_to_every_generator_when_row_zero_differs(monkeypatch):
-    def shifted(seed, indices, n, rows=None):  # an array path that is off by one word
-        for block in raw_outputs(seed, indices, n + 1, rows):
-            yield block[:, 1:]
+    def ahead(paths):  # a replay whose generators are one raw output ahead
+        for rng in replayed(paths):
+            rng.bit_generator.random_raw()
+            yield rng
 
     calls = _count_derivations(monkeypatch)
-    monkeypatch.setattr(stats, "raw_outputs", shifted)
+    monkeypatch.setattr(stats, "replayed", ahead)
     assert stats._draw_counts(7, 30, 9).tobytes() == _reference_draw_counts(7, 30, 9).tobytes()
     assert len(calls) == 31
     stats._draw_counts.cache_clear()
