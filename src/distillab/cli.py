@@ -56,7 +56,7 @@ from .trainer import (
     weighting_from_name,
 )
 from .uncertainty import score_ensemble
-from .viability import FilterConfig, write_candidates_jsonl
+from .viability import FilterConfig
 from .workers import map_sharded
 from .world import WorldConfig, run_diagnostic
 
@@ -310,11 +310,10 @@ def _cmd_diagnose(args: argparse.Namespace, argv: list[str]) -> int:
     filter_cfg = FilterConfig(spacing=args.spacing) if args.spacing else None  # None: by depth
     out = Path(args.out)
 
-    def write_samples(candidates, spines) -> None:
+    def write_samples(candidates_jsonl: str, spines_jsonl: str) -> None:
         # written before the statistics, so a late failure keeps them
-        out.mkdir(parents=True, exist_ok=True)
-        write_candidates_jsonl(out / "candidates.jsonl", candidates)
-        _write_text(out / "spines.jsonl", "".join(_dump(s) + "\n" for s in spines))
+        _write_text(out / "candidates.jsonl", candidates_jsonl)
+        _write_text(out / "spines.jsonl", spines_jsonl)
 
     report = run_diagnostic(
         world,

@@ -238,21 +238,26 @@ def _pair_count_matrix(
     """M[a, b] = #(positive in a, negative in b) with r+ > r-, plus 1/2 per tie,
     on within-problem residuals; also each problem's positive and negative counts.
     Problems with the same candidate count share one 2-D mean, each of whose
-    row reductions is the 1-D `block.mean()` of `_assemble_resample`."""
+    row reductions is the 1-D `block.mean()` of `_assemble_resample`. M is one
+    `bincount` of the pair wins over (positive's problem, negative's problem)
+    cells, exact in any order: a matmul through a membership matrix sums the
+    same halves, but OpenBLAS's threaded path can stall on its shapes."""
     residual = np.empty_like(scores)
-    member = np.zeros((scores.size, len(groups)))
+    problem = np.empty(scores.size, dtype=np.intp)
     sizes = np.array([idx.size for idx in groups])
     for size in set(sizes.tolist()):  # np.unique would import numpy.ma
         same = np.flatnonzero(sizes == size)
         idx = np.array([groups[p] for p in same])
         block = scores[idx]
         residual[idx] = block - block.mean(axis=1, keepdims=True)
-        member[idx, same[:, None]] = 1.0
+        problem[idx] = same[:, None]
+    n, pos, neg = len(groups), problem[labels], problem[~labels]
     r_pos = residual[labels][:, None]
     r_neg = residual[~labels][None, :]
     wins = (r_pos > r_neg) + 0.5 * (r_pos == r_neg)
-    m = member[labels].T @ wins @ member[~labels]
-    return m, member[labels].sum(axis=0), member[~labels].sum(axis=0)
+    cells = (pos[:, None] * n + neg).ravel()
+    m = np.bincount(cells, weights=wins.ravel(), minlength=n * n).reshape(n, n).astype(float)  # int if no pairs
+    return m, np.bincount(pos, minlength=n).astype(float), np.bincount(neg, minlength=n).astype(float)
 
 
 def _resample_aurocs(

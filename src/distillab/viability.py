@@ -249,7 +249,6 @@ def label_candidate(child_viabilities, thresholds: LabelThresholds) -> Label:
     return Label.GRAY
 
 
-def write_candidates_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+def candidates_jsonl(records) -> str:
+    """The records as `candidates.jsonl` text, one JSON object a line."""
+    return "".join(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n" for rec in records)

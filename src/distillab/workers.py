@@ -106,22 +106,32 @@ def _kill_and_reap(children: list[tuple[int, int, int]]) -> None:
             os.waitpid(pid, 0)
 
 
-def map_sharded(fn: Callable[[U], T], items: Iterable[U], threads: int) -> tuple[list[T], int]:
+def map_sharded(
+    fn: Callable[[U], T], items: Iterable[U], threads: int, finish: Callable[[list[T]], list] | None = None
+) -> tuple[list, int]:
     """([fn(x) for x in items], workers), on `worker_count(threads, len(items))`
     processes; item i goes to shard i % workers, and results come back in item
     order. A shard stops at its first failing item, and the exception of the
-    lowest failing item is raised, as a serial run would raise it."""
+    lowest failing item is raised, as a serial run would raise it.
+
+    `finish`, when given, maps a shard's results (of the items it got through,
+    in item order) to the values it sends back, one per result, in the shard's
+    process; an exception from it counts as the shard's first item's."""
     items = list(items)
     workers = worker_count(threads, len(items))
 
-    def shard(k: int) -> tuple[list[T], tuple[int, Exception] | None]:
-        done = []
+    def shard(k: int) -> tuple[list, tuple[int, Exception] | None]:
+        done, failure = [], None
         for i in range(k, len(items), workers):
             try:
                 done.append(fn(items[i]))
             except Exception as exc:  # noqa: BLE001 - ordered against the other shards
-                return done, (i, exc)
-        return done, None
+                failure = (i, exc)
+                break
+        try:
+            return (finish(done) if finish and done else done), failure
+        except Exception as exc:  # noqa: BLE001 - charged to the shard's first item
+            return done, (k, exc)
 
     shards = fan_out(shard, workers)
     failures = [failure for _, failure in shards if failure is not None]

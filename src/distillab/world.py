@@ -28,6 +28,7 @@ keeps greedy rollouts correct and makes nucleus continuations deterministic.
 from __future__ import annotations
 
 import dataclasses
+import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -44,6 +45,7 @@ from .viability import (
     FilterConfig,
     Label,
     LabelThresholds,
+    candidates_jsonl,
     child_viability,
     label_candidate,
     select_candidates,
@@ -262,6 +264,7 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
         teacher[t, z] = TEACHER_BACKGROUND / (V - 3)
         teacher[t, z, peak] = 1.0 - amb - TEACHER_BACKGROUND
         teacher[t[:, None], z[:, None], states[:, 4:]] = (amb / 2.0)[:, None]
+    teacher.flags.writeable = student.flags.writeable = False  # memos key a problem by identity
 
     return ProblemInstance(
         problem_id=f"p{index:04d}",
@@ -301,17 +304,13 @@ def nucleus_sample(
     The draw is inverse-CDF sampling on each row's kept prefix. The prefixes
     are built table-wide and memoised by the table's bytes, shape,
     temperature and top_p in a least-recently-used memo of
-    `_TABLE_MEMO_SIZE` entries. The memo is exact: the same bytes go through
-    the same computation, and a table changed in place has new bytes."""
-    if not (0.0 < top_p <= 1.0):
-        raise InvalidInputError(f"top_p must lie in (0, 1], got {top_p!r}")
-    if not temperature > 0.0:
-        raise InvalidInputError(f"temperature must be positive, got {temperature!r}")
+    `_TABLE_MEMO_SIZE` entries, which checks temperature and top_p. The memo
+    is exact: a table changed in place has new bytes."""
     p = np.asarray(probs, dtype=float)
     shape = p.shape if p.ndim > 1 else (1, *p.shape)
-    order, cum, starts, spread = _nucleus_table(p.tobytes(), shape, temperature, top_p)
+    order, cum, starts, point_from = _nucleus_table(p.tobytes(), shape, temperature, top_p)
     cum, starts = cum[first:], starts[first:]
-    if spread[first] or not callable(rng):  # a point-mass suffix needs no uniform
+    if first < point_from or not callable(rng):  # a point-mass suffix needs no uniform
         tokens = nucleus_draw(rng() if callable(rng) else rng, order, cum, starts)
     else:
         tokens = order[starts]
@@ -357,22 +356,45 @@ _TABLE_MEMO_SIZE = 4
 @lru_cache(maxsize=_TABLE_MEMO_SIZE)
 def _nucleus_table(
     data: bytes, shape: tuple[int, ...], temperature: float, top_p: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bool]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """`nucleus_rows` of every row of a (..., K, V) table, cut to as many
     columns as the longest nucleus: the flattened token order, the
-    cumulative rows, each row's start in the flattened order, and, per
-    leading index i, whether a row at i or later keeps more than one token."""
+    cumulative rows, each row's start in the flattened order, and the first
+    leading index from which every row keeps one token (shape[0] if none)."""
+    if not (0.0 < top_p <= 1.0):
+        raise InvalidInputError(f"top_p must lie in (0, 1], got {top_p!r}")
+    if not temperature > 0.0:
+        raise InvalidInputError(f"temperature must be positive, got {temperature!r}")
     p = temperature_scaled(np.frombuffer(data).reshape(-1, shape[-1]), temperature)
     order, cum, cut = nucleus_rows(p, top_p)
     width = int(cut.max())
     leading = shape[:-1]
-    wide = (cut > 1).reshape(shape[0], -1).any(axis=1)
+    wide = np.flatnonzero((cut > 1).reshape(shape[0], -1).any(axis=1))
     return (
         np.ascontiguousarray(order[:, :width]).reshape(-1),
         np.ascontiguousarray(cum[:, :width]).reshape(*leading, width),
         np.arange(0, cut.size * width, width).reshape(leading),
-        np.logical_or.accumulate(wide[::-1])[::-1].tolist(),
+        int(wide[-1]) + 1 if wide.size else 0,
     )
+
+
+@lru_cache(maxsize=_TABLE_MEMO_SIZE)
+def _point_mass_outcomes(problem: ProblemInstance, temperature: float, top_p: float) -> tuple[int, list[list[bool]]]:
+    """(first, outcomes): from layer `first` on, every kept nucleus of the
+    student table holds one token, and outcomes[t - first][lane] says whether
+    walking those tokens from layer t in `lane` reaches the gold answer. One
+    backward pass over the layers: a state's outcome is its next state's. A
+    problem's arrays never change, so the memo is keyed by the problem."""
+    student = problem.student
+    first = _nucleus_table(student.tobytes(), student.shape, temperature, top_p)[3]
+    if first == problem.length:
+        return first, []
+    rows = nucleus_sample(lambda: None, student, temperature, top_p, first).tolist()  # draws no uniform
+    outcomes = [[str(token) == problem.gold_answer for token in rows[-1]]]  # `Episode.correct`
+    for t in range(problem.length - 2, first - 1, -1):
+        after = outcomes[-1]
+        outcomes.append([after[lanes[token]] for lanes, token in zip(problem.next_lane[t], rows[t - first])])
+    return first, outcomes[::-1]
 
 
 def student_rollout(
@@ -404,8 +426,9 @@ def forced_continuation(
 ) -> list[bool]:
     """Force one child token at a spine position, then sample the student to the
     end `attempts` times; outcome per attempt is terminal-answer correctness.
-    A point-mass draw (one token per kept nucleus, as at T = 1, top_p = 0.95)
-    derives no generator, and its one walk gives every attempt's outcome."""
+    A point-mass suffix (one token per kept nucleus, as at T = 1, top_p = 0.95)
+    derives no generator and reads the problem's `_point_mass_outcomes`; a
+    wider one draws each attempt from its own generator and walks it."""
     if not (0 <= position < problem.length - 1):
         raise InvalidInputError(
             f"position must lie in [0, {problem.length - 2}], got {position}"
@@ -418,47 +441,44 @@ def forced_continuation(
             f"token {forced_token} is not a child of layer {position} lane {lane}"
         )
     after = problem.transition(position, lane, int(forced_token))
+    first, table = _point_mass_outcomes(problem, temperature, top_p)
+    if position + 1 >= first:
+        return [table[position + 1 - first][after]] * attempts
     outcomes = []
     for a in range(attempts):
-        derived = []  # the attempt's generator, if its draw asks for one
-
-        def attempt_rng() -> np.random.Generator:
-            derived.append(derive_rng(problem.cfg.seed, TAG_FORCE, problem.index, position, forced_token, a))
-            return derived[-1]
-
-        tokens = nucleus_sample(attempt_rng, problem.student, temperature, top_p, position + 1)
+        rng = derive_rng(problem.cfg.seed, TAG_FORCE, problem.index, position, forced_token, a)
+        tokens = nucleus_sample(rng, problem.student, temperature, top_p, position + 1)
         outcomes.append(walk(problem, position + 1, after, tokens).correct)
-        if not derived:  # a point-mass draw: every attempt emits these tokens
-            return outcomes * attempts
     return outcomes
 
 
 def teacher_ensemble(
-    problem: ProblemInstance,
+    problem: ProblemInstance | list[ProblemInstance],
     position: int | list[int],
     lane: int | list[int],
     members: int = 5,
     perturb_scale: float = 0.1,
 ) -> np.ndarray:
     """Stochastic ensemble for a state: seeded logit-noise perturbations of the
-    teacher distribution, one generator per (position, member) and one
-    softmax of the (members, V) logits. Equal sequences of positions and
-    lanes give the (C, members, V) stack of their ensembles, with one
-    overflow check and one softmax for the stack. The generators' states are
-    replayed (`seeding.replayed`), so each member's noise is numpy's own
-    `standard_normal`. Zero perturbation returns exact copies. A scale whose
-    logits, or their shift by the row max, overflow is refused."""
+    teacher distribution, one generator per (problem, position, member) and
+    one softmax of the (members, V) logits. Equal sequences of positions and
+    lanes, of one problem or of one problem each, give the (C, members, V)
+    stack of their ensembles, with one overflow check and one softmax. The
+    generators' states are replayed in one pass (`seeding.replayed`), so each
+    member's noise is numpy's own `standard_normal`. Zero perturbation returns
+    exact copies. A scale whose logits, or their shift by the row max,
+    overflow is refused."""
     if members < 2:
         raise InvalidInputError(f"members must be >= 2, got {members}")
     if perturb_scale < 0.0:
         raise InvalidInputError(f"perturb_scale must be >= 0, got {perturb_scale!r}")
-    positions = np.atleast_1d(position)
-    q = problem.teacher[positions, np.atleast_1d(lane)][:, None, :]
+    positions, lanes = np.atleast_1d(position).tolist(), np.atleast_1d(lane).tolist()
+    problems = problem if isinstance(problem, list) else [problem] * len(positions)
+    q = np.array([p.teacher[t, z] for p, t, z in zip(problems, positions, lanes, strict=True)])[:, None]
     if perturb_scale == 0.0:
         ensembles = np.repeat(q, members, axis=1)
     else:
-        prefix = (problem.cfg.seed, TAG_ENSEMBLE, problem.index)
-        paths = [(*prefix, p, m) for p in positions.tolist() for m in range(members)]
+        paths = [(p.cfg.seed, TAG_ENSEMBLE, p.index, t, m) for p, t in zip(problems, positions) for m in range(members)]
         noise = np.empty((len(paths), q.shape[-1]))
         for row, rng in zip(noise, replayed(paths)):
             rng.standard_normal(out=row)
@@ -508,12 +528,11 @@ def _probe_problem(
     index: int,
     filter_cfg: FilterConfig,
     thresholds: LabelThresholds,
-    ensemble_members: int,
-    perturb_scale: float,
     continuations_per_child: int,
-) -> tuple[dict, list[CandidateRecord]]:
-    """One problem's greedy spine record and its labelled, scored candidates
-    (none when the spine is wrong: the probe reads only correct spines)."""
+) -> tuple[dict, list[CandidateRecord], ProblemInstance, Episode]:
+    """One problem's greedy spine record, its labelled candidates (none when
+    the spine is wrong: the probe reads only correct spines), the problem
+    and its spine. `_score_block` scores the candidates."""
     problem = generate_problem(cfg, index)
     trace = student_rollout(problem, mode="greedy")
     spine_record = {
@@ -523,7 +542,7 @@ def _probe_problem(
         "gold_answer": problem.gold_answer,
     }
     if not trace.correct:
-        return spine_record, []
+        return spine_record, [], problem, trace
     valid_mask = np.ones(cfg.vocab_size, dtype=bool)  # every world token is valid
     candidates = select_candidates(
         problem.problem_id,
@@ -547,15 +566,23 @@ def _probe_problem(
         cand.child_viabilities = viabilities
         cand.label = label_candidate(viabilities, thresholds)
         cand.ground_truth_reliable = int(problem.kind[cand.spine_pos, lane]) != UNRELIABLE
-    if candidates:
-        positions = [cand.spine_pos for cand in candidates]
-        ensembles = teacher_ensemble(
-            problem, positions, [trace.lanes[p] for p in positions], ensemble_members, perturb_scale
-        )
-        scores = score_ensemble(ensembles, [cand.truncated_entropy for cand in candidates])
-        for cand, ensemble_scores in zip(candidates, scores):
-            cand.scores = {"oriented_position": cand.oriented_score, **ensemble_scores}
-    return spine_record, candidates
+    return spine_record, candidates, problem, trace
+
+
+def _score_block(probes: list, ensemble_members: int, perturb_scale: float) -> list[tuple[dict, list, str, str]]:
+    """Score every candidate of a block of `_probe_problem` results as one
+    (C, members, V) stack: one `teacher_ensemble` and one `score_ensemble`
+    call. Returns per problem its spine record, its candidates, and their
+    JSON lines as `diagnose` writes them."""
+    block = [(problem, cand, trace.lanes[cand.spine_pos]) for _, cands, problem, trace in probes for cand in cands]
+    if block:
+        problems, cands, lanes = map(list, zip(*block))
+        ensembles = teacher_ensemble(problems, [c.spine_pos for c in cands], lanes, ensemble_members, perturb_scale)
+        for cand, scores in zip(cands, score_ensemble(ensembles, [c.truncated_entropy for c in cands])):
+            cand.scores = {"oriented_position": cand.oriented_score, **scores}
+    return [
+        (spine, cands, json.dumps(spine, sort_keys=True) + "\n", candidates_jsonl(cands)) for spine, cands, *_ in probes
+    ]
 
 
 def run_diagnostic(
@@ -567,16 +594,18 @@ def run_diagnostic(
     ensemble_members: int = 5,
     perturb_scale: float = 0.1,
     continuations_per_child: int = 6,
-    on_samples: Callable[[list[CandidateRecord], list[dict]], None] | None = None,
+    on_samples: Callable[[str, str], None] | None = None,
     threads: int = 1,
 ) -> DiagnosticReport:
     """Full probe: greedy spines, candidate selection, forced continuations,
     labels, uncertainty scores, and residualized AUROC reports per score.
-    `on_samples(candidates, spines)` runs before any statistic, so a caller
-    keeps the sampled data even when the statistics then fail. Problems are
-    probed on up to `threads` processes (`workers.map_sharded`) and merged in
-    problem order; the statistics run in this process, so the report does
-    not depend on `threads`. `report.workers` is the number of processes used."""
+    Problems are dealt to up to `threads` processes (`workers.map_sharded`),
+    each probing its problems one by one (`_probe_problem`) and then scoring
+    their candidates and writing their JSON lines (`_score_block`). Results
+    merge in problem order and the statistics run here, so the report does
+    not depend on `threads`. `on_samples(candidates_jsonl, spines_jsonl)` gets
+    the two files' text before any statistic, so a caller keeps them even
+    when the statistics fail. `report.workers` is the processes used."""
     if n_problems < 2:
         raise InvalidInputError(f"n_problems must be >= 2, got {n_problems}")
     filter_cfg = filter_cfg or default_filter_for_depth(cfg.depth)
@@ -584,24 +613,17 @@ def run_diagnostic(
     bootstrap_cfg = bootstrap_cfg or BootstrapConfig(seed=cfg.seed)
 
     probes, workers = map_sharded(
-        lambda index: _probe_problem(
-            cfg,
-            index,
-            filter_cfg,
-            thresholds,
-            ensemble_members,
-            perturb_scale,
-            continuations_per_child,
-        ),
+        lambda index: _probe_problem(cfg, index, filter_cfg, thresholds, continuations_per_child),
         range(n_problems),
         threads,
+        finish=lambda block: _score_block(block, ensemble_members, perturb_scale),
     )
-    spines = [spine for spine, _ in probes]
-    all_candidates = [cand for _, candidates in probes for cand in candidates]
+    spines = [spine for spine, *_ in probes]
+    all_candidates = [cand for _, candidates, *_ in probes for cand in candidates]
     n_correct = sum(1 for spine in spines if spine["correct"])
 
     if on_samples is not None:
-        on_samples(all_candidates, spines)
+        on_samples("".join(lines for *_, lines in probes), "".join(line for *_, line, _ in probes))
     if not all_candidates:
         raise DegenerateInputError("diagnostic produced no candidates")
 

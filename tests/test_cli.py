@@ -593,6 +593,49 @@ def test_diagnose_threads_flag_does_not_change_output(tmp_path):
         assert fa == fb, name
 
 
+def _diagnose_in(monkeypatch, capsys, run_dir, argv):
+    """(exit code, stdout, stderr, data files' bytes) of one in-process
+    diagnose run writing to `out` under `run_dir`."""
+    from distillab.cli import main
+
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    code = main(argv + ["--out", "out"])
+    captured = capsys.readouterr()
+    names = ("candidates.jsonl", "spines.jsonl", "report.json", "position_curve.csv")
+    files = [(run_dir / "out" / name).read_bytes() for name in names if (run_dir / "out" / name).exists()]
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("flags", [[], ["--perturb", "0"], ["--continuations", "2"]])
+def test_diagnose_outputs_do_not_depend_on_threads(monkeypatch, capsys, tmp_path, flags):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # fork even on a one-CPU host
+    argv = ["diagnose", "--problems", "9", "--members", "3", "--perturb", "3", *flags]
+    runs = [_diagnose_in(monkeypatch, capsys, tmp_path / t, argv + ["--threads", t]) for t in ("1", "2", "3")]
+    assert runs[0][0] == 0 and runs[0][2] == "" and len(runs[0][3]) == 4
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    meta = [json.loads((tmp_path / t / "out" / "run_meta.json").read_text(encoding="utf-8")) for t in ("1", "2", "3")]
+    assert [m["workers"] for m in meta] == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--perturb", "1e308"], "perturb_scale 1e+308 overflows the ensemble logits"),
+        (["--continuations", "0"], "attempts must be >= 1, got 0"),
+        # the continuations run before the ensembles, in every process
+        (["--perturb", "1e308", "--continuations", "0"], "attempts must be >= 1, got 0"),
+    ],
+)
+def test_diagnose_failures_do_not_depend_on_threads(monkeypatch, capsys, tmp_path, flags, message):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    argv = ["diagnose", "--problems", "9", *flags]
+    one, two = (_diagnose_in(monkeypatch, capsys, tmp_path / t, argv + ["--threads", t]) for t in ("1", "2"))
+    assert one == two
+    assert one[0] == 2 and one[1] == "" and one[3] == []
+    assert one[2].splitlines() == [json.dumps({"error": "InvalidInputError", "message": message})]
+
+
 def test_sweep_writes_json_and_csv(tmp_path):
     out = tmp_path / "sweep"
     res = _run(["sweep"] + TINY_WORLD + [

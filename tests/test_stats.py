@@ -17,6 +17,7 @@ from distillab.stats import (
     _group_indices,
     _midranks,
     _resample_aurocs,
+    _residuals,
     _split,
     auprc,
     auroc,
@@ -353,6 +354,34 @@ def test_count_matrix_bootstrap_equals_reference_bit_for_bit(cands, seed, resamp
     assert (res.n_resamples, res.n_degenerate) == (slow.size, slow_degenerate)
     assert res.ci_low == float(np.quantile(slow, alpha, method="nearest"))
     assert res.ci_high == float(np.quantile(slow, 1.0 - alpha, method="nearest"))
+
+
+def _reference_pair_count_matrix(groups, scores, labels):
+    # the membership-matrix product that one bincount replaced
+    residual = _residuals(groups, scores)
+    member = np.zeros((scores.size, len(groups)))
+    for p, idx in enumerate(groups):
+        member[idx, p] = 1.0
+    r_pos = residual[labels][:, None]
+    r_neg = residual[~labels][None, :]
+    wins = (r_pos > r_neg) + 0.5 * (r_pos == r_neg)
+    m = member[labels].T @ wins @ member[~labels]
+    return m, member[labels].sum(axis=0), member[~labels].sum(axis=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cands=st.lists(_candidate, min_size=1, max_size=40))
+@example(cands=[(0, 1.0, True), (0, 1.0, True), (1, 0.0, False), (1, 2.0, False)])  # single-class problems
+@example(cands=[(0, 1.0, True), (1, 1.0, False), (0, 1.0, False), (1, 1.0, True)])  # every residual tied
+def test_pair_count_matrix_equals_the_membership_product(cands):
+    items = [ScoredCandidate(f"p{p}", s, l) for p, s, l in cands]
+    problems, scores, labels = _split(items)
+    groups = _group_indices(problems)[1]
+    got = stats._pair_count_matrix(groups, scores, labels)
+    expected = _reference_pair_count_matrix(groups, scores, labels)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        assert [v.hex() for v in a.ravel().tolist()] == [v.hex() for v in b.ravel().tolist()]
 
 
 @settings(max_examples=300, deadline=None)

@@ -14,11 +14,11 @@ from distillab.viability import (
     FilterConfig,
     Label,
     LabelThresholds,
+    candidates_jsonl,
     child_viability,
     label_candidate,
     position_scores,
     select_candidates,
-    write_candidates_jsonl,
 )
 
 
@@ -281,7 +281,7 @@ def test_candidate_record_roundtrip(tmp_path, capsys):
         ),
     ]
     path = tmp_path / "cands.jsonl"
-    write_candidates_jsonl(path, recs)
+    path.write_text(candidates_jsonl(recs), encoding="utf-8")
     back = _read_back(path)
     assert len(back) == 2
     for a, b in zip(recs, back):
@@ -301,7 +301,7 @@ def test_candidate_record_roundtrip(tmp_path, capsys):
     written = (out / "candidates.jsonl").read_bytes()
     back = _read_back(out / "candidates.jsonl")
     assert len(back) == written.count(b"\n") > 0
-    write_candidates_jsonl(tmp_path / "again.jsonl", back)
+    (tmp_path / "again.jsonl").write_text(candidates_jsonl(back), encoding="utf-8")
     assert (tmp_path / "again.jsonl").read_bytes() == written
 
 

@@ -99,6 +99,64 @@ def test_map_sharded_raises_the_first_failing_item_at_any_thread_count(monkeypat
             map_sharded(fn, range(6), threads)
 
 
+def test_map_sharded_finish_maps_each_shard_in_its_own_process(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def finish(done):
+        return [(x, len(done), os.getpid()) for x in done]
+
+    for threads in (1, 3):
+        got, workers = map_sharded(lambda x: x * x, range(7), threads, finish=finish)
+        assert workers == threads
+        assert [x for x, _, _ in got] == [i * i for i in range(7)]
+        # shard k holds items k, k + workers, ...: its finish sees those alone
+        assert [n for _, n, _ in got] == [len(range(i % workers, 7, workers)) for i in range(7)]
+        pids = [pid for _, _, pid in got]
+        assert pids[0] == os.getpid() and len(set(pids)) == workers
+        assert all(pid == pids[i % workers] for i, pid in enumerate(pids))
+
+
+def test_map_sharded_charges_a_finish_error_to_the_shards_first_item(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def fn(x):
+        if x == 5:  # in shard 2 of 3, after item 2 is done
+            raise NumericDomainError("item 5")
+        return x
+
+    def finish(done):
+        if 1 in done:
+            raise InvalidInputError("shard of item 1")
+        return done
+
+    # at 3 workers the finish of shard 1 counts as item 1's, before item 5
+    with pytest.raises(InvalidInputError, match="^shard of item 1$"):
+        map_sharded(fn, range(6), 3, finish=finish)
+    # at 2 workers item 3 fails in shard 1, and item 4 in shard 0, whose
+    # finish then fails too: that counts as item 0's, so it wins
+    fails = {3: DegenerateInputError, 4: NumericDomainError}
+
+    def fn_two(x):
+        if x in fails:
+            raise fails[x](f"item {x}")
+        return x
+
+    def finish_zero(done):
+        if 0 in done:
+            raise InvalidInputError("shard of item 0")
+        return done
+
+    with pytest.raises(InvalidInputError, match="^shard of item 0$"):
+        map_sharded(fn_two, range(6), 2, finish=finish_zero)
+    with pytest.raises(DegenerateInputError, match="^item 3$"):
+        map_sharded(fn_two, range(6), 2, finish=lambda done: done)
+    # at 1 worker the one shard stops at item 5, and its finish sees items 0-4
+    with pytest.raises(InvalidInputError, match="^shard of item 1$"):
+        map_sharded(fn, range(6), 1, finish=finish)
+    with pytest.raises(NumericDomainError, match="^item 5$"):  # a finish that passes
+        map_sharded(fn, range(6), 3, finish=lambda done: done)
+
+
 def test_child_exit_without_result_raises_child_process_error():
     def fn(k):
         if k == 1:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import re
 import warnings
@@ -836,6 +837,44 @@ def test_forced_continuation_equals_the_per_attempt_loop(cfg, index, attempts, t
         assert spy.call_count == (0 if point_mass else attempts)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    cfg=_worlds,
+    index=st.integers(0, 5),
+    # the sampling pairs of test_forced_continuations_of_a_problem_share_one_memo_entry
+    sampling=st.sampled_from([(1.0, 0.95), (2.5, 0.95), (3.0, 1.0), (0.5, 0.999), (8.0, 0.5)]),
+    data=st.data(),
+)
+def test_point_mass_outcome_table_equals_the_walks(cfg, index, sampling, data):
+    temperature, top_p = sampling
+    p = generate_problem(cfg, index)
+    # flat student rows over the first layers: wide at every sampling pair, so
+    # the point-mass suffix can start past layer 0
+    flat = data.draw(st.integers(0, p.length), label="flat layers")
+    p.student = p.student.copy()
+    p.student[:flat] = 1.0 / cfg.vocab_size
+    spine = student_rollout(p, "greedy")
+    world_module._nucleus_table.cache_clear()
+    with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
+        forced = {
+            (position, token): forced_continuation(p, spine, position, token, 2, temperature, top_p)
+            for position in range(p.length - 1)
+            for token in p.children(position, spine.lanes[position])
+        }
+    assert world_module._nucleus_table.cache_info().misses == 1  # the whole student table, once
+    first, table = world_module._point_mass_outcomes(p, temperature, top_p)
+    point_mass = [t for t in range(p.length) if _is_point_mass(p.student[t:], temperature, top_p)]
+    assert first == (point_mass[0] if point_mass else p.length)
+    # two generators for each child whose suffix is wide, none for a point-mass one
+    assert spy.call_count == 2 * sum(1 for position, _ in forced if position + 1 < first)
+    event("point mass" if first == 0 else "wide" if first == p.length else "point-mass suffix")
+    for t in range(first, p.length):  # every point-mass state: its walk's outcome
+        tokens = nucleus_sample(derive_rng(0), p.student[t:], temperature, top_p)  # needs no uniform
+        assert table[t - first] == [world_module.walk(p, t, lane, tokens).correct for lane in range(cfg.branch_count + 1)]
+    for (position, token), outcomes in forced.items():
+        assert outcomes == _reference_forced_continuation(p, spine, position, token, 2, temperature, top_p)
+
+
 def _reference_teacher_ensemble(problem, position, lane, members, perturb_scale):
     # the per-member loop that the one (members, V) softmax replaced
     q = problem.teacher[position, lane]
@@ -915,21 +954,29 @@ def test_stacked_teacher_ensemble_refuses_overflowing_logits_by_name(perturb_sca
     assert str(got.value) == str(expected.value) == f"perturb_scale {perturb_scale!r} overflows the ensemble logits"
 
 
-def test_probe_problem_scores_each_candidate_as_its_own_ensemble():
-    cfg, probed = _small_cfg(), 0
-    for index in range(6):
-        with mock.patch.object(world_module, "teacher_ensemble", wraps=teacher_ensemble) as ensembles:
-            with mock.patch.object(world_module, "score_ensemble", wraps=score_ensemble) as scores:
-                _, candidates = world_module._probe_problem(
-                    cfg, index, default_filter_for_depth(cfg.depth), LabelThresholds(), 4, 0.1, 3
-                )
-        assert ensembles.call_count == scores.call_count == (1 if candidates else 0)  # one stack per problem
+def test_score_block_scores_each_candidate_as_its_own_ensemble():
+    cfg = _small_cfg()
+    probes = [
+        world_module._probe_problem(cfg, index, default_filter_for_depth(cfg.depth), LabelThresholds(), 3)
+        for index in range(6)
+    ]
+    assert not any(cand.scores for _, candidates, *_ in probes for cand in candidates)  # the probe scores none
+    with mock.patch.object(world_module, "teacher_ensemble", wraps=teacher_ensemble) as ensembles:
+        with mock.patch.object(world_module, "score_ensemble", wraps=score_ensemble) as scores:
+            block = world_module._score_block(probes, 4, 0.1)
+            empty = world_module._score_block([probe for probe in probes if not probe[1]], 4, 0.1)
+    assert ensembles.call_count == scores.call_count == 1  # one stack for the whole block
+    assert len(empty) < len(block) == len(probes)
+    probed = 0
+    for index, (spine, candidates, spine_line, candidate_lines) in enumerate(block):
         p = generate_problem(cfg, index)
         lanes = student_rollout(p, "greedy").lanes
         for cand in candidates:
             ensemble = _reference_teacher_ensemble(p, cand.spine_pos, lanes[cand.spine_pos], 4, 0.1)
             expected = {"oriented_position": cand.oriented_score, **score_ensemble(ensemble, cand.truncated_entropy)}
             assert {k: float(v).hex() for k, v in cand.scores.items()} == {k: float(v).hex() for k, v in expected.items()}
+        assert spine_line == json.dumps(spine, sort_keys=True) + "\n"
+        assert candidate_lines == "".join(json.dumps(c.to_json_dict(), sort_keys=True) + "\n" for c in candidates)
         probed += len(candidates)
     assert probed > 0
 
