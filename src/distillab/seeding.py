@@ -28,11 +28,11 @@ from .errors import InvalidInputError
 RNG_ID = "numpy-pcg64/seedsequence"
 
 # Phase tags: the part after the root seed in every tagged path, one per kind
-# of draw, so no two kinds can share a path. 8 is unused. The bootstrap
-# (seed, resample) and identities (seed, trial) paths carry no tag.
+# of draw, so no two kinds can share a path. Tags are never reassigned: 1 and
+# 8 are retired and stay unused. The bootstrap (seed, resample) and
+# identities (seed, trial) paths carry no tag.
 TAG_PROBLEM = 0  # world: generate_problem
-TAG_ROLLOUT = 1  # world: sampled student_rollout
-TAG_FORCE = 2  # world: forced_continuation attempts
+TAG_FORCE = 2  # world: a problem's forced-continuation table draw
 TAG_ENSEMBLE = 3  # world: teacher_ensemble members
 TAG_INIT = 4  # trainer: init_student noise
 TAG_TRAIN = 5  # trainer: training rollouts

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dists import floored_log, softmax_with_temperature, temperature_scaled
 from .errors import DegenerateInputError, InvalidInputError
-from .seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, RawDraws, derive_rng, replayed
+from .seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, RawDraws, derive_rng, replayed
 from .stats import BootstrapConfig, ScoredCandidate, score_report
 from .uncertainty import score_ensemble
 from .viability import (
@@ -282,9 +282,7 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
     )
 
 
-def nucleus_sample(
-    rng: np.random.Generator | Callable, probs: np.ndarray, temperature: float, top_p: float, first: int = 0
-) -> int | np.ndarray:
+def nucleus_sample(rng: np.random.Generator, probs: np.ndarray, temperature: float, top_p: float) -> int | np.ndarray:
     """Temperature rescale, keep the smallest descending-probability prefix with
     mass >= top_p, renormalize, draw. top_p = 1 is plain categorical sampling.
 
@@ -294,13 +292,6 @@ def nucleus_sample(
     uniform. A walk that reads one row per layer therefore consumes the same
     uniforms, in the same order, as one row draw per layer would.
 
-    `first` > 0 draws leading indices `first:` only, exactly as a draw from
-    `probs[first:]` would, from the memo entry of the whole table.
-
-    `rng` is a Generator or a zero-argument callable that returns one. When
-    every kept nucleus drawn holds one token, a point mass, the draw needs no
-    uniform: a callable is then never called (a Generator gives them anyway).
-
     The draw is inverse-CDF sampling on each row's kept prefix. The prefixes
     are built table-wide and memoised by the table's bytes, shape,
     temperature and top_p in a least-recently-used memo of
@@ -308,12 +299,7 @@ def nucleus_sample(
     is exact: a table changed in place has new bytes."""
     p = np.asarray(probs, dtype=float)
     shape = p.shape if p.ndim > 1 else (1, *p.shape)
-    order, cum, starts, point_from = _nucleus_table(p.tobytes(), shape, temperature, top_p)
-    cum, starts = cum[first:], starts[first:]
-    if first < point_from or not callable(rng):  # a point-mass suffix needs no uniform
-        tokens = nucleus_draw(rng() if callable(rng) else rng, order, cum, starts)
-    else:
-        tokens = order[starts]
+    tokens = nucleus_draw(rng, *_nucleus_table(p.tobytes(), shape, temperature, top_p))
     return tokens if p.ndim > 1 else int(tokens[0])
 
 
@@ -345,9 +331,9 @@ def nucleus_draw(rng: np.random.Generator, order: np.ndarray, cum: np.ndarray, s
     return order[starts + (cum > rng.random(cum.shape[:-2])[..., None, None]).argmax(axis=-1)]
 
 
-# The memo serves runs of draws from one table: every forced continuation of a
-# problem draws from its student table, and `evaluate_policy` draws
-# `eval_samples` (12) times from each table in turn. Training steps draw from
+# The memo serves runs of draws from one table: `evaluate_policy` draws
+# `eval_samples` (12) times from each table in turn, while `diagnose` draws
+# each problem's student table once. Training steps draw from
 # their own cache (`StudentParams.policy`). A larger memo only costs resident
 # memory (64 entries raised `train`'s peak RSS by 3.1 MiB over 4).
 _TABLE_MEMO_SIZE = 4
@@ -356,11 +342,10 @@ _TABLE_MEMO_SIZE = 4
 @lru_cache(maxsize=_TABLE_MEMO_SIZE)
 def _nucleus_table(
     data: bytes, shape: tuple[int, ...], temperature: float, top_p: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`nucleus_rows` of every row of a (..., K, V) table, cut to as many
     columns as the longest nucleus: the flattened token order, the
-    cumulative rows, each row's start in the flattened order, and the first
-    leading index from which every row keeps one token (shape[0] if none)."""
+    cumulative rows, and each row's start in the flattened order."""
     if not (0.0 < top_p <= 1.0):
         raise InvalidInputError(f"top_p must lie in (0, 1], got {top_p!r}")
     if not temperature > 0.0:
@@ -369,66 +354,44 @@ def _nucleus_table(
     order, cum, cut = nucleus_rows(p, top_p)
     width = int(cut.max())
     leading = shape[:-1]
-    wide = np.flatnonzero((cut > 1).reshape(shape[0], -1).any(axis=1))
     return (
         np.ascontiguousarray(order[:, :width]).reshape(-1),
         np.ascontiguousarray(cum[:, :width]).reshape(*leading, width),
         np.arange(0, cut.size * width, width).reshape(leading),
-        int(wide[-1]) + 1 if wide.size else 0,
     )
 
 
 @lru_cache(maxsize=_TABLE_MEMO_SIZE)
-def _point_mass_outcomes(problem: ProblemInstance, temperature: float, top_p: float) -> tuple[int, list[list[bool]]]:
-    """(first, outcomes): from layer `first` on, every kept nucleus of the
-    student table holds one token, and outcomes[t - first][lane] says whether
-    walking those tokens from layer t in `lane` reaches the gold answer. One
-    backward pass over the layers: a state's outcome is its next state's. A
-    problem's arrays never change, so the memo is keyed by the problem."""
-    student = problem.student
-    first = _nucleus_table(student.tobytes(), student.shape, temperature, top_p)[3]
-    if first == problem.length:
-        return first, []
-    rows = nucleus_sample(lambda: None, student, temperature, top_p, first).tolist()  # draws no uniform
+def _continuation_outcomes(problem: ProblemInstance) -> list[list[bool]]:
+    """outcomes[t][lane]: whether the student, continued from layer t in
+    `lane` at T = 1 and top_p = 0.95, reaches the gold answer. This rests on
+    STUDENT_BACKGROUND < 1 - 0.95: every student row keeps one token, so one
+    draw of the table (the problem's `TAG_FORCE` generator) is every
+    continuation, and one backward pass gives each state its next state's
+    outcome. The memo is keyed by the problem, whose arrays never change."""
+    rng = derive_rng(problem.cfg.seed, TAG_FORCE, problem.index)
+    rows = nucleus_sample(rng, problem.student, 1.0, 0.95).tolist()
     outcomes = [[str(token) == problem.gold_answer for token in rows[-1]]]  # `Episode.correct`
-    for t in range(problem.length - 2, first - 1, -1):
+    for t in range(problem.length - 2, -1, -1):
         after = outcomes[-1]
-        outcomes.append([after[lanes[token]] for lanes, token in zip(problem.next_lane[t], rows[t - first])])
-    return first, outcomes[::-1]
+        outcomes.append([after[lanes[token]] for lanes, token in zip(problem.next_lane[t], rows[t])])
+    return outcomes[::-1]
 
 
-def student_rollout(
-    problem: ProblemInstance,
-    mode: str = "greedy",
-    attempt: int = 0,
-    temperature: float = 1.0,
-    top_p: float = 0.95,
-) -> Episode:
-    """Roll the world student policy from the root. Greedy breaks ties toward
-    the lowest token index; sampling is nucleus sampling with the given
-    temperature and top_p, seeded by (world seed, problem index, attempt)."""
-    if mode not in ("greedy", "sample"):
-        raise InvalidInputError(f"mode must be 'greedy' or 'sample', got {mode!r}")
-    if mode == "greedy":  # argmax returns the lowest tied index
-        return walk(problem, 0, 0, problem.student.argmax(axis=-1))
-    rng = derive_rng(problem.cfg.seed, TAG_ROLLOUT, problem.index, attempt)
-    return walk(problem, 0, 0, nucleus_sample(rng, problem.student, temperature, top_p))
+def student_rollout(problem: ProblemInstance) -> Episode:
+    """The world student's greedy walk from the root; a tie goes to the lowest
+    token index (`argmax` returns the first)."""
+    return walk(problem, 0, 0, problem.student.argmax(axis=-1))
 
 
 def forced_continuation(
-    problem: ProblemInstance,
-    spine: Episode,
-    position: int,
-    forced_token: int,
-    attempts: int = 6,
-    temperature: float = 1.0,
-    top_p: float = 0.95,
+    problem: ProblemInstance, spine: Episode, position: int, forced_token: int, attempts: int = 6
 ) -> list[bool]:
-    """Force one child token at a spine position, then sample the student to the
-    end `attempts` times; outcome per attempt is terminal-answer correctness.
-    A point-mass suffix (one token per kept nucleus, as at T = 1, top_p = 0.95)
-    derives no generator and reads the problem's `_point_mass_outcomes`; a
-    wider one draws each attempt from its own generator and walks it."""
+    """Force one child token at a spine position, then continue the student
+    to the answer at T = 1, top_p = 0.95 `attempts` times; the outcome per
+    attempt is terminal-answer correctness. Every kept nucleus of the world
+    student is one token, so every attempt walks the same tokens and each
+    reads its outcome from the problem's `_continuation_outcomes`."""
     if not (0 <= position < problem.length - 1):
         raise InvalidInputError(
             f"position must lie in [0, {problem.length - 2}], got {position}"
@@ -441,15 +404,7 @@ def forced_continuation(
             f"token {forced_token} is not a child of layer {position} lane {lane}"
         )
     after = problem.transition(position, lane, int(forced_token))
-    first, table = _point_mass_outcomes(problem, temperature, top_p)
-    if position + 1 >= first:
-        return [table[position + 1 - first][after]] * attempts
-    outcomes = []
-    for a in range(attempts):
-        rng = derive_rng(problem.cfg.seed, TAG_FORCE, problem.index, position, forced_token, a)
-        tokens = nucleus_sample(rng, problem.student, temperature, top_p, position + 1)
-        outcomes.append(walk(problem, position + 1, after, tokens).correct)
-    return outcomes
+    return [_continuation_outcomes(problem)[position + 1][after]] * attempts
 
 
 def teacher_ensemble(
@@ -534,7 +489,7 @@ def _probe_problem(
     the spine is wrong: the probe reads only correct spines), the problem
     and its spine. `_score_block` scores the candidates."""
     problem = generate_problem(cfg, index)
-    trace = student_rollout(problem, mode="greedy")
+    trace = student_rollout(problem)
     spine_record = {
         "problem_id": problem.problem_id,
         "tokens": list(trace.tokens),

@@ -636,6 +636,18 @@ def test_diagnose_failures_do_not_depend_on_threads(monkeypatch, capsys, tmp_pat
     assert one[2].splitlines() == [json.dumps({"error": "InvalidInputError", "message": message})]
 
 
+def test_continuations_change_only_their_echo_in_the_report(monkeypatch, capsys, tmp_path):
+    # every attempt of a child reads one outcome, so the flag moves no data
+    argv = ["diagnose", "--problems", "9", "--members", "3", "--resamples", "200", "--threads", "1"]
+    one, six = (_diagnose_in(monkeypatch, capsys, tmp_path / k, argv + ["--continuations", k]) for k in ("1", "6"))
+    assert one[0] == six[0] == 0 and one[1:3] == six[1:3] and len(one[3]) == 4
+    candidates, spines, report, curve = one[3]
+    assert [candidates, spines, curve] == [six[3][0], six[3][1], six[3][3]]
+    reports = [json.loads(run[3][2]) for run in (one, six)]
+    assert [r["params"].pop("continuations_per_child") for r in reports] == [1, 6]
+    assert reports[0] == reports[1]
+
+
 def test_sweep_writes_json_and_csv(tmp_path):
     out = tmp_path / "sweep"
     res = _run(["sweep"] + TINY_WORLD + [

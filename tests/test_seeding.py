@@ -11,9 +11,9 @@ from distillab.errors import InvalidInputError
 
 def test_phase_tags_are_pairwise_distinct():
     tags = {name: value for name, value in vars(seeding).items() if name.startswith("TAG_")}
-    assert len(tags) == 9
+    assert len(tags) == 8
     assert len(set(tags.values())) == len(tags)
-    assert sorted(tags.values()) == [0, 1, 2, 3, 4, 5, 6, 7, 9]  # 8 is unused
+    assert sorted(tags.values()) == [0, 2, 3, 4, 5, 6, 7, 9]  # 1 and 8 are retired
 
 
 def _draw(*path):

@@ -7,14 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import distillab.trainer as trainer_module
 import distillab.world as world_module
 from distillab.dists import floored_log, softmax_with_temperature, temperature_scaled
 from distillab.errors import InvalidInputError
-from distillab.seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, TAG_ROLLOUT, derive_rng
+from distillab.seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, derive_rng
 from distillab.stats import BootstrapConfig
 from distillab.trainer import TrainConfig
 from distillab.uncertainty import score_ensemble
@@ -157,31 +157,11 @@ def test_greedy_rollout_is_correct_and_stays_in_lane_zero():
     cfg = _small_cfg()
     for index in range(6):
         p = generate_problem(cfg, index)
-        trace = student_rollout(p, mode="greedy")
+        trace = student_rollout(p)
         assert trace.correct
         assert trace.lanes == tuple([0] * p.length)
         assert trace.tokens[-1] == p.gold_token
         assert trace.rows(p.teacher).shape == (p.length, cfg.vocab_size)
-
-
-def test_sampled_rollout_is_deterministic_per_attempt():
-    cfg = _small_cfg()
-    p = generate_problem(cfg, 0)
-    a = student_rollout(p, mode="sample", attempt=0, top_p=1.0)
-    b = student_rollout(p, mode="sample", attempt=0, top_p=1.0)
-    assert a.tokens == b.tokens
-    # default top_p = 0.95 truncates to the canonical token (0.97 mass), so
-    # full-support sampling is needed to see attempt-level variety
-    diffs = 0
-    for idx in range(8):
-        q = generate_problem(cfg, idx)
-        x = student_rollout(q, mode="sample", attempt=0, top_p=1.0)
-        y = student_rollout(q, mode="sample", attempt=1, top_p=1.0)
-        diffs += x.tokens != y.tokens
-    assert diffs >= 1
-    assert student_rollout(p, mode="greedy").correct
-    with pytest.raises(InvalidInputError):
-        student_rollout(p, mode="beam")
 
 
 def test_nucleus_sample_properties():
@@ -203,8 +183,6 @@ def test_nucleus_sample_properties():
     for bad in (0.0, float("nan")):
         with pytest.raises(InvalidInputError):
             nucleus_sample(rng, p, bad, 0.9)
-    with pytest.raises(InvalidInputError):
-        student_rollout(generate_problem(_small_cfg(), 0), "sample", temperature=float("nan"))
 
 
 def _reference_nucleus_sample(rng, probs, temperature, top_p):
@@ -355,48 +333,6 @@ def test_table_draw_equals_the_reference_row_by_row(case, temperature, top_p, se
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_tables(), temperature=_temperatures, top_p=_table_top_ps, seed=st.integers(0, 2**32))
-def test_suffix_draw_equals_a_draw_from_the_copied_suffix(case, temperature, top_p, seed):
-    table, first = case
-    # the call it replaced: a draw from a copy of the suffix, memoised on its own
-    derived = {"suffix": 0, "copy": 0}
-
-    def counted(name):
-        def make():
-            derived[name] += 1
-            return np.random.default_rng(seed)
-
-        return make
-
-    expected = nucleus_sample(counted("copy"), table[first:].copy(), temperature, top_p)
-    got = nucleus_sample(counted("suffix"), table, temperature, top_p, first)
-    assert _bits(got) == _bits(expected)
-    # a callable is called exactly when a kept suffix row holds two tokens
-    assert derived["suffix"] == derived["copy"] == (0 if _is_point_mass(table[first:], temperature, top_p) else 1)
-    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = nucleus_sample(fast_rng, table, temperature, top_p, first)
-    assert _bits(got) == _bits(nucleus_sample(slow_rng, table[first:].copy(), temperature, top_p))
-    assert fast_rng.random() == slow_rng.random()  # both consumed the same uniforms
-
-
-@pytest.mark.parametrize(
-    "temperature, top_p", [(1.0, 0.95), (2.5, 0.95), (3.0, 1.0), (0.5, 0.999), (8.0, 0.5)]
-)
-def test_forced_continuations_of_a_problem_share_one_memo_entry(temperature, top_p):
-    p = generate_problem(WorldConfig(), 0)
-    spine = student_rollout(p, "greedy")
-    world_module._nucleus_table.cache_clear()
-    forced = {
-        (position, token): forced_continuation(p, spine, position, token, 3, temperature, top_p)
-        for position in range(0, p.length - 1, 3)
-        for token in p.children(position, spine.lanes[position])
-    }
-    assert world_module._nucleus_table.cache_info().misses == 1  # the whole student table
-    for (position, token), outcomes in forced.items():
-        assert outcomes == _reference_forced_continuation(p, spine, position, token, 3, temperature, top_p)
-
-
 def test_nucleus_low_temperature_sharpens():
     rng = derive_rng(72)
     p = np.array([0.6, 0.4])
@@ -408,7 +344,7 @@ def test_nucleus_low_temperature_sharpens():
 def test_forced_continuation_basics():
     cfg = _small_cfg()
     p = generate_problem(cfg, 0)
-    trace = student_rollout(p, mode="greedy")
+    trace = student_rollout(p)
     t = 2
     canon = int(p.canon[t, 0])
     outs = forced_continuation(p, trace, t, canon, attempts=4)
@@ -429,7 +365,7 @@ def test_forcing_a_dead_child_never_recovers():
     # a token that enters the dead lane can only reach the wrong answer
     cfg = _small_cfg(depth=48)
     p = generate_problem(cfg, 2)
-    trace = student_rollout(p, mode="greedy")
+    trace = student_rollout(p)
     tried = 0
     for t in range(p.length - 1):
         if int(p.kind[t, 0]) == UNRELIABLE:
@@ -544,8 +480,9 @@ def test_diagnostic_does_not_depend_on_threads(monkeypatch):
 
 
 # Reference copies of the rollout loops that `world.walk` replaced: the world
-# student (greedy and sampled), the forced continuation and the trainer's
-# rollout, with the trace builder they shared. Each records its lanes too.
+# student's greedy spine, the forced continuation (at diagnose's T = 1,
+# top_p = 0.95) and the trainer's rollout, with the trace builder they shared.
+# Each records its lanes too.
 
 
 def _reference_trace(problem, tokens, lanes):
@@ -555,18 +492,11 @@ def _reference_trace(problem, tokens, lanes):
     return tuple(tokens), tuple(lanes), t_rows, s_rows, answer, answer == problem.gold_answer
 
 
-def _reference_student_rollout(problem, mode, attempt, temperature, top_p):
-    rng = None
-    if mode == "sample":
-        rng = derive_rng(problem.cfg.seed, TAG_ROLLOUT, problem.index, attempt)
+def _reference_student_rollout(problem):
     lane = 0
     tokens, lanes = [], []
     for t in range(problem.length):
-        p = problem.student[t, lane]
-        if mode == "greedy":
-            token = int(np.argmax(p))
-        else:
-            token = nucleus_sample(rng, p, temperature, top_p)
+        token = int(np.argmax(problem.student[t, lane]))
         tokens.append(token)
         lanes.append(lane)
         if t < problem.length - 1:
@@ -574,7 +504,7 @@ def _reference_student_rollout(problem, mode, attempt, temperature, top_p):
     return _reference_trace(problem, tokens, lanes)
 
 
-def _reference_forced_attempts(problem, lane, position, forced_token, attempts, temperature, top_p):
+def _reference_forced_attempts(problem, lane, position, forced_token, attempts):
     walks = []
     for a in range(attempts):
         rng = derive_rng(
@@ -584,7 +514,7 @@ def _reference_forced_attempts(problem, lane, position, forced_token, attempts, 
         token = None
         tokens, lanes = [], []
         for t in range(position + 1, problem.length):
-            token = nucleus_sample(rng, problem.student[t, lane_now], temperature, top_p)
+            token = nucleus_sample(rng, problem.student[t, lane_now], 1.0, 0.95)
             tokens.append(token)
             lanes.append(lane_now)
             if t < problem.length - 1:
@@ -682,37 +612,23 @@ def test_next_lane_equals_the_per_alternative_writes(cfg, index):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    cfg=_worlds,
-    index=st.integers(0, 5),
-    attempt=st.integers(0, 3),
-    temperature=_temperatures,
-    top_p=_top_ps,
-    data=st.data(),
-)
-def test_walk_equals_the_replaced_world_loops(cfg, index, attempt, temperature, top_p, data):
+@given(cfg=_worlds, index=st.integers(0, 5), data=st.data())
+def test_walk_equals_the_replaced_world_loops(cfg, index, data):
     p = generate_problem(cfg, index)
-    _assert_matches_trace(
-        student_rollout(p, "greedy"), _reference_student_rollout(p, "greedy", 0, 1.0, 1.0)
-    )
-    spine = student_rollout(p, "sample", attempt, temperature, top_p)
-    _assert_matches_trace(
-        spine, _reference_student_rollout(p, "sample", attempt, temperature, top_p)
-    )
+    spine = student_rollout(p)
+    _assert_matches_trace(spine, _reference_student_rollout(p))
     # every child of a spine state, forced, then sampled to the answer
     position = data.draw(st.integers(0, p.length - 2), label="position")
     lane = spine.lanes[position]
     attempts = data.draw(st.integers(1, 4), label="attempts")
     for token in p.children(position, lane):
-        reference = _reference_forced_attempts(
-            p, lane, position, token, attempts, temperature, top_p
-        )
-        outcomes = forced_continuation(p, spine, position, token, attempts, temperature, top_p)
+        reference = _reference_forced_attempts(p, lane, position, token, attempts)
+        outcomes = forced_continuation(p, spine, position, token, attempts)
         assert outcomes == [correct for _, _, correct in reference]
         after = p.transition(position, lane, token)
         for a, (tokens, lanes, correct) in enumerate(reference):
             rng = derive_rng(cfg.seed, TAG_FORCE, index, position, token, a)
-            draw = nucleus_sample(rng, p.student[position + 1 :], temperature, top_p)
+            draw = nucleus_sample(rng, p.student[position + 1 :], 1.0, 0.95)
             episode = world_module.walk(p, position + 1, after, draw)
             assert (episode.tokens, episode.lanes, episode.correct) == (tokens, lanes, correct)
             rows = np.array([p.teacher[position + 1 + k, z] for k, z in enumerate(lanes)])
@@ -777,9 +693,10 @@ def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
     assert all(before[pid].tobytes() == t.tobytes() for pid, t in theta.tables.items())
 
 
-def _reference_forced_continuation(problem, spine, position, forced_token, attempts, temperature, top_p):
-    # the per-attempt loop that the point-mass shortcut replaced: one
-    # generator, one table draw and one walk for every attempt
+def _reference_forced_continuation(problem, spine, position, forced_token, attempts):
+    # the per-attempt loop that the outcome table replaced, at diagnose's
+    # T = 1, top_p = 0.95: one generator, one table draw and one walk for
+    # every attempt
     after = problem.transition(position, spine.lanes[position], int(forced_token))
     rest = problem.student[position + 1 :]
     outcomes = []
@@ -787,7 +704,7 @@ def _reference_forced_continuation(problem, spine, position, forced_token, attem
         rng = derive_rng(
             problem.cfg.seed, TAG_FORCE, problem.index, position, int(forced_token), a
         )
-        tokens = nucleus_sample(rng, rest, temperature, top_p)
+        tokens = nucleus_sample(rng, rest, 1.0, 0.95)
         outcomes.append(world_module.walk(problem, position + 1, after, tokens).correct)
     return outcomes
 
@@ -806,73 +723,65 @@ def _is_point_mass(table, temperature, top_p):
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    cfg=_worlds,
-    index=st.integers(0, 5),
-    attempts=st.integers(1, 8),
-    # diagnose's T = 1, top_p = 0.95, and flat rows (high T) or wide nuclei
-    # (top_p near 1) that take the sampled path
-    temperature=st.one_of(st.sampled_from([1.0, 3.0, 5.0]), st.floats(0.3, 5.0)),
-    top_p=st.one_of(st.sampled_from([0.95, 0.99, 1.0]), st.floats(1e-3, 1.0)),
-    data=st.data(),
-)
-@example(cfg=WorldConfig(vocab_size=12, depth=16), index=0, attempts=6, temperature=1.0, top_p=0.95, data=None)
-@example(cfg=WorldConfig(vocab_size=12, depth=16), index=0, attempts=6, temperature=5.0, top_p=1.0, data=None)
-@example(cfg=WorldConfig(vocab_size=4, depth=8), index=1, attempts=8, temperature=1.0, top_p=0.99, data=None)
-def test_forced_continuation_equals_the_per_attempt_loop(cfg, index, attempts, temperature, top_p, data):
+@given(cfg=_worlds, index=st.integers(0, 5), attempts=st.integers(1, 8), data=st.data())
+@example(cfg=WorldConfig(vocab_size=12, depth=16), index=0, attempts=6, data=None)
+@example(cfg=WorldConfig(vocab_size=12, depth=16, late_dead_fraction=1.0), index=0, attempts=6, data=None)
+@example(cfg=WorldConfig(vocab_size=4, depth=8), index=1, attempts=8, data=None)
+def test_forced_continuation_equals_the_per_attempt_loop(cfg, index, attempts, data):
     p = generate_problem(cfg, index)
-    spine = student_rollout(p, "greedy")
+    spine = student_rollout(p)
     if data is None:  # the explicit examples force every child of the middle layer
         position = (p.length - 1) // 2
     else:
         position = data.draw(st.integers(0, p.length - 2), label="position")
-    point_mass = _is_point_mass(p.student[position + 1 :], temperature, top_p)
-    event("point mass" if point_mass else "sampled")
-    for token in p.children(position, spine.lanes[position]):
-        expected = _reference_forced_continuation(p, spine, position, token, attempts, temperature, top_p)
-        with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
-            outcomes = forced_continuation(p, spine, position, token, attempts, temperature, top_p)
-        assert outcomes == expected
-        # a point-mass child derives no generator; a sampled one, one per attempt
-        assert spy.call_count == (0 if point_mass else attempts)
+    children = p.children(position, spine.lanes[position])
+    expected = [_reference_forced_continuation(p, spine, position, token, attempts) for token in children]
+    with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
+        outcomes = [forced_continuation(p, spine, position, token, attempts) for token in children]
+    assert outcomes == expected
+    assert spy.call_count == 1  # the problem's one generator, for every child and attempt
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    cfg=_worlds,
-    index=st.integers(0, 5),
-    # the sampling pairs of test_forced_continuations_of_a_problem_share_one_memo_entry
-    sampling=st.sampled_from([(1.0, 0.95), (2.5, 0.95), (3.0, 1.0), (0.5, 0.999), (8.0, 0.5)]),
-    data=st.data(),
-)
-def test_point_mass_outcome_table_equals_the_walks(cfg, index, sampling, data):
-    temperature, top_p = sampling
+@given(cfg=_worlds, index=st.integers(0, 5), attempts=st.integers(1, 8))
+@example(cfg=WorldConfig(), index=0, attempts=3)  # the default world
+def test_point_mass_outcome_table_equals_the_walks(cfg, index, attempts):
     p = generate_problem(cfg, index)
-    # flat student rows over the first layers: wide at every sampling pair, so
-    # the point-mass suffix can start past layer 0
-    flat = data.draw(st.integers(0, p.length), label="flat layers")
-    p.student = p.student.copy()
-    p.student[:flat] = 1.0 / cfg.vocab_size
-    spine = student_rollout(p, "greedy")
+    # STUDENT_BACKGROUND < 1 - 0.95: every student row keeps one token at diagnose's T = 1, top_p = 0.95
+    assert _is_point_mass(p.student, 1.0, 0.95)
+    spine = student_rollout(p)
     world_module._nucleus_table.cache_clear()
     with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
         forced = {
-            (position, token): forced_continuation(p, spine, position, token, 2, temperature, top_p)
+            (position, token): forced_continuation(p, spine, position, token, attempts)
             for position in range(p.length - 1)
             for token in p.children(position, spine.lanes[position])
         }
-    assert world_module._nucleus_table.cache_info().misses == 1  # the whole student table, once
-    first, table = world_module._point_mass_outcomes(p, temperature, top_p)
-    point_mass = [t for t in range(p.length) if _is_point_mass(p.student[t:], temperature, top_p)]
-    assert first == (point_mass[0] if point_mass else p.length)
-    # two generators for each child whose suffix is wide, none for a point-mass one
-    assert spy.call_count == 2 * sum(1 for position, _ in forced if position + 1 < first)
-    event("point mass" if first == 0 else "wide" if first == p.length else "point-mass suffix")
-    for t in range(first, p.length):  # every point-mass state: its walk's outcome
-        tokens = nucleus_sample(derive_rng(0), p.student[t:], temperature, top_p)  # needs no uniform
-        assert table[t - first] == [world_module.walk(p, t, lane, tokens).correct for lane in range(cfg.branch_count + 1)]
+    # all forced continuations of a problem: one generator and one nucleus table
+    assert spy.call_count == 1
+    assert world_module._nucleus_table.cache_info().misses == 1
+    table = world_module._continuation_outcomes(p)
+    greedy = p.student.argmax(axis=-1)
+    for t in range(p.length):  # every state: the outcome of its greedy walk
+        assert table[t] == [world_module.walk(p, t, lane, greedy[t:]).correct for lane in range(cfg.branch_count + 1)]
     for (position, token), outcomes in forced.items():
-        assert outcomes == _reference_forced_continuation(p, spine, position, token, 2, temperature, top_p)
+        assert outcomes == _reference_forced_continuation(p, spine, position, token, attempts)
+
+
+@pytest.mark.parametrize("temperature, top_p", [(1.0, 0.95)])  # diagnose's setting
+def test_forced_continuations_of_a_problem_share_one_memo_entry(temperature, top_p):
+    p = generate_problem(WorldConfig(), 0)
+    assert _is_point_mass(p.student, temperature, top_p)
+    spine = student_rollout(p)
+    world_module._nucleus_table.cache_clear()
+    forced = {
+        (position, token): forced_continuation(p, spine, position, token, 3)
+        for position in range(0, p.length - 1, 3)
+        for token in p.children(position, spine.lanes[position])
+    }
+    assert world_module._nucleus_table.cache_info().misses == 1  # the whole student table
+    for (position, token), outcomes in forced.items():
+        assert outcomes == _reference_forced_continuation(p, spine, position, token, 3)
 
 
 def _reference_teacher_ensemble(problem, position, lane, members, perturb_scale):
@@ -970,7 +879,7 @@ def test_score_block_scores_each_candidate_as_its_own_ensemble():
     probed = 0
     for index, (spine, candidates, spine_line, candidate_lines) in enumerate(block):
         p = generate_problem(cfg, index)
-        lanes = student_rollout(p, "greedy").lanes
+        lanes = student_rollout(p).lanes
         for cand in candidates:
             ensemble = _reference_teacher_ensemble(p, cand.spine_pos, lanes[cand.spine_pos], 4, 0.1)
             expected = {"oriented_position": cand.oriented_score, **score_ensemble(ensemble, cand.truncated_entropy)}
