@@ -9,17 +9,19 @@ settles instead of rattling inside the gradient-noise ball. Each step samples
 and differentiates one batch: `train_step` returns the packed gradient it
 applied, and `run_training` builds the gradient-norm profile from it.
 
-A run's tables are packed into one array (`StudentParams.logits`). Each
-step rebuilds the sampling rows of only the rows whose logits changed since
-their last build, gathers the batch with one index, and updates with one
-`np.subtract.at` in episode order: bit-identical to a softmax per problem,
-a table draw per episode and one scatter per episode.
+A run's tables are packed into one array (`StudentParams.logits`). A table
+is sampled only through its T = 1 nucleus rows (`StudentParams.policy`),
+which are rebuilt only where the logits changed since their last build.
+Each step draws from them, gathers the batch with one index, and updates
+with one `np.subtract.at` in episode order: bit-identical to a softmax per
+problem, a table draw per episode and one scatter per episode.
 
-Evaluation samples the tabular policy with fresh seeds and pushes terminal
-answers through the multi-sample metrics pipeline. Held-out problems are
-evaluated at their initialization: a per-problem table cannot transfer what
-it learned to problems it never visited, so the held-out numbers document
-that floor rather than pretending generalization.
+Evaluation draws from the same nucleus rows with fresh seeds and pushes
+terminal answers through the multi-sample metrics pipeline; the rows the
+initial evaluation builds are the ones step 0 draws from. Held-out problems
+are evaluated at their initialization: a per-problem table cannot transfer
+what it learned to problems it never visited, so the held-out numbers
+document that floor rather than pretending generalization.
 """
 from __future__ import annotations
 
@@ -50,9 +52,7 @@ from .objectives import (
 from .schedules import PRESETS, preset
 from .seeding import TAG_EVAL, TAG_INIT, TAG_NORM_PROFILE, TAG_TRAIN, derive_rng, replayed
 from .workers import map_sharded
-from .world import (
-    Episode, ProblemInstance, WorldConfig, generate_problem, nucleus_draw, nucleus_rows, nucleus_sample, walk
-)
+from .world import Episode, ProblemInstance, WorldConfig, generate_problem, nucleus_rows, nucleus_sample, walk
 
 
 def weighting_from_name(name: str, vocab_size: int | None = None) -> Weighting:
@@ -186,10 +186,12 @@ class StudentParams:
             raise InvalidInputError(f"distill_temperature {temperature!r} empties a teacher row")
 
     def policy(self, problems: list[ProblemInstance]) -> dict[ProblemInstance, tuple[np.ndarray, ...]]:
-        """Each problem's T = 1 nucleus rows, as `world.nucleus_draw` takes
-        them. The cache keeps, per row of `logits`, the logits its nucleus rows
-        were built from (NaN at first, unequal to every row); the rows of
-        these problems that differ from it are rebuilt, in one softmax."""
+        """Each problem's T = 1, top_p = 1 nucleus rows, as `world.nucleus_sample`
+        takes them: the one form in which a logit table is sampled, by training
+        steps and by evaluation alike. The cache keeps, per row of `logits`,
+        the logits its nucleus rows were built from (NaN at first, unequal to
+        every row); the rows of these problems that differ from it are
+        rebuilt, in one softmax."""
         K, V = self.logits.shape[1:]
         rows = self.logits.reshape(-1, V)
         if self._policy is None:
@@ -225,15 +227,10 @@ def init_student(cfg: TrainConfig, problems: list[ProblemInstance]) -> StudentPa
     return StudentParams(tables=tables)
 
 
-def rollout_from_params(
-    problem: ProblemInstance, probs: np.ndarray | tuple[np.ndarray, ...], rng: np.random.Generator
-) -> Episode:
-    """Sample one episode from `probs`, the softmax of a logit table at T = 1
-    (plain categorical), or its nucleus rows (`StudentParams.policy`): one
-    table draw, then a walk over the drawn tokens."""
-    if isinstance(probs, tuple):
-        return walk(problem, 0, 0, nucleus_draw(rng, *probs))
-    return walk(problem, 0, 0, nucleus_sample(rng, probs, 1.0, 1.0))
+def rollout_from_params(problem: ProblemInstance, policy: tuple[np.ndarray, ...], rng: np.random.Generator) -> Episode:
+    """Sample one episode from a problem's nucleus rows (`StudentParams.policy`):
+    one table draw, then a walk over the drawn tokens."""
+    return walk(problem, 0, 0, nucleus_sample(rng, *policy))
 
 
 def _collect_episodes(
@@ -297,25 +294,21 @@ def train_step(
     return theta, loss, grad, batch
 
 
-def evaluate_policy(
-    cfg: TrainConfig,
-    problems: list[ProblemInstance],
-    tables: dict[str, np.ndarray],
-    eval_tag: int,
-) -> dict:
-    """Fresh-seed rollouts per problem, graded through the answer-matching
+def evaluate_policy(cfg: TrainConfig, problems: list[ProblemInstance], theta: StudentParams, eval_tag: int) -> dict:
+    """Fresh-seed rollouts per problem, drawn from the policy the trainer
+    samples (`StudentParams.policy`) and graded through the answer-matching
     metrics pipeline (answers are wrapped in the boxed marker it parses).
     Sample s of a problem draws from `derive_rng(seed, TAG_EVAL, eval_tag,
     problem.index, s)`, every sample's generator replayed in one pass."""
     rngs = replayed(
         (cfg.seed, TAG_EVAL, eval_tag, problem.index, s) for problem in problems for s in range(cfg.eval_samples)
     )
+    policy = theta.policy(problems)
     per_problem = []
     for problem in problems:
         texts = []
-        probs = softmax_with_temperature(tables[problem.problem_id], 1.0)
         for _ in range(cfg.eval_samples):
-            ep = rollout_from_params(problem, probs, next(rngs))
+            ep = rollout_from_params(problem, policy[problem], next(rngs))
             texts.append(f"final \\boxed{{{ep.answer}}}")
         grades = grade_and_cluster(texts, problem.gold_answer)
         per_problem.append(problem_metrics(grades))
@@ -356,9 +349,8 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
     problems = [generate_problem(world_cfg, i) for i in range(cfg.train_problems)]
     theta = init_student(cfg, problems)
     theta.scale_teachers(problems, cfg.distill_temperature)
-    init_tables = {pid: t.copy() for pid, t in theta.tables.items()}
-
-    train_eval_init = evaluate_policy(cfg, problems, init_tables, eval_tag=0)
+    # step 0 draws from the nucleus rows that this evaluation builds
+    train_eval_init = evaluate_policy(cfg, problems, theta, eval_tag=0)
 
     losses: list[float] = []
     norms: list[np.ndarray] = []  # per step, the packed tokens' gradient norms
@@ -374,19 +366,27 @@ def run_training(cfg: TrainConfig, world_cfg: WorldConfig | None = None) -> Trai
         positions.append(np.arange(batch.total_tokens) - np.repeat(batch.offsets[:-1], batch.lengths))
     if not theta.logits_finite():
         raise NumericDomainError(f"student logits left the finite range in {cfg.steps} steps")
+    # a student probability of exactly 0 under a positive teacher one makes
+    # the forward KL infinite, which the floored loss reports as finite
+    with np.errstate(all="ignore"):  # huge logits overflow z / T: not positive below
+        student = softmax_with_temperature(theta.logits, cfg.distill_temperature)
+    if (~(student > 0.0) & (theta.teacher_rows > 0.0)).any():
+        raise NumericDomainError(
+            f"student probabilities at temperature {cfg.distill_temperature!r} fell to 0"
+            f" under a positive teacher probability in {cfg.steps} steps"
+        )
     # bincount adds each position's norms in step, sequence, token order
     at = np.concatenate(positions)
     norm_profile = np.bincount(at, weights=np.concatenate(norms)) / np.bincount(at)
 
-    train_eval_final = evaluate_policy(cfg, problems, theta.tables, eval_tag=1)
+    train_eval_final = evaluate_policy(cfg, problems, theta, eval_tag=1)
 
     heldout_eval = None
     if cfg.eval_problems > 0:
         heldout = [
             generate_problem(world_cfg, cfg.train_problems + i) for i in range(cfg.eval_problems)
         ]
-        heldout_tables = init_student(cfg, heldout).tables
-        heldout_eval = evaluate_policy(cfg, heldout, heldout_tables, eval_tag=2)
+        heldout_eval = evaluate_policy(cfg, heldout, init_student(cfg, heldout), eval_tag=2)
 
     return TrainReport(
         config=_config_echo(cfg, world_cfg),

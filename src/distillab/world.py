@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dists import floored_log, softmax_with_temperature, temperature_scaled
+from .dists import floored_log, softmax_with_temperature
 from .errors import DegenerateInputError, InvalidInputError
 from .seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, RawDraws, derive_rng, replayed
 from .stats import BootstrapConfig, ScoredCandidate, score_report
@@ -282,34 +282,16 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
     )
 
 
-def nucleus_sample(rng: np.random.Generator, probs: np.ndarray, temperature: float, top_p: float) -> int | np.ndarray:
-    """Temperature rescale, keep the smallest descending-probability prefix with
-    mass >= top_p, renormalize, draw. top_p = 1 is plain categorical sampling.
-
-    A (V,) row returns one token drawn with one `rng.random()`. A (..., K, V)
-    table returns a (..., K) array of tokens drawn with
-    `rng.random(shape[:-2])`: the K rows at one leading index share one
-    uniform. A walk that reads one row per layer therefore consumes the same
-    uniforms, in the same order, as one row draw per layer would.
-
-    The draw is inverse-CDF sampling on each row's kept prefix. The prefixes
-    are built table-wide and memoised by the table's bytes, shape,
-    temperature and top_p in a least-recently-used memo of
-    `_TABLE_MEMO_SIZE` entries, which checks temperature and top_p. The memo
-    is exact: a table changed in place has new bytes."""
-    p = np.asarray(probs, dtype=float)
-    shape = p.shape if p.ndim > 1 else (1, *p.shape)
-    tokens = nucleus_draw(rng, *_nucleus_table(p.tobytes(), shape, temperature, top_p))
-    return tokens if p.ndim > 1 else int(tokens[0])
-
-
 def nucleus_rows(p: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nucleus of each row of (n, V) probabilities, V columns wide: the
     token order, most probable first (a stable sort); the cumulative mass
-    over the kept prefix, renormalized, and set to inf at its last kept
-    column; and each row's count of kept tokens. A row's values do not
+    over the kept prefix (the smallest with mass >= top_p), renormalized, and
+    set to inf at its last kept column; and each row's count of kept tokens.
+    top_p = 1 keeps every token of positive mass. A row's values do not
     depend on the other rows, and the columns after its last kept one are
-    never read (`nucleus_draw`)."""
+    never read (`nucleus_sample`)."""
+    if not (0.0 < top_p <= 1.0):
+        raise InvalidInputError(f"top_p must lie in (0, 1], got {top_p!r}")
     vocab = p.shape[-1]
     order = np.argsort(-p, axis=-1, kind="stable")
     ranked = np.take_along_axis(p, order, axis=-1)
@@ -323,45 +305,18 @@ def nucleus_rows(p: np.ndarray, top_p: float) -> tuple[np.ndarray, np.ndarray, n
     return order, cum, cut
 
 
-def nucleus_draw(rng: np.random.Generator, order: np.ndarray, cum: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def nucleus_sample(rng: np.random.Generator, order: np.ndarray, cum: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw from nucleus rows (`nucleus_rows`): `order` is the
     flattened token order, `cum` the (..., K, W) cumulative rows and `starts`
-    each row's (..., K) start in `order`. The K rows at one leading index share
-    one uniform `u`, and each takes the first column whose mass exceeds it."""
+    each row's (..., K) start in `order`. Returns the (..., K) tokens, drawn
+    with `rng.random(cum.shape[:-2])`: the K rows at one leading index share
+    one uniform `u`, and each takes the first column whose mass exceeds it. A
+    walk that reads one row per layer therefore consumes the same uniforms,
+    in the same order, as one row draw per layer would."""
     return order[starts + (cum > rng.random(cum.shape[:-2])[..., None, None]).argmax(axis=-1)]
 
 
-# The memo serves runs of draws from one table: `evaluate_policy` draws
-# `eval_samples` (12) times from each table in turn, while `diagnose` draws
-# each problem's student table once. Training steps draw from
-# their own cache (`StudentParams.policy`). A larger memo only costs resident
-# memory (64 entries raised `train`'s peak RSS by 3.1 MiB over 4).
-_TABLE_MEMO_SIZE = 4
-
-
-@lru_cache(maxsize=_TABLE_MEMO_SIZE)
-def _nucleus_table(
-    data: bytes, shape: tuple[int, ...], temperature: float, top_p: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`nucleus_rows` of every row of a (..., K, V) table, cut to as many
-    columns as the longest nucleus: the flattened token order, the
-    cumulative rows, and each row's start in the flattened order."""
-    if not (0.0 < top_p <= 1.0):
-        raise InvalidInputError(f"top_p must lie in (0, 1], got {top_p!r}")
-    if not temperature > 0.0:
-        raise InvalidInputError(f"temperature must be positive, got {temperature!r}")
-    p = temperature_scaled(np.frombuffer(data).reshape(-1, shape[-1]), temperature)
-    order, cum, cut = nucleus_rows(p, top_p)
-    width = int(cut.max())
-    leading = shape[:-1]
-    return (
-        np.ascontiguousarray(order[:, :width]).reshape(-1),
-        np.ascontiguousarray(cum[:, :width]).reshape(*leading, width),
-        np.arange(0, cut.size * width, width).reshape(leading),
-    )
-
-
-@lru_cache(maxsize=_TABLE_MEMO_SIZE)
+@lru_cache(maxsize=1)  # `diagnose` probes one problem at a time
 def _continuation_outcomes(problem: ProblemInstance) -> list[list[bool]]:
     """outcomes[t][lane]: whether the student, continued from layer t in
     `lane` at T = 1 and top_p = 0.95, reaches the gold answer. This rests on
@@ -369,8 +324,10 @@ def _continuation_outcomes(problem: ProblemInstance) -> list[list[bool]]:
     draw of the table (the problem's `TAG_FORCE` generator) is every
     continuation, and one backward pass gives each state its next state's
     outcome. The memo is keyed by the problem, whose arrays never change."""
+    L, K, V = problem.student.shape
+    order, cum, _ = nucleus_rows(problem.student.reshape(-1, V), 0.95)
     rng = derive_rng(problem.cfg.seed, TAG_FORCE, problem.index)
-    rows = nucleus_sample(rng, problem.student, 1.0, 0.95).tolist()
+    rows = nucleus_sample(rng, order.reshape(-1), cum.reshape(L, K, V), np.arange(L * K).reshape(L, K) * V).tolist()
     outcomes = [[str(token) == problem.gold_answer for token in rows[-1]]]  # `Episode.correct`
     for t in range(problem.length - 2, -1, -1):
         after = outcomes[-1]

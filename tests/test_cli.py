@@ -127,6 +127,8 @@ BAD_REQUESTS = {
     "train-init-noise-1e308": (
         ["train", "--steps", "1", "--init-noise", "1e308"], "", 2, "NumericDomainError"
     ),
+    # the step drives student probabilities at T to exactly 0 under positive teacher ones
+    "train-lr-1e300": (["train", "--lr", "1e300", "--steps", "3"], "", 2, "NumericDomainError"),
     # logits that overflow, or whose shift by the row max does: refused by name
     "diagnose-perturb-1e308": (
         ["diagnose", "--out", "d", "--perturb", "1e308", "--problems", "3"], "", 2, "InvalidInputError"

@@ -329,6 +329,16 @@ def test_temperature_scaled_equals_both_replaced_copies(seed, shape, zero_share,
         assert _identical(temperature_scaled(row, temperature), _ref_nucleus_scaling(row, temperature))
 
 
+def test_temperature_scaled_low_temperature_sharpens():
+    p = np.array([0.6, 0.4])
+    # at T = 0.1 the head holds nearly all mass: 0.6^10 / (0.6^10 + 0.4^10)
+    sharp = temperature_scaled(p, 0.1)
+    assert abs(sharp[0] - 0.6**10 / (0.6**10 + 0.4**10)) < 1e-12
+    assert sharp[0] > 0.98
+    # above T = 1 the head keeps the lead with less mass
+    assert 0.5 < temperature_scaled(p, 4.0)[0] < 0.6
+
+
 # Reference copy of the 1-D check that as_rows replaced, run row by row as
 # `score` ran it on `members[i]`, kept as an oracle for which input raises and
 # which row the message names.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import distillab.objectives as objectives_module
 import distillab.trainer as trainer_module
+import distillab.world as world_module
 from distillab.dists import softmax_with_temperature, temperature_scaled
 from distillab.errors import InvalidInputError
 from distillab.objectives import (
@@ -40,7 +41,8 @@ from distillab.trainer import (
 )
 from distillab.metrics import aggregate_metrics, grade_and_cluster, problem_metrics
 from distillab.seeding import TAG_EVAL, TAG_TRAIN, derive_rng
-from distillab.world import ProblemInstance, WorldConfig, generate_problem, nucleus_sample, walk
+from distillab.world import ProblemInstance, WorldConfig, generate_problem
+from test_world import _reference_rollout_from_params
 
 
 def _small_world(**kw):
@@ -347,26 +349,54 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
     assert report.grad_norm_profile == [s / c for s, c in zip(norm_sums, norm_counts)]
 
 
+def test_initial_evaluation_and_step_0_build_each_nucleus_row_once(monkeypatch):
+    # the initial evaluation samples the training policy cache, and step 0,
+    # which picks every training problem, draws from the rows it built: up to
+    # the final evaluation every pool row is built once, under either name
+    world = _small_world()
+    cfg = _small_cfg(steps=1, eval_problems=0)
+    assert cfg.batch_sequences >= cfg.train_problems
+    built = []
+    build = world_module.nucleus_rows
+
+    def spy(p, top_p):
+        built.append(len(p))
+        return build(p, top_p)
+
+    evaluate = trainer_module.evaluate_policy
+    before_final = []
+
+    def evaluate_spy(cfg, problems, theta, eval_tag):
+        if eval_tag == 1:
+            before_final.append(sum(built))
+        return evaluate(cfg, problems, theta, eval_tag)
+
+    monkeypatch.setattr(world_module, "nucleus_rows", spy)
+    monkeypatch.setattr(trainer_module, "nucleus_rows", spy)
+    monkeypatch.setattr(trainer_module, "evaluate_policy", evaluate_spy)
+    run_training(cfg, world)
+    pool = sum(generate_problem(world, i).length for i in range(cfg.train_problems)) * (world.branch_count + 1)
+    assert before_final == [pool]
+
+
 def _reference_train_step(tables, teachers, step, problems, cfg):
-    """The per-episode step that the packed pool replaced: one softmax per
-    picked problem, one memoised table draw per episode, a list batch, and
-    one scatter per episode, on per-problem tables updated in place."""
+    """The per-episode step that the packed pool replaced: one row-by-row
+    rollout per episode from the softmax of its problem's table, a list
+    batch, and one scatter per episode, on per-problem tables updated in
+    place."""
     n = cfg.batch_sequences
     picked = [problems[(step * n + i) % len(problems)] for i in range(n)]
-    probs = {p: softmax_with_temperature(tables[p.problem_id], 1.0) for p in dict.fromkeys(picked)}
-    episodes = [
-        walk(p, 0, 0, nucleus_sample(derive_rng(cfg.seed, TAG_TRAIN, step, i), probs[p], 1.0, 1.0))
-        for i, p in enumerate(picked)
-    ]
-    batch = RolloutBatch(
-        [ep.rows(teachers[ep.problem.problem_id]) for ep in episodes],
-        [ep.rows(tables[ep.problem.problem_id]) for ep in episodes],
-    )
+    visited = []
+    for i, p in enumerate(picked):
+        _, lanes, _, _ = _reference_rollout_from_params(
+            p, tables[p.problem_id], derive_rng(cfg.seed, TAG_TRAIN, step, i)
+        )
+        visited.append((p.problem_id, (np.arange(len(lanes)), np.array(lanes))))
+    batch = RolloutBatch([teachers[pid][at] for pid, at in visited], [tables[pid][at] for pid, at in visited])
     loss = distillation_loss(batch, cfg.objective, cfg.weighting, cfg.reduction)
     grad = loss_gradient_wrt_student_logits(batch, cfg.objective, cfg.weighting, cfg.reduction)
-    for ep, g in zip(episodes, batch.split(grad)):
-        visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
-        np.subtract.at(tables[ep.problem.problem_id], visited, cfg.step_size(step) * g)
+    for (pid, at), g in zip(visited, batch.split(grad)):
+        np.subtract.at(tables[pid], at, cfg.step_size(step) * g)
     return loss, grad
 
 
@@ -491,14 +521,15 @@ def test_norm_profile_equals_the_per_token_loop(
 
 
 def _per_sample_evaluate(cfg, problems, tables, eval_tag):
-    """The reference evaluate_policy: one derived generator per sample."""
+    """The reference evaluate_policy: one derived generator and one
+    row-by-row rollout per sample."""
     per_problem = []
     for problem in problems:
-        probs = softmax_with_temperature(tables[problem.problem_id], 1.0)
         texts = []
         for s in range(cfg.eval_samples):
             rng = derive_rng(cfg.seed, TAG_EVAL, eval_tag, problem.index, s)
-            texts.append(f"final \\boxed{{{trainer_module.rollout_from_params(problem, probs, rng).answer}}}")
+            _, _, answer, _ = _reference_rollout_from_params(problem, tables[problem.problem_id], rng)
+            texts.append(f"final \\boxed{{{answer}}}")
         per_problem.append(problem_metrics(grade_and_cluster(texts, problem.gold_answer)))
     return {**aggregate_metrics(per_problem), "n": cfg.eval_samples, "problems": len(problems)}
 
@@ -523,7 +554,7 @@ def test_evaluate_policy_equals_one_generator_per_sample(n_problems, samples, se
     noise = np.random.default_rng(seed)
     tables = {p.problem_id: scale * noise.standard_normal(p.teacher.shape) for p in problems}
     with mock.patch.object(trainer_module, "derive_rng", wraps=derive_rng) as spy:
-        got = trainer_module.evaluate_policy(cfg, problems, tables, eval_tag)
+        got = trainer_module.evaluate_policy(cfg, problems, StudentParams(tables), eval_tag)
     assert spy.call_count == 0  # the generators come from one replayed pass
     assert _metrics_bits(got) == _metrics_bits(_per_sample_evaluate(cfg, problems, tables, eval_tag))
 

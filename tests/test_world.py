@@ -33,6 +33,7 @@ from distillab.world import (
     default_filter_for_depth,
     forced_continuation,
     generate_problem,
+    nucleus_rows,
     nucleus_sample,
     run_diagnostic,
     student_rollout,
@@ -164,33 +165,36 @@ def test_greedy_rollout_is_correct_and_stays_in_lane_zero():
         assert trace.rows(p.teacher).shape == (p.length, cfg.vocab_size)
 
 
+def _table_rows(table, top_p):
+    """The nucleus rows of a (L, K, V) table as `nucleus_sample` takes them,
+    in the form `StudentParams.policy` gives: V columns, one start per row."""
+    L, K, V = table.shape
+    order, cum, _ = nucleus_rows(table.reshape(-1, V), top_p)
+    return order.reshape(-1), cum.reshape(L, K, V), np.arange(L * K).reshape(L, K) * V
+
+
 def test_nucleus_sample_properties():
     rng = derive_rng(71)
-    p = np.array([0.7, 0.2, 0.1])
+    p = np.array([[[0.7, 0.2, 0.1]]])
     # top_p below the head keeps only the argmax: draw is deterministic
+    head = _table_rows(p, 0.5)
     for _ in range(10):
-        assert nucleus_sample(rng, p, 1.0, 0.5) == 0
+        assert nucleus_sample(rng, *head).tolist() == [[0]]
     # top_p = 1 is plain categorical: all tokens appear over many draws
-    seen = {nucleus_sample(rng, p, 1.0, 1.0) for _ in range(400)}
+    full = _table_rows(p, 1.0)
+    seen = {int(nucleus_sample(rng, *full)[0, 0]) for _ in range(400)}
     assert seen == {0, 1, 2}
     # zero-probability tokens are never drawn
-    q = np.array([0.5, 0.5, 0.0])
-    assert all(nucleus_sample(rng, q, 1.0, 1.0) != 2 for _ in range(200))
-    with pytest.raises(InvalidInputError):
-        nucleus_sample(rng, p, 1.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        nucleus_sample(rng, p, -1.0, 0.9)
-    for bad in (0.0, float("nan")):
-        with pytest.raises(InvalidInputError):
-            nucleus_sample(rng, p, bad, 0.9)
+    q = _table_rows(np.array([[[0.5, 0.5, 0.0]]]), 1.0)
+    assert all(nucleus_sample(rng, *q)[0, 0] != 2 for _ in range(200))
+    for bad in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(InvalidInputError, match="top_p must lie in"):
+            nucleus_rows(p[0], bad)
 
 
-def _reference_nucleus_sample(rng, probs, temperature, top_p):
-    # the uncached algorithm: rescale, sort, cut, renormalize, then draw
+def _reference_nucleus_sample(rng, probs, top_p):
+    # the row-by-row algorithm: sort, cut, renormalize, then draw
     p = np.asarray(probs, dtype=float)
-    if temperature != 1.0:
-        scaled = np.where(p > 0.0, np.exp(np.log(np.maximum(p, 1e-12)) / temperature), 0.0)
-        p = scaled / scaled.sum()
     order = np.argsort(-p, kind="stable")
     cum = np.cumsum(p[order])
     cut = int(np.searchsorted(cum, top_p, side="left")) + 1
@@ -199,40 +203,6 @@ def _reference_nucleus_sample(rng, probs, temperature, top_p):
     kp = kp / kp.sum()
     u = rng.random()
     return int(kept[np.searchsorted(np.cumsum(kp), u, side="right").clip(0, len(kept) - 1)])
-
-
-_temperatures = st.sampled_from([1.0, 0.1, 0.5, 0.9, 1.1, 2.0, 7.0])
-_top_ps = st.sampled_from([1.0, 0.999, 0.95, 0.6, 0.3, 1e-6])
-
-
-@st.composite
-def _nucleus_calls(draw):
-    """Rows with ties and zeros, then calls that revisit them (memo hits),
-    with one row overwritten in place partway through."""
-    vocab = draw(st.integers(2, 12))
-    weights = st.lists(st.integers(0, 4), min_size=vocab, max_size=vocab).filter(any)
-    rows = [np.array(w, dtype=float) / sum(w) for w in draw(st.lists(weights, min_size=1, max_size=5))]
-    calls = draw(
-        st.lists(
-            st.tuples(st.integers(0, len(rows) - 1), _temperatures, _top_ps),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    replacement = np.array(draw(weights), dtype=float)
-    return rows, calls, draw(st.integers(0, len(calls))), replacement / replacement.sum()
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=_nucleus_calls(), seed=st.integers(0, 2**32))
-def test_memoised_nucleus_sample_equals_reference(case, seed):
-    rows, calls, mutate_at, replacement = case
-    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for k, (i, temperature, top_p) in enumerate(calls):
-        if k == mutate_at:
-            rows[0][:] = replacement  # same array object, new contents
-        expected = _reference_nucleus_sample(slow_rng, rows[i], temperature, top_p)
-        assert nucleus_sample(fast_rng, rows[i], temperature, top_p) == expected
 
 
 class _GivenUniforms:
@@ -246,32 +216,55 @@ class _GivenUniforms:
         return float(self.uniforms[0]) if size is None else self.uniforms.reshape(size)
 
 
-def _assert_table_draw_equals_reference(tokens, table, temperature, top_p, uniforms):
+def _assert_table_draw_equals_reference(tokens, table, top_p, uniforms):
     """Each row of a (L, K, V) table, drawn with its layer's uniform by the
     reference, gives the token the table draw gave it."""
     assert tokens.shape == table.shape[:-1]
     for t, u in enumerate(uniforms):
         for lane, row in enumerate(table[t]):
-            expected = _reference_nucleus_sample(_GivenUniforms([u]), row, temperature, top_p)
-            assert tokens[t, lane] == expected
+            assert tokens[t, lane] == _reference_nucleus_sample(_GivenUniforms([u]), row, top_p)
 
 
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 2**32), vocab=st.integers(2, 12), temperature=_temperatures, top_p=_top_ps)
-def test_memoised_nucleus_sample_survives_eviction(seed, vocab, temperature, top_p):
-    memo = world_module._nucleus_table
-    size = world_module._TABLE_MEMO_SIZE
-    tables = derive_rng(seed).dirichlet(np.full(vocab, 0.5), size=(size + 7, 3, 2))
-    memo.cache_clear()
-    fast_rng, slow_rng = derive_rng(seed, 1), derive_rng(seed, 1)
-    for _ in range(2):  # a cycle longer than the memo evicts every table before its reuse
-        for table in tables:
-            uniforms = [slow_rng.random() for _ in range(len(table))]
-            tokens = nucleus_sample(fast_rng, table, temperature, top_p)
-            _assert_table_draw_equals_reference(tokens, table, temperature, top_p, uniforms)
-    info = memo.cache_info()
-    assert info.currsize == size
-    assert (info.hits, info.misses) == (0, 2 * len(tables))
+# Logits with ties, and entries so far below the rest that their softmax
+# underflows to exactly 0.
+_logit_entries = st.sampled_from([0.0, 0.0, 1.0, 2.5, -3.0, -800.0])
+
+
+@st.composite
+def _policy_calls(draw):
+    """Logit tables of a few problems, draws that revisit them (cache hits),
+    and one entry edited in place partway through."""
+    cfg = draw(
+        st.builds(WorldConfig, vocab_size=st.integers(4, 8), depth=st.integers(4, 8), branch_count=st.integers(1, 2))
+    )
+    problems = [generate_problem(cfg, i) for i in range(draw(st.integers(1, 3)))]
+    tables = {
+        p.problem_id: np.array(
+            draw(st.lists(_logit_entries, min_size=p.teacher.size, max_size=p.teacher.size))
+        ).reshape(p.teacher.shape)
+        for p in problems
+    }
+    calls = draw(st.lists(st.integers(0, len(problems) - 1), min_size=1, max_size=20))
+    at = draw(st.integers(0, len(calls)))
+    edit = draw(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, cfg.vocab_size - 1), _logit_entries))
+    return problems, tables, calls, at, edit
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_policy_calls(), seed=st.integers(0, 2**32))
+def test_memoised_nucleus_sample_equals_reference(case, seed):
+    # `StudentParams.policy` is the one memo of nucleus rows: every draw from
+    # it equals the row-by-row draw from the softmax of the current logits
+    problems, tables, calls, at, (t, lane, token, value) = case
+    theta = trainer_module.StudentParams(tables)
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k, i in enumerate(calls):
+        p = problems[i]
+        if k == at:  # same array, new contents
+            theta.tables[p.problem_id][t % p.length, lane % p.teacher.shape[1], token] = value
+        tokens = nucleus_sample(fast_rng, *theta.policy([p])[p])
+        probs = softmax_with_temperature(theta.tables[p.problem_id], 1.0)
+        _assert_table_draw_equals_reference(tokens, probs, 1.0, [slow_rng.random() for _ in range(p.length)])
 
 
 # Row entries with exact zeros, ties, and masses far apart: a row like
@@ -302,43 +295,21 @@ _boundary_uniforms = st.sampled_from([0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    case=_tables(),
-    temperature=_temperatures,
-    top_p=_table_top_ps,
-    seed=st.integers(0, 2**32),
-    data=st.data(),
-)
-def test_table_draw_equals_the_reference_row_by_row(case, temperature, top_p, seed, data):
+@given(case=_tables(), top_p=_table_top_ps, seed=st.integers(0, 2**32), data=st.data())
+def test_table_draw_equals_the_reference_row_by_row(case, top_p, seed, data):
     table, start = case
     rest = table[start:]  # a walk that starts past layer 0 draws from the rest
+    rows = _table_rows(rest, top_p)
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):  # repeated draws from one table hit the memo
+    for _ in range(3):  # repeated draws from one table's rows
         uniforms = [slow_rng.random() for _ in range(len(rest))]  # one per layer
-        tokens = nucleus_sample(fast_rng, rest, temperature, top_p)
-        _assert_table_draw_equals_reference(tokens, rest, temperature, top_p, uniforms)
+        tokens = nucleus_sample(fast_rng, *rows)
+        _assert_table_draw_equals_reference(tokens, rest, top_p, uniforms)
         assert fast_rng.random() == slow_rng.random()  # both consumed the same uniforms
     # uniforms exactly on a cumulative mass: the draw is bisect_right
     uniforms = data.draw(st.lists(_boundary_uniforms, min_size=len(rest), max_size=len(rest)))
-    tokens = nucleus_sample(_GivenUniforms(uniforms), rest, temperature, top_p)
-    _assert_table_draw_equals_reference(tokens, rest, temperature, top_p, uniforms)
-    # a (K, V) table shares one uniform, a (V,) row draws one token
-    u = slow_rng.random()
-    assert _reference_nucleus_sample(_GivenUniforms([u]), rest[0, 0], temperature, top_p) == (
-        nucleus_sample(fast_rng, rest[0, 0], temperature, top_p)
-    )
-    uniforms = [slow_rng.random()]
-    _assert_table_draw_equals_reference(
-        nucleus_sample(fast_rng, rest[0], temperature, top_p)[None], rest[:1], temperature, top_p, uniforms
-    )
-
-
-def test_nucleus_low_temperature_sharpens():
-    rng = derive_rng(72)
-    p = np.array([0.6, 0.4])
-    draws = [nucleus_sample(rng, p, 0.1, 1.0) for _ in range(300)]
-    # at T = 0.1 the head holds nearly all mass
-    assert sum(d == 0 for d in draws) >= 295
+    tokens = nucleus_sample(_GivenUniforms(uniforms), *rows)
+    _assert_table_draw_equals_reference(tokens, rest, top_p, uniforms)
 
 
 def test_forced_continuation_basics():
@@ -504,17 +475,20 @@ def _reference_student_rollout(problem):
     return _reference_trace(problem, tokens, lanes)
 
 
-def _reference_forced_attempts(problem, lane, position, forced_token, attempts):
+def _reference_forced_continuation(problem, spine, position, forced_token, attempts):
+    # the per-attempt loop that the outcome table replaced: one generator per
+    # attempt, then one row draw per layer from the forced token's lane to the
+    # answer; each attempt's tokens, lanes and correctness
+    after = problem.transition(position, spine.lanes[position], int(forced_token))
     walks = []
     for a in range(attempts):
         rng = derive_rng(
             problem.cfg.seed, TAG_FORCE, problem.index, position, int(forced_token), a
         )
-        lane_now = problem.transition(position, lane, int(forced_token))
-        token = None
+        lane_now = after
         tokens, lanes = [], []
         for t in range(position + 1, problem.length):
-            token = nucleus_sample(rng, problem.student[t, lane_now], 1.0, 0.95)
+            token = _reference_nucleus_sample(rng, problem.student[t, lane_now], 0.95)
             tokens.append(token)
             lanes.append(lane_now)
             if t < problem.length - 1:
@@ -528,7 +502,7 @@ def _reference_rollout_from_params(problem, theta, rng):
     lane = 0
     tokens, lanes = [], []
     for t in range(problem.length):
-        token = nucleus_sample(rng, probs[t, lane], temperature=1.0, top_p=1.0)
+        token = _reference_nucleus_sample(rng, probs[t, lane], 1.0)
         tokens.append(token)
         lanes.append(lane)
         if t < problem.length - 1:
@@ -621,15 +595,15 @@ def test_walk_equals_the_replaced_world_loops(cfg, index, data):
     position = data.draw(st.integers(0, p.length - 2), label="position")
     lane = spine.lanes[position]
     attempts = data.draw(st.integers(1, 4), label="attempts")
+    nucleus = _table_rows(p.student[position + 1 :], 0.95)
     for token in p.children(position, lane):
-        reference = _reference_forced_attempts(p, lane, position, token, attempts)
+        reference = _reference_forced_continuation(p, spine, position, token, attempts)
         outcomes = forced_continuation(p, spine, position, token, attempts)
         assert outcomes == [correct for _, _, correct in reference]
         after = p.transition(position, lane, token)
         for a, (tokens, lanes, correct) in enumerate(reference):
             rng = derive_rng(cfg.seed, TAG_FORCE, index, position, token, a)
-            draw = nucleus_sample(rng, p.student[position + 1 :], 1.0, 0.95)
-            episode = world_module.walk(p, position + 1, after, draw)
+            episode = world_module.walk(p, position + 1, after, nucleus_sample(rng, *nucleus))
             assert (episode.tokens, episode.lanes, episode.correct) == (tokens, lanes, correct)
             rows = np.array([p.teacher[position + 1 + k, z] for k, z in enumerate(lanes)])
             assert _bits(episode.rows(p.teacher)) == _bits(rows)
@@ -645,11 +619,14 @@ def test_walk_equals_the_replaced_world_loops(cfg, index, data):
 def test_trainer_rollout_equals_the_replaced_loop(cfg, index, noise, seed):
     p = generate_problem(cfg, index)
     theta = floored_log(p.teacher) + noise * derive_rng(seed, 1).standard_normal(p.teacher.shape)
-    probs = softmax_with_temperature(theta, 1.0)
-    episode = trainer_module.rollout_from_params(p, probs, derive_rng(seed, 2))
+    policy = trainer_module.StudentParams({p.problem_id: theta}).policy([p])[p]
+    episode = trainer_module.rollout_from_params(p, policy, derive_rng(seed, 2))
     tokens, lanes, answer, correct = _reference_rollout_from_params(p, theta, derive_rng(seed, 2))
     assert (list(episode.tokens), list(episode.lanes)) == (tokens, lanes)
     assert (episode.answer, episode.correct) == (answer, correct)
+
+
+_temperatures = st.sampled_from([1.0, 0.1, 0.5, 0.9, 1.1, 2.0, 7.0])
 
 
 @settings(max_examples=30, deadline=None)
@@ -693,30 +670,10 @@ def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
     assert all(before[pid].tobytes() == t.tobytes() for pid, t in theta.tables.items())
 
 
-def _reference_forced_continuation(problem, spine, position, forced_token, attempts):
-    # the per-attempt loop that the outcome table replaced, at diagnose's
-    # T = 1, top_p = 0.95: one generator, one table draw and one walk for
-    # every attempt
-    after = problem.transition(position, spine.lanes[position], int(forced_token))
-    rest = problem.student[position + 1 :]
-    outcomes = []
-    for a in range(attempts):
-        rng = derive_rng(
-            problem.cfg.seed, TAG_FORCE, problem.index, position, int(forced_token), a
-        )
-        tokens = nucleus_sample(rng, rest, 1.0, 0.95)
-        outcomes.append(world_module.walk(problem, position + 1, after, tokens).correct)
-    return outcomes
-
-
-def _is_point_mass(table, temperature, top_p):
+def _is_point_mass(table, top_p):
     """Every row's nucleus holds one token, by the reference algorithm's cut."""
     for row in table.reshape(-1, table.shape[-1]):
-        p = row
-        if temperature != 1.0:
-            scaled = np.where(p > 0.0, np.exp(np.log(np.maximum(p, 1e-12)) / temperature), 0.0)
-            p = scaled / scaled.sum()
-        cum = np.cumsum(np.sort(p)[::-1])
+        cum = np.cumsum(np.sort(row)[::-1])
         if int(np.searchsorted(cum, top_p, side="left")) + 1 > 1:
             return False
     return True
@@ -735,7 +692,10 @@ def test_forced_continuation_equals_the_per_attempt_loop(cfg, index, attempts, d
     else:
         position = data.draw(st.integers(0, p.length - 2), label="position")
     children = p.children(position, spine.lanes[position])
-    expected = [_reference_forced_continuation(p, spine, position, token, attempts) for token in children]
+    expected = [
+        [correct for *_, correct in _reference_forced_continuation(p, spine, position, token, attempts)]
+        for token in children
+    ]
     with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
         outcomes = [forced_continuation(p, spine, position, token, attempts) for token in children]
     assert outcomes == expected
@@ -747,41 +707,30 @@ def test_forced_continuation_equals_the_per_attempt_loop(cfg, index, attempts, d
 @example(cfg=WorldConfig(), index=0, attempts=3)  # the default world
 def test_point_mass_outcome_table_equals_the_walks(cfg, index, attempts):
     p = generate_problem(cfg, index)
-    # STUDENT_BACKGROUND < 1 - 0.95: every student row keeps one token at diagnose's T = 1, top_p = 0.95
-    assert _is_point_mass(p.student, 1.0, 0.95)
+    # STUDENT_BACKGROUND < 1 - 0.95: every student row keeps one token at diagnose's top_p = 0.95
+    assert _is_point_mass(p.student, 0.95)
     spine = student_rollout(p)
-    world_module._nucleus_table.cache_clear()
-    with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
+    world_module._continuation_outcomes.cache_clear()
+    with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy, mock.patch.object(
+        world_module, "nucleus_rows", wraps=world_module.nucleus_rows
+    ) as built:
         forced = {
             (position, token): forced_continuation(p, spine, position, token, attempts)
             for position in range(p.length - 1)
             for token in p.children(position, spine.lanes[position])
         }
-    # all forced continuations of a problem: one generator and one nucleus table
+    # all forced continuations of a problem: one generator, one build of the
+    # student table's nucleus rows and one outcome table
     assert spy.call_count == 1
-    assert world_module._nucleus_table.cache_info().misses == 1
+    assert built.call_count == 1
+    assert world_module._continuation_outcomes.cache_info().misses == 1
     table = world_module._continuation_outcomes(p)
     greedy = p.student.argmax(axis=-1)
     for t in range(p.length):  # every state: the outcome of its greedy walk
         assert table[t] == [world_module.walk(p, t, lane, greedy[t:]).correct for lane in range(cfg.branch_count + 1)]
     for (position, token), outcomes in forced.items():
-        assert outcomes == _reference_forced_continuation(p, spine, position, token, attempts)
-
-
-@pytest.mark.parametrize("temperature, top_p", [(1.0, 0.95)])  # diagnose's setting
-def test_forced_continuations_of_a_problem_share_one_memo_entry(temperature, top_p):
-    p = generate_problem(WorldConfig(), 0)
-    assert _is_point_mass(p.student, temperature, top_p)
-    spine = student_rollout(p)
-    world_module._nucleus_table.cache_clear()
-    forced = {
-        (position, token): forced_continuation(p, spine, position, token, 3)
-        for position in range(0, p.length - 1, 3)
-        for token in p.children(position, spine.lanes[position])
-    }
-    assert world_module._nucleus_table.cache_info().misses == 1  # the whole student table
-    for (position, token), outcomes in forced.items():
-        assert outcomes == _reference_forced_continuation(p, spine, position, token, 3)
+        reference = _reference_forced_continuation(p, spine, position, token, attempts)
+        assert outcomes == [correct for *_, correct in reference]
 
 
 def _reference_teacher_ensemble(problem, position, lane, members, perturb_scale):
