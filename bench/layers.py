@@ -99,8 +99,8 @@ units = {name: [] for name in names}
 UNITS = {
     "trainer._collect_episodes": lambda args, episodes: sum(len(ep.tokens) for ep in episodes),
     "trainer.distillation_loss": lambda args, loss: args[0].total_tokens,
-    # a problem's (C, M, V) stack holds C candidates; an (M, V) ensemble, one
-    "world.teacher_ensemble": lambda args, ensembles: len(ensembles) if ensembles.ndim == 3 else 1,
+    # a (C, M, V) stack holds C candidates
+    "world.teacher_ensemble": lambda args, ensembles: len(ensembles),
 }
 
 

@@ -563,8 +563,8 @@ def _cmd_score(args: argparse.Namespace, argv: list[str]) -> int:
     if not isinstance(obj, dict) or "members" not in obj:
         raise InvalidInputError("input must be a JSON object with a members field")
     members = _json_array(obj["members"], float, "members")
-    if members.ndim != 2:
-        raise InvalidInputError("members must be a 2-D array of distributions")
+    if members.ndim != 2 or len(members) < 2:
+        raise InvalidInputError(f"members must be a 2-D array of at least 2 distributions, got shape {members.shape}")
     mask = obj.get("valid_mask")
     if mask is None:
         valid = np.ones(members.shape[1], dtype=bool)
@@ -577,7 +577,7 @@ def _cmd_score(args: argparse.Namespace, argv: list[str]) -> int:
         mean_dist = members.mean(axis=0)
         mean_dist = mean_dist / mean_dist.sum()
         h_trunc = truncated_entropy(mean_dist, valid, args.top_m)
-        scores = score_ensemble(members, h_trunc)
+        scores = {**score_ensemble(members[None])[0], "truncated_entropy": h_trunc}
     print(_dump(scores))
     return 0
 

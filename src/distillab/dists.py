@@ -121,6 +121,20 @@ def row_entropies(table) -> np.ndarray:
     return out
 
 
+def prefix_entropies(ranked: np.ndarray) -> np.ndarray:
+    """Entropy of each descending row (a positive prefix, then zeros) renormalized
+    over its prefix; unvalidated. Rows with the same count of positives share one
+    pass, whose row sums are the same pairwise sums as a 1-D sum of the prefix."""
+    width = (ranked > 0.0).sum(axis=1)
+    out = np.empty(len(ranked))
+    for k in set(width.tolist()):
+        same = width == k
+        p = ranked[same, :k]
+        p = p / p.sum(axis=1, keepdims=True)
+        out[same] = -(p * np.log(p)).sum(axis=1)
+    return out
+
+
 def truncated_entropy(p, valid_mask, top_m: int) -> float:
     """Entropy of the renormalized top-`top_m` valid-token probabilities.
 
@@ -136,18 +150,11 @@ def truncated_entropy(p, valid_mask, top_m: int) -> float:
     if top_m < 1:
         raise InvalidInputError(f"top_m must be >= 1, got {top_m}")
     masked = np.where(mask, arr, 0.0)
-    total = masked.sum()
-    if total <= 0.0:
+    if masked.sum() <= 0.0:
         raise DegenerateInputError("no probability mass on valid tokens")
     # stable sort on negated probs: equal values keep index order (lowest wins)
     order = np.argsort(-masked, kind="stable")
-    kept = order[: min(top_m, masked.size)]
-    top = masked[kept]
-    top = top[top > 0.0]
-    if top.size == 0:
-        raise DegenerateInputError("no positive probability among selected tokens")
-    top = top / top.sum()
-    return float(-(top * np.log(top)).sum())
+    return float(prefix_entropies(masked[order[:top_m]][None])[0])
 
 
 def _as_pair(q, p, q_name: str, p_name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 """Uncertainty scores computed from a stochastic ensemble of token distributions.
 
 An ensemble is an (M, V) array of M >= 2 probability rows for the same token,
-e.g. repeated stochastic forward passes. From it we score:
+e.g. repeated stochastic forward passes; `score_ensemble` scores a (C, M, V)
+stack of them in one pass. From each ensemble we score:
 
 * mean predictive entropy  -- average row entropy;
 * mutual information       -- entropy of the mean row minus mean entropy
@@ -65,34 +66,17 @@ def dirichlet_precision(members, epsilon: float = DIRICHLET_EPSILON) -> tuple[fl
     return _precisions(_checked(members, epsilon, 2), epsilon)[0]
 
 
-def score_ensemble(
-    members, truncated_entropy_value, epsilon: float = DIRICHLET_EPSILON
-) -> dict[str, float] | list[dict[str, float]]:
-    """The three ensemble scores and a precomputed truncated entropy, keyed
-    mean_entropy, mutual_information, log_kappa, truncated_entropy. One set
-    of row entropies serves both the mean entropy and the mutual information,
-    whose floating-point residue below zero is clamped to 0.
-
-    A sequence of C truncated entropies takes a (C, M, V) stack of C
-    ensembles and gives the list of their C dicts, each equal to its own
-    ensemble's, computed in one pass over the stack."""
-    stacked = np.ndim(truncated_entropy_value) == 1
-    stack = _checked(members, epsilon, 3 if stacked else 2)
-    truncated = list(truncated_entropy_value) if stacked else [truncated_entropy_value]
-    if len(truncated) != len(stack):
-        raise InvalidInputError(f"{len(stack)} ensembles need as many truncated entropies, got {len(truncated)}")
+def score_ensemble(stack, epsilon: float = DIRICHLET_EPSILON) -> list[dict[str, float]]:
+    """The three ensemble scores of each ensemble of a (C, M, V) stack, in one
+    pass over the stack: C dicts keyed mean_entropy, mutual_information and
+    log_kappa. One set of row entropies serves both the mean entropy and the
+    mutual information, whose floating-point residue below zero is clamped
+    to 0."""
+    stack = _checked(stack, epsilon, 3)
     C, M, V = stack.shape
     mean_entropies = row_entropies(stack.reshape(C * M, V)).reshape(C, M).mean(axis=1)
     mis = row_entropies(stack.mean(axis=1)) - mean_entropies
-    scores = [
-        {
-            "mean_entropy": mean_entropy,
-            "mutual_information": mi if mi > 0.0 else 0.0,
-            "log_kappa": log_kappa,
-            "truncated_entropy": float(t),
-        }
-        for mean_entropy, mi, (_, log_kappa), t in zip(
-            mean_entropies.tolist(), mis.tolist(), _precisions(stack, epsilon), truncated
-        )
+    return [
+        {"mean_entropy": mean_entropy, "mutual_information": mi if mi > 0.0 else 0.0, "log_kappa": log_kappa}
+        for mean_entropy, mi, (_, log_kappa) in zip(mean_entropies.tolist(), mis.tolist(), _precisions(stack, epsilon))
     ]
-    return scores if stacked else scores[0]

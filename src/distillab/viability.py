@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dists import as_rows
+from .dists import as_rows, prefix_entropies
 from .errors import DegenerateInputError, InvalidInputError
 
 
@@ -187,16 +187,7 @@ def select_candidates(
     with np.errstate(divide="ignore", invalid="ignore"):
         keep = np.flatnonzero(~((p1 <= 0.0) | (p2 < cfg.p2_min) | (p2 / p1 < cfg.ratio_min)))
     # truncated entropy of each passing row: its top_m valid probabilities
-    # (a positive prefix, then zeros) renormalized; rows with the same count
-    # of positives share one pass, whose row sums are truncated_entropy's 1-D sums
-    top = ranked[keep, : cfg.top_m]
-    width = (top > 0.0).sum(axis=1)
-    entropy = np.empty(keep.size)
-    for k in set(width.tolist()):
-        same = width == k
-        p = top[same, :k]
-        p = p / p.sum(axis=1, keepdims=True)
-        entropy[same] = -(p * np.log(p)).sum(axis=1)
+    entropy = prefix_entropies(ranked[keep, : cfg.top_m])
     tc = cfg.top_children
     passing = [
         (h, pos, [(j, v) for j, v in zip(order[pos, :tc].tolist(), ranked[pos, :tc].tolist()) if v > 0.0])

@@ -365,41 +365,36 @@ def forced_continuation(
 
 
 def teacher_ensemble(
-    problem: ProblemInstance | list[ProblemInstance],
-    position: int | list[int],
-    lane: int | list[int],
+    problems: list[ProblemInstance],
+    positions: list[int],
+    lanes: list[int],
     members: int = 5,
     perturb_scale: float = 0.1,
 ) -> np.ndarray:
-    """Stochastic ensemble for a state: seeded logit-noise perturbations of the
-    teacher distribution, one generator per (problem, position, member) and
-    one softmax of the (members, V) logits. Equal sequences of positions and
-    lanes, of one problem or of one problem each, give the (C, members, V)
-    stack of their ensembles, with one overflow check and one softmax. The
-    generators' states are replayed in one pass (`seeding.replayed`), so each
-    member's noise is numpy's own `standard_normal`. Zero perturbation returns
-    exact copies. A scale whose logits, or their shift by the row max,
-    overflow is refused."""
+    """Stochastic ensembles for C states, given as equal-length sequences of
+    problems, positions and lanes: seeded logit-noise perturbations of each
+    state's teacher distribution, one generator per (problem, position,
+    member), returned as their (C, members, V) stack with one overflow check
+    and one softmax. The generators' states are replayed in one pass
+    (`seeding.replayed`), so each member's noise is numpy's own
+    `standard_normal`. Zero perturbation returns exact copies. A scale whose
+    logits, or their shift by the row max, overflow is refused."""
     if members < 2:
         raise InvalidInputError(f"members must be >= 2, got {members}")
     if perturb_scale < 0.0:
         raise InvalidInputError(f"perturb_scale must be >= 0, got {perturb_scale!r}")
-    positions, lanes = np.atleast_1d(position).tolist(), np.atleast_1d(lane).tolist()
-    problems = problem if isinstance(problem, list) else [problem] * len(positions)
     q = np.array([p.teacher[t, z] for p, t, z in zip(problems, positions, lanes, strict=True)])[:, None]
     if perturb_scale == 0.0:
-        ensembles = np.repeat(q, members, axis=1)
-    else:
-        paths = [(p.cfg.seed, TAG_ENSEMBLE, p.index, t, m) for p, t in zip(problems, positions) for m in range(members)]
-        noise = np.empty((len(paths), q.shape[-1]))
-        for row, rng in zip(noise, replayed(paths)):
-            rng.standard_normal(out=row)
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits = floored_log(q) + perturb_scale * noise.reshape(len(positions), members, -1)
-            if not np.isfinite(logits - logits.max(axis=-1, keepdims=True)).all():
-                raise InvalidInputError(f"perturb_scale {perturb_scale!r} overflows the ensemble logits")
-        ensembles = softmax_with_temperature(logits, 1.0)
-    return ensembles if np.ndim(position) else ensembles[0]
+        return np.repeat(q, members, axis=1)
+    paths = [(p.cfg.seed, TAG_ENSEMBLE, p.index, t, m) for p, t in zip(problems, positions) for m in range(members)]
+    noise = np.empty((len(paths), q.shape[-1]))
+    for row, rng in zip(noise, replayed(paths)):
+        rng.standard_normal(out=row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = floored_log(q) + perturb_scale * noise.reshape(len(q), members, -1)
+        if not np.isfinite(logits - logits.max(axis=-1, keepdims=True)).all():
+            raise InvalidInputError(f"perturb_scale {perturb_scale!r} overflows the ensemble logits")
+    return softmax_with_temperature(logits, 1.0)
 
 
 SCORE_NAMES = (
@@ -490,8 +485,8 @@ def _score_block(probes: list, ensemble_members: int, perturb_scale: float) -> l
     if block:
         problems, cands, lanes = map(list, zip(*block))
         ensembles = teacher_ensemble(problems, [c.spine_pos for c in cands], lanes, ensemble_members, perturb_scale)
-        for cand, scores in zip(cands, score_ensemble(ensembles, [c.truncated_entropy for c in cands])):
-            cand.scores = {"oriented_position": cand.oriented_score, **scores}
+        for c, scores in zip(cands, score_ensemble(ensembles)):
+            c.scores = {"oriented_position": c.oriented_score, "truncated_entropy": c.truncated_entropy, **scores}
     return [
         (spine, cands, json.dumps(spine, sort_keys=True) + "\n", candidates_jsonl(cands)) for spine, cands, *_ in probes
     ]
@@ -520,6 +515,13 @@ def run_diagnostic(
     when the statistics fail. `report.workers` is the processes used."""
     if n_problems < 2:
         raise InvalidInputError(f"n_problems must be >= 2, got {n_problems}")
+    # the kernels' own refusals, made before any problem is probed
+    if ensemble_members < 2:
+        raise InvalidInputError(f"members must be >= 2, got {ensemble_members}")
+    if perturb_scale < 0.0:
+        raise InvalidInputError(f"perturb_scale must be >= 0, got {perturb_scale!r}")
+    if continuations_per_child < 1:
+        raise InvalidInputError(f"attempts must be >= 1, got {continuations_per_child}")
     filter_cfg = filter_cfg or default_filter_for_depth(cfg.depth)
     thresholds = thresholds or LabelThresholds()
     bootstrap_cfg = bootstrap_cfg or BootstrapConfig(seed=cfg.seed)
@@ -552,31 +554,22 @@ def run_diagnostic(
         ]
         reports[name] = score_report(name, items, bootstrap_cfg)
 
-    curve = []
+    # each candidate's bin by one search of the edges: lo <= r < hi, with r < 1
     edges = np.linspace(0.0, 1.0, 11)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        in_bin = [
-            c
-            for c in all_candidates
-            if lo <= c.normalized_position < hi
-            or (hi == 1.0 and c.normalized_position == 1.0)
-        ]
-        row = {
+    bins = np.searchsorted(edges, [c.normalized_position for c in all_candidates], side="right") - 1
+    counts = np.bincount(bins, minlength=10).tolist()
+    real = np.bincount(bins, [c.label is Label.REAL_UNCERTAIN for c in all_candidates], minlength=10).tolist()
+    reliable = np.bincount(bins, [bool(c.ground_truth_reliable) for c in all_candidates], minlength=10).tolist()
+    curve = [
+        {
             "bin_low": float(lo),
             "bin_high": float(hi),
-            "n": len(in_bin),
-            "real_uncertain_rate": (
-                sum(c.label is Label.REAL_UNCERTAIN for c in in_bin) / len(in_bin)
-                if in_bin
-                else None
-            ),
-            "ground_truth_reliable_rate": (
-                sum(bool(c.ground_truth_reliable) for c in in_bin) / len(in_bin)
-                if in_bin
-                else None
-            ),
+            "n": n,
+            "real_uncertain_rate": r / n if n else None,
+            "ground_truth_reliable_rate": g / n if n else None,
         }
-        curve.append(row)
+        for lo, hi, n, r, g in zip(edges[:-1], edges[1:], counts, real, reliable)
+    ]
 
     return DiagnosticReport(
         world=cfg.as_dict(),

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import os
@@ -113,6 +114,7 @@ BAD_REQUESTS = {
         ["score", "--in", "-"], '{"members": [[0.5, "x"], [0.5, 0.5]]}', 2, "InvalidInputError"
     ),
     "score-object-members": (["score", "--in", "-"], '{"members": {"a": 1}}', 2, "InvalidInputError"),
+    "score-one-member": (["score", "--in", "-"], '{"members": [[1.0, 0.0]]}', 2, "InvalidInputError"),
     "score-deep-json": (["score", "--in", "-"], _DEEP, 2, "InvalidInputError"),
     "metrics-deep-json": (["metrics", "--in", "-"], _DEEP, 2, "InvalidInputError"),
     "identities-negative-alphabet": (["identities", "--alphabet", "-1"], "", 2, "InvalidInputError"),
@@ -636,6 +638,50 @@ def test_diagnose_failures_do_not_depend_on_threads(monkeypatch, capsys, tmp_pat
     assert one == two
     assert one[0] == 2 and one[1] == "" and one[3] == []
     assert one[2].splitlines() == [json.dumps({"error": "InvalidInputError", "message": message})]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--members", "1"], "members must be >= 2, got 1"),
+        (["--perturb", "-1"], "perturb_scale must be >= 0, got -1.0"),
+        (["--continuations", "0"], "attempts must be >= 1, got 0"),
+    ],
+)
+def test_bad_ensemble_and_continuation_flags_are_refused_before_probing(monkeypatch, capsys, tmp_path, flags, message):
+    # a world with no candidates: a probe would end in "no candidates" (exit 3), after writing two files
+    argv = ["diagnose", "--ambiguity", "0.01", "--problems", "4", *flags]
+    code, out, err, files = _diagnose_in(monkeypatch, capsys, tmp_path / "run", argv)
+    assert (code, out, files) == (2, "", [])
+    assert err.splitlines() == [json.dumps({"error": "InvalidInputError", "message": message})]
+    assert not (tmp_path / "run" / "out").exists()
+
+
+def test_flag_defaults_equal_the_defaults_they_set():
+    # each default is stated twice, in the parser and in the config or signature it sets
+    from distillab.cli import _parse_args, _train_config, _world_from
+    from distillab.objectives import ObjectiveConfig
+    from distillab.stats import BootstrapConfig
+    from distillab.trainer import TrainConfig
+    from distillab.world import WorldConfig, run_diagnostic
+
+    diagnose = _parse_args(["diagnose", "--out", "o"])
+    assert _world_from(diagnose) == WorldConfig()
+    assert BootstrapConfig(resamples=diagnose.resamples, seed=diagnose.seed) == BootstrapConfig()
+    # --threads picks only the process count and defaults to the CPU count
+    flags = {
+        "n_problems": diagnose.problems,
+        "ensemble_members": diagnose.members,
+        "perturb_scale": diagnose.perturb,
+        "continuations_per_child": diagnose.continuations,
+    }
+    parameters = inspect.signature(run_diagnostic).parameters
+    assert flags == {name: parameters[name].default for name in flags}
+    # train's --weighting and --reduction included; sweep, which has neither flag, takes _train_config's fallbacks
+    for command in ("train", "sweep"):
+        assert _train_config(_parse_args([command])) == (WorldConfig(), TrainConfig())
+    gradcheck = _parse_args(["gradcheck"])
+    assert ObjectiveConfig(gradcheck.temperature, gradcheck.clip) == ObjectiveConfig() == TrainConfig().objective
 
 
 def test_continuations_change_only_their_echo_in_the_report(monkeypatch, capsys, tmp_path):

@@ -127,6 +127,40 @@ def test_truncated_entropy_degenerate_mask():
         truncated_entropy([1.0, 0.0], [True, True], 0)
 
 
+def _reference_truncated_entropy(p, valid_mask, top_m):
+    # the one-row body that the shared prefix_entropies kernel replaced
+    masked = np.where(np.asarray(valid_mask, dtype=bool), np.asarray(p, dtype=float), 0.0)
+    order = np.argsort(-masked, kind="stable")
+    top = masked[order[: min(top_m, masked.size)]]
+    top = top[top > 0.0]
+    top = top / top.sum()
+    return float(-(top * np.log(top)).sum())
+
+
+@st.composite
+def _masked_rows(draw):
+    """A probability row (small integer weights, with ties and exact zeros, or
+    a Dirichlet draw) and a mask that keeps some of its mass."""
+    vocab = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 1, 2, 3, 7]), min_size=vocab, max_size=vocab).filter(any)))
+    else:
+        alpha = draw(st.sampled_from([0.1, 1.0]))
+        w = np.random.default_rng(draw(st.integers(0, 2**32))).dirichlet(np.full(vocab, alpha))
+    p = w / w.sum()
+    mask = np.array(draw(st.lists(st.booleans(), min_size=vocab, max_size=vocab)))
+    mask[int(np.argmax(p))] |= not (mask & (p > 0.0)).any()
+    return p, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=_masked_rows(), top_m=st.integers(1, 24))
+@example(row=(np.array([0.4, 0.2, 0.4]), np.ones(3, dtype=bool)), top_m=2)  # a tie at the cut
+def test_truncated_entropy_equals_the_one_row_reference(row, top_m):
+    p, mask = row
+    assert truncated_entropy(p, mask, top_m).hex() == _reference_truncated_entropy(p, mask, top_m).hex()
+
+
 def test_clipped_terms_fixture():
     # q = (1/2, 1/2), p = (1/4, 3/4), clip 0.05:
     #   term0 = (1/2) ln 2 = 0.3466 -> clipped to 0.05

@@ -17,7 +17,7 @@ from distillab.uncertainty import (
 
 
 def _score(members, key):
-    return score_ensemble(members, 0.0)[key]
+    return score_ensemble([members])[0][key]
 
 
 def test_mean_entropy_hand_value():
@@ -86,21 +86,22 @@ def test_precision_estimator_monotone_in_spread():
 
 def test_ensemble_validation():
     with pytest.raises(InvalidInputError):
-        score_ensemble([[1.0, 0.0]], 0.0)  # single member
+        score_ensemble([[[1.0, 0.0]]])  # single member
     with pytest.raises(InvalidInputError):
-        score_ensemble([[0.5, 0.6], [0.5, 0.5]], 0.0)  # not a distribution
+        score_ensemble([[[0.5, 0.6], [0.5, 0.5]]])  # not a distribution
     with pytest.raises(InvalidInputError):
         dirichlet_precision([[0.5, 0.5], [0.5, 0.5]], epsilon=0.0)
 
 
 def test_score_ensemble_bundles_everything():
+    # one dict per ensemble of the stack, holding the three ensemble scores
     members = [[0.6, 0.4], [0.5, 0.5], [0.7, 0.3]]
-    d = score_ensemble(members, truncated_entropy_value=0.123)
-    assert isinstance(d, dict)
-    assert d["truncated_entropy"] == 0.123
-    assert abs(d["mean_entropy"] - _score(members, "mean_entropy")) < 1e-15
-    assert abs(d["mutual_information"] - _score(members, "mutual_information")) < 1e-15
-    assert list(d) == ["mean_entropy", "mutual_information", "log_kappa", "truncated_entropy"]
+    got = score_ensemble([members])
+    assert isinstance(got, list) and len(got) == 1
+    d = got[0]
+    assert list(d) == ["mean_entropy", "mutual_information", "log_kappa"]
+    assert abs(d["mean_entropy"] - float(np.mean(row_entropies(np.array(members))))) < 1e-15
+    assert d["log_kappa"] == dirichlet_precision(members)[1]
 
 
 def _reference_scores(members, epsilon):
@@ -138,15 +139,14 @@ def _floats_bits(values):
 
 
 @settings(max_examples=300, deadline=None)
-@given(members=_ensembles(), truncated=st.floats(0.0, 5.0), epsilon=st.sampled_from([DIRICHLET_EPSILON, 1e-3, 0.5]))
-@example(members=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], truncated=0.0, epsilon=DIRICHLET_EPSILON)  # zero spread
-@example(members=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], truncated=0.1, epsilon=DIRICHLET_EPSILON)  # exact zeros
-def test_score_ensemble_equals_the_reference_scores(members, truncated, epsilon):
-    got = score_ensemble(members, truncated, epsilon)
-    assert list(got) == ["mean_entropy", "mutual_information", "log_kappa", "truncated_entropy"]
-    assert _floats_bits(list(got.values())[:3]) == _floats_bits(_reference_scores(members, epsilon))
+@given(members=_ensembles(), epsilon=st.sampled_from([DIRICHLET_EPSILON, 1e-3, 0.5]))
+@example(members=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], epsilon=DIRICHLET_EPSILON)  # zero spread
+@example(members=[[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], epsilon=DIRICHLET_EPSILON)  # exact zeros
+def test_score_ensemble_equals_the_reference_scores(members, epsilon):
+    (got,) = score_ensemble([members], epsilon)
+    assert list(got) == ["mean_entropy", "mutual_information", "log_kappa"]
+    assert _floats_bits(got.values()) == _floats_bits(_reference_scores(members, epsilon))
     assert got["log_kappa"].hex() == dirichlet_precision(members, epsilon)[1].hex()
-    assert got["truncated_entropy"] == truncated
 
 
 @pytest.mark.parametrize(
@@ -163,8 +163,10 @@ def test_score_ensemble_refuses_what_dirichlet_precision_refuses(members, epsilo
     with pytest.raises(InvalidInputError) as expected:
         dirichlet_precision(members, epsilon)
     with pytest.raises(InvalidInputError) as got:
-        score_ensemble(members, 0.0, epsilon)
-    assert str(got.value) == str(expected.value)
+        score_ensemble([members], epsilon)
+    # the same check fails, named for the (1, M, V) stack: its shape and its rows' leading index
+    stacked = str(expected.value).replace("(M >=", "(C, M >=").replace("shape (", "shape (1, ")
+    assert str(got.value) == stacked.replace("members[", "members[0, ")
 
 
 def _scores_bits(scores):
@@ -182,24 +184,21 @@ def _scores_bits(scores):
 def test_stacked_score_ensemble_equals_each_ensemble(members, vocab, count, epsilon, data):
     # each ensemble is drawn as dirichlet rows, rows with exact zeros, or identical members (zero spread)
     stack = [np.asarray(data.draw(_ensembles((members, vocab))), dtype=float) for _ in range(count)]
-    truncated = data.draw(st.lists(st.floats(0.0, 5.0), min_size=count, max_size=count))
-    got = score_ensemble(np.array(stack), truncated, epsilon)
-    assert [_scores_bits(d) for d in got] == [_scores_bits(score_ensemble(e, t, epsilon)) for e, t in zip(stack, truncated)]
-    reference = [(*_reference_scores(e, epsilon), t) for e, t in zip(stack, truncated)]
-    assert [list(_scores_bits(d).values()) for d in got] == [[float(v).hex() for v in r] for r in reference]
+    got = score_ensemble(np.array(stack), epsilon)
+    assert [_scores_bits(d) for d in got] == [_scores_bits(score_ensemble([e], epsilon)[0]) for e in stack]
+    reference = [_reference_scores(e, epsilon) for e in stack]
+    assert [list(_scores_bits(d).values()) for d in got] == [_floats_bits(r) for r in reference]
 
 
 @pytest.mark.parametrize(
-    "members, truncated, message",
+    "members, message",
     [
-        ([[[0.5, 0.5], [0.5, 0.5]]], [0.0, 0.0], "1 ensembles need as many truncated entropies, got 2"),
-        ([[[0.5, 0.5]], [[1.0, 0.0]]], [0.0, 0.0], "ensemble must be (C, M >= 2, vocab) probability rows"),
-        ([[0.5, 0.5], [0.5, 0.5]], [0.0], "ensemble must be (C, M >= 2, vocab) probability rows"),
-        # one truncated entropy takes one (M, V) ensemble: a stack is refused
-        ([[[0.5, 0.5], [0.5, 0.5]]], 0.0, "ensemble must be (M >= 2, vocab) probability rows"),
-        ([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.6]]], [0.0, 0.0], "members[1, 1] sums to"),
+        ([[[0.5, 0.5]], [[1.0, 0.0]]], "ensemble must be (C, M >= 2, vocab) probability rows"),
+        # one (M, V) ensemble is not a stack
+        ([[0.5, 0.5], [0.5, 0.5]], "ensemble must be (C, M >= 2, vocab) probability rows"),
+        ([[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.6]]], "members[1, 1] sums to"),
     ],
 )
-def test_stacked_score_ensemble_refusals(members, truncated, message):
+def test_stacked_score_ensemble_refusals(members, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
-        score_ensemble(members, truncated)
+        score_ensemble(members)

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distillab.cli import main
-from distillab.dists import truncated_entropy
 from distillab.errors import DegenerateInputError, InvalidInputError
 from distillab.seeding import derive_rng
 from distillab.viability import (
@@ -20,6 +19,7 @@ from distillab.viability import (
     position_scores,
     select_candidates,
 )
+from test_dists import _reference_truncated_entropy
 
 
 def _cfg(**kw):
@@ -163,7 +163,7 @@ def _reference_select(problem_id, dists, mask, cfg, answer_position=None):
         children = [(int(j), float(row[j])) for j in order[: cfg.top_children] if row[j] > 0.0]
         if not children:
             continue
-        passing.append((truncated_entropy(dists[pos], mask, cfg.top_m), pos, children))
+        passing.append((_reference_truncated_entropy(dists[pos], mask, cfg.top_m), pos, children))
     passing.sort(key=lambda item: (-item[0], item[1]))
     selected, taken = [], []
     for h, pos, children in passing:

@@ -18,7 +18,7 @@ from distillab.seeding import TAG_ENSEMBLE, TAG_FORCE, TAG_PROBLEM, derive_rng
 from distillab.stats import BootstrapConfig
 from distillab.trainer import TrainConfig
 from distillab.uncertainty import score_ensemble
-from distillab.viability import LabelThresholds
+from distillab.viability import Label, LabelThresholds
 from distillab.world import (
     AMBIGUITY_JITTER,
     BRANCH_DENSITY,
@@ -352,26 +352,26 @@ def test_forcing_a_dead_child_never_recovers():
 def test_teacher_ensemble_zero_perturbation_is_exact():
     cfg = _small_cfg()
     p = generate_problem(cfg, 0)
-    ens = teacher_ensemble(p, 1, 0, members=4, perturb_scale=0.0)
-    assert ens.shape == (4, cfg.vocab_size)
-    for row in ens:
+    ens = teacher_ensemble([p], [1], [0], members=4, perturb_scale=0.0)
+    assert ens.shape == (1, 4, cfg.vocab_size)
+    for row in ens[0]:
         assert np.array_equal(row, p.teacher[1, 0])
     # exact copies carry zero mutual information
-    assert score_ensemble(ens, 0.0)["mutual_information"] < 1e-14
+    assert score_ensemble(ens)[0]["mutual_information"] < 1e-14
 
 
 def test_teacher_ensemble_perturbation_is_seeded_and_spreads():
     cfg = _small_cfg()
     p = generate_problem(cfg, 0)
-    e1 = teacher_ensemble(p, 1, 0, members=5, perturb_scale=0.1)
-    e2 = teacher_ensemble(p, 1, 0, members=5, perturb_scale=0.1)
+    e1 = teacher_ensemble([p], [1], [0], members=5, perturb_scale=0.1)
+    e2 = teacher_ensemble([p], [1], [0], members=5, perturb_scale=0.1)
     assert np.array_equal(e1, e2)
-    assert np.all(np.abs(e1.sum(axis=1) - 1.0) < 1e-12)
-    assert score_ensemble(e1, 0.0)["mutual_information"] > 0.0
+    assert np.all(np.abs(e1.sum(axis=-1) - 1.0) < 1e-12)
+    assert score_ensemble(e1)[0]["mutual_information"] > 0.0
     with pytest.raises(InvalidInputError):
-        teacher_ensemble(p, 1, 0, members=1)
+        teacher_ensemble([p], [1], [0], members=1)
     with pytest.raises(InvalidInputError):
-        teacher_ensemble(p, 1, 0, perturb_scale=-0.1)
+        teacher_ensemble([p], [1], [0], perturb_scale=-0.1)
 
 
 def test_world_config_validation():
@@ -397,6 +397,23 @@ def test_default_filter_scales_spacing_with_depth():
     assert default_filter_for_depth(1024).spacing == 64
 
 
+def _reference_position_curve(candidates):
+    # the per-bin scan that the one searchsorted pass replaced
+    curve = []
+    edges = np.linspace(0.0, 1.0, 11)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        in_bin = [c for c in candidates if lo <= c.normalized_position < hi]
+        n = len(in_bin)
+        curve.append({
+            "bin_low": float(lo),
+            "bin_high": float(hi),
+            "n": n,
+            "real_uncertain_rate": sum(c.label is Label.REAL_UNCERTAIN for c in in_bin) / n if n else None,
+            "ground_truth_reliable_rate": sum(bool(c.ground_truth_reliable) for c in in_bin) / n if n else None,
+        })
+    return curve
+
+
 def test_diagnostic_on_a_small_world():
     cfg = _small_cfg(depth=24)
     report = run_diagnostic(cfg, n_problems=12, continuations_per_child=4)
@@ -410,6 +427,11 @@ def test_diagnostic_on_a_small_world():
         assert 0.0 <= rep["point_auroc"] <= 1.0
         assert rep["ci"][0] <= rep["ci"][1]
     assert len(report.position_curve) == 10
+    assert json.dumps(report.position_curve) == json.dumps(_reference_position_curve(report.candidates))
+    # 4-token spines leave most bins empty
+    tiny = run_diagnostic(_small_cfg(vocab_size=4, depth=4, branch_count=1), n_problems=12)
+    assert [row["n"] for row in tiny.position_curve].count(0) > 0
+    assert json.dumps(tiny.position_curve) == json.dumps(_reference_position_curve(tiny.candidates))
     for cand in report.candidates:
         assert cand.label is not None
         assert cand.child_viabilities is not None
@@ -763,8 +785,8 @@ def test_teacher_ensemble_equals_the_per_member_loop(cfg, index, members, pertur
     with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = teacher_ensemble(p, position, lane, members, perturb_scale)
-    assert _bits(got) == _bits(expected)
+            got = teacher_ensemble([p], [position], [lane], members, perturb_scale)
+    assert _bits(got) == _bits(expected[None])
     assert spy.call_count == 0  # the members' generator states are replayed, not derived
 
 
@@ -780,14 +802,25 @@ def test_teacher_ensemble_equals_the_per_member_loop(cfg, index, members, pertur
 def test_stacked_teacher_ensemble_equals_each_pair(cfg, index, members, perturb_scale, wide_seed, data):
     if wide_seed:
         cfg = dataclasses.replace(cfg, seed=2**32 + cfg.seed)
-    p = generate_problem(cfg, index)
-    pair = st.tuples(st.integers(0, p.length - 1), st.integers(0, cfg.branch_count))
-    pairs = data.draw(st.lists(pair, min_size=1, max_size=5), label="pairs")
-    pairs.append(pairs[0])  # a duplicate pair shares its members' noise
-    expected = np.array([_reference_teacher_ensemble(p, pos, lane, members, perturb_scale) for pos, lane in pairs])
+    problems = [generate_problem(cfg, index), generate_problem(cfg, index + 1)]
+    # (problem, position, lane) states of either problem
+    state = st.sampled_from([0, 1]).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, problems[k].length - 1), st.integers(0, cfg.branch_count))
+    )
+    states = data.draw(st.lists(state, min_size=1, max_size=5), label="states")
+    states.append(states[0])  # a duplicate state shares its members' noise
+    expected = np.array(
+        [_reference_teacher_ensemble(problems[k], pos, lane, members, perturb_scale) for k, pos, lane in states]
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = teacher_ensemble(p, [pos for pos, _ in pairs], np.array([lane for _, lane in pairs]), members, perturb_scale)
+        got = teacher_ensemble(
+            [problems[k] for k, _, _ in states],
+            [pos for _, pos, _ in states],
+            np.array([lane for *_, lane in states]),
+            members,
+            perturb_scale,
+        )
     assert _bits(got) == _bits(expected)
 
 
@@ -797,7 +830,7 @@ def test_teacher_ensemble_refuses_overflowing_logits_by_name(perturb_scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before numpy warns
         with pytest.raises(InvalidInputError, match=re.escape(f"perturb_scale {perturb_scale!r} ")):
-            teacher_ensemble(p, 1, 0, members=5, perturb_scale=perturb_scale)
+            teacher_ensemble([p], [1], [0], members=5, perturb_scale=perturb_scale)
 
 
 @pytest.mark.parametrize("perturb_scale", [1e308, float("inf"), float("nan")])
@@ -806,9 +839,9 @@ def test_stacked_teacher_ensemble_refuses_overflowing_logits_by_name(perturb_sca
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before numpy warns
         with pytest.raises(InvalidInputError) as got:
-            teacher_ensemble(p, [1, 2, 1], [0, 1, 0], members=5, perturb_scale=perturb_scale)
+            teacher_ensemble([p] * 3, [1, 2, 1], [0, 1, 0], members=5, perturb_scale=perturb_scale)
     with pytest.raises(InvalidInputError) as expected:
-        teacher_ensemble(p, 1, 0, members=5, perturb_scale=perturb_scale)
+        teacher_ensemble([p], [1], [0], members=5, perturb_scale=perturb_scale)
     assert str(got.value) == str(expected.value) == f"perturb_scale {perturb_scale!r} overflows the ensemble logits"
 
 
@@ -831,7 +864,11 @@ def test_score_block_scores_each_candidate_as_its_own_ensemble():
         lanes = student_rollout(p).lanes
         for cand in candidates:
             ensemble = _reference_teacher_ensemble(p, cand.spine_pos, lanes[cand.spine_pos], 4, 0.1)
-            expected = {"oriented_position": cand.oriented_score, **score_ensemble(ensemble, cand.truncated_entropy)}
+            expected = {
+                "oriented_position": cand.oriented_score,
+                "truncated_entropy": cand.truncated_entropy,
+                **score_ensemble(ensemble[None])[0],
+            }
             assert {k: float(v).hex() for k, v in cand.scores.items()} == {k: float(v).hex() for k, v in expected.items()}
         assert spine_line == json.dumps(spine, sort_keys=True) + "\n"
         assert candidate_lines == "".join(json.dumps(c.to_json_dict(), sort_keys=True) + "\n" for c in candidates)
