@@ -1,20 +1,21 @@
-"""Fork-based fan-out of independent shards of work.
+"""Fork-based sharding of independent items of work.
 
-`fan_out(fn, n)` runs `fn(0)` in the calling process and `fn(1)`..`fn(n-1)`
-in children made with `os.fork()`, and returns the n results in shard order.
-A child sends its pickled result, or the exception it raised, through its
-own pipe and always leaves by `os._exit`, so it never runs the caller's
-`finally` blocks, atexit handlers or stdout flushes. An exception from a
-shard is re-raised in the caller with its class and message; the caller's
-own shard wins, then the lowest failing child. A child that ends without a
-result raises `ChildProcessError` naming its exit status. On any failure the
-remaining children are killed and every child is reaped. Without `os.fork`
-the shards run one after another.
+`map_sharded(fn, items, threads)` deals the items out to shards, runs shard 0
+in the calling process and the others in children made with `os.fork()`, and
+returns the results in item order. A shard stops at its first failing item
+and returns what it got through with that failure; the exception of the
+lowest failing item is raised in the caller with its class and message, as a
+serial run would raise it. A child sends its shard's pickled result through
+its own pipe and always leaves by `os._exit`, so it never runs the caller's
+`finally` blocks, atexit handlers or stdout flushes. A child that ends
+without a result, as one whose shard raised a `BaseException` that is not an
+`Exception` does, raises `ChildProcessError` naming its exit status. On any
+failure the remaining children are killed and every child is reaped. Without
+`os.fork` the shards run one after another.
 
-`map_sharded(fn, items, threads)` deals the items out to shards and raises
-the error of the lowest failing item, as a serial run would. Shards must not
-depend on one another: every draw in this package comes from its own
-tag-path generator, so a result does not depend on which process computed it.
+Shards must not depend on one another: every draw in this package comes from
+its own tag-path generator, so a result does not depend on which process
+computed it.
 
 Fork rather than a spawned pool: a child starts with the caller's imports
 and memory, so it re-imports nothing and adds little resident memory. The
@@ -39,7 +40,7 @@ def worker_count(threads: int, shards: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1, shards))
 
 
-def _spawn(fn: Callable[[int], object], k: int) -> tuple[int, int]:
+def _spawn(shard: Callable[[int], object], k: int) -> tuple[int, int]:
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -51,11 +52,7 @@ def _spawn(fn: Callable[[int], object], k: int) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_fd)
-            try:
-                payload = (True, fn(k))
-            except BaseException as exc:  # noqa: BLE001 - sent to the parent
-                payload = (False, exc)
-            data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(shard(k), protocol=pickle.HIGHEST_PROTOCOL)
             with os.fdopen(write_fd, "wb") as fh:
                 fh.write(data)
             code = 0
@@ -63,47 +60,6 @@ def _spawn(fn: Callable[[int], object], k: int) -> tuple[int, int]:
             os._exit(code)
     os.close(write_fd)
     return pid, read_fd
-
-
-def _result(k: int, pid: int, data: bytes, code: int):
-    if code != 0 or not data:
-        how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
-        raise ChildProcessError(f"worker for shard {k} (pid {pid}) ended without a result: {how}")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    return value
-
-
-def fan_out(fn: Callable[[int], T], n: int) -> list[T]:
-    """[fn(0), ..., fn(n-1)], with shards 1..n-1 computed in forked children."""
-    if n <= 1 or not hasattr(os, "fork"):
-        return [fn(k) for k in range(n)]
-    pending: list[tuple[int, int, int]] = []  # (shard, pid, read end) not yet reaped
-    try:
-        for k in range(1, n):
-            pending.append((k, *_spawn(fn, k)))
-        results = [fn(0)]
-        while pending:
-            k, pid, read_fd = pending[0]
-            with os.fdopen(read_fd, "rb") as fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pending.pop(0)
-            results.append(_result(k, pid, data, code))
-        return results
-    finally:
-        _kill_and_reap(pending)  # left over only when a shard failed
-
-
-def _kill_and_reap(children: list[tuple[int, int, int]]) -> None:
-    for _k, pid, read_fd in children:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-        with contextlib.suppress(OSError):
-            os.close(read_fd)
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
 
 
 def map_sharded(
@@ -133,7 +89,30 @@ def map_sharded(
         except Exception as exc:  # noqa: BLE001 - charged to the shard's first item
             return done, (k, exc)
 
-    shards = fan_out(shard, workers)
+    serial = 1 if hasattr(os, "fork") else workers  # shards 0..serial-1 run in the calling process
+    pending: list[tuple[int, int, int]] = []  # (shard, pid, read end) not yet reaped
+    try:
+        for k in range(serial, workers):
+            pending.append((k, *_spawn(shard, k)))
+        shards = [shard(k) for k in range(serial)]
+        while pending:
+            k, pid, read_fd = pending[0]
+            with os.fdopen(read_fd, "rb") as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pending.pop(0)  # reaped: its pid may be reused, so it is never signalled
+            if code != 0 or not data:
+                how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(f"worker for shard {k} (pid {pid}) ended without a result: {how}")
+            shards.append(pickle.loads(data))
+    finally:
+        for _k, pid, read_fd in pending:  # left over only when a shard failed
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(OSError):
+                os.close(read_fd)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
     failures = [failure for _, failure in shards if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

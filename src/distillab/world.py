@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -108,7 +109,7 @@ class ProblemInstance:
     filler_token: int
     kind: np.ndarray  # (length-1, branch_count) in {PLAIN, DIVERSE, UNRELIABLE}
     canon: np.ndarray  # (length-1, branch_count) canonical tokens
-    alts: list  # [t][lane] -> tuple of (token, target_lane)
+    alts: np.ndarray  # (length-1, branch_count, 3) alternative tokens, -1 after a state's last
     teacher: np.ndarray  # (length, branch_count+1, vocab)
     student: np.ndarray  # (length, branch_count+1, vocab)
 
@@ -128,19 +129,18 @@ class ProblemInstance:
     def next_lane(self) -> list[list[bytes | list[int]]]:
         """`next_lane[t][lane][token]`: the lane occupied after emitting `token`
         from layer t < length - 1 in `lane`. The canonical token keeps the
-        lane, an alternative goes to its target, and every other token, like
-        every token from the dead lane, goes to the dead lane. Each state's
-        row is a `bytes` object when every lane fits in a byte (under half
-        the memory of a list), a list otherwise."""
+        lane, a DIVERSE state's two alternatives go to lanes z + 1 and z + 2
+        (mod B), and every other token, like an UNRELIABLE state's three
+        alternatives and every token from the dead lane, goes to the dead
+        lane. Each state's row is a `bytes` object when every lane fits in a
+        byte (under half the memory of a list), a list otherwise."""
         dead, V = self.dead_lane, self.cfg.vocab_size
         table = np.full((self.length - 1, dead + 1, V), dead)
         layer, lane = np.indices(self.canon.shape)
         table[layer, lane, self.canon] = lane
-        # every alternative as (layer, lane, token, target), in one write
-        alts = ((t, z, *alt) for t, row in enumerate(self.alts) for z, state in enumerate(row) for alt in state)
-        moves = [v for move in alts for v in move]
-        t, z, tok, target = np.fromiter(moves, dtype=np.intp, count=len(moves)).reshape(-1, 4).T
-        table[t, z, tok] = target
+        t, z = np.nonzero(self.kind == DIVERSE)
+        table[t, z, self.alts[t, z, 0]] = (z + 1) % dead
+        table[t, z, self.alts[t, z, 1]] = (z + 2) % dead
         if dead >= 256:
             return table.tolist()
         data = table.astype(np.uint8).tobytes()
@@ -159,7 +159,7 @@ class ProblemInstance:
             return [self.wrong_token if lane == self.dead_lane else self.gold_token]
         if lane == self.dead_lane:
             return [self.filler_token]
-        return [int(self.canon[t, lane])] + [int(tok) for tok, _ in self.alts[t][lane]]
+        return [int(self.canon[t, lane])] + [tok for tok in self.alts[t, lane].tolist() if tok >= 0]
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
 
     kind = np.zeros((length - 1, B), dtype=np.int8)
     canon = []
-    alts: list[list[tuple[tuple[int, int], ...]]] = []
+    alts = np.full((length - 1, B, 3), -1)
     # per branch state: (layer, lane, kind, peak token, two half-mass tokens) and its ambiguity
     branch: list[tuple[int, ...]] = []
     ambs: list[float] = []
@@ -226,24 +226,18 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
     for t in range(length - 1):
         r = (t + 0.5) / length
         dead_fraction = cfg.early_dead_fraction if r < EARLY_CUTOFF else cfg.late_dead_fraction
-        row_alts: list[tuple[tuple[int, int], ...]] = []
         for z in range(B):
             c = rng.integers(V)
             canon.append(c)
-            state_alts: tuple[tuple[int, int], ...] = ()
             if rng.random() < BRANCH_DENSITY:
                 amb = cfg.ambiguity_mass * rng.uniform(*AMBIGUITY_JITTER)
                 ambs.append(min(max(amb, 0.05), 1.0 - TEACHER_BACKGROUND - 0.05))  # np.clip costs 10 us a call
                 if rng.random() < dead_fraction:
                     picks = rng.choice(others[c], 3)
-                    state_alts = tuple((tok, dead) for tok in picks)
                     branch.append((t, z, UNRELIABLE, *picks))
                 else:
                     picks = rng.choice(others[c], 2)
-                    state_alts = tuple((tok, (z + 1 + j) % B) for j, tok in enumerate(picks))
                     branch.append((t, z, DIVERSE, c, *picks))
-            row_alts.append(state_alts)
-        alts.append(row_alts)
 
     # background rows concentrated on each state's top token; three array writes then redo branch states
     teacher_top, student_top = 1.0 - TEACHER_BACKGROUND, 1.0 - STUDENT_BACKGROUND
@@ -261,6 +255,9 @@ def generate_problem(cfg: WorldConfig, index: int) -> ProblemInstance:
         states, amb = np.array(branch), np.array(ambs)
         t, z, kinds, peak = states[:, :4].T
         kind[t, z] = kinds
+        alts[t, z, :2] = states[:, 4:]  # a diverse state's alternatives: its two half-mass tokens
+        unreliable = kinds == UNRELIABLE  # an unreliable state's: its peak, then those
+        alts[t[unreliable], z[unreliable]] = states[unreliable, 3:]
         teacher[t, z] = TEACHER_BACKGROUND / (V - 3)
         teacher[t, z, peak] = 1.0 - amb - TEACHER_BACKGROUND
         teacher[t[:, None], z[:, None], states[:, 4:]] = (amb / 2.0)[:, None]
@@ -520,6 +517,8 @@ def run_diagnostic(
         raise InvalidInputError(f"members must be >= 2, got {ensemble_members}")
     if perturb_scale < 0.0:
         raise InvalidInputError(f"perturb_scale must be >= 0, got {perturb_scale!r}")
+    if not math.isfinite(perturb_scale):
+        raise InvalidInputError(f"perturb_scale {perturb_scale!r} overflows the ensemble logits")
     if continuations_per_child < 1:
         raise InvalidInputError(f"attempts must be >= 1, got {continuations_per_child}")
     filter_cfg = filter_cfg or default_filter_for_depth(cfg.depth)

@@ -646,6 +646,8 @@ def test_diagnose_failures_do_not_depend_on_threads(monkeypatch, capsys, tmp_pat
         (["--members", "1"], "members must be >= 2, got 1"),
         (["--perturb", "-1"], "perturb_scale must be >= 0, got -1.0"),
         (["--continuations", "0"], "attempts must be >= 1, got 0"),
+        (["--perturb", "nan"], "perturb_scale nan overflows the ensemble logits"),
+        (["--perturb", "inf"], "perturb_scale inf overflows the ensemble logits"),
     ],
 )
 def test_bad_ensemble_and_continuation_flags_are_refused_before_probing(monkeypatch, capsys, tmp_path, flags, message):

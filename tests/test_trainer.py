@@ -76,7 +76,7 @@ def _hand_problem(world_cfg):
         gold_token=0, wrong_token=1, filler_token=2,
         kind=np.zeros((0, B), dtype=np.int8),
         canon=np.zeros((0, B), dtype=np.int64),
-        alts=[], teacher=teacher, student=student,
+        alts=np.full((0, B, 3), -1), teacher=teacher, student=student,
     )
 
 

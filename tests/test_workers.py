@@ -8,7 +8,7 @@ import time
 import pytest
 
 from distillab.errors import DegenerateInputError, InvalidInputError, NumericDomainError
-from distillab.workers import fan_out, map_sharded, worker_count
+from distillab.workers import map_sharded, worker_count
 
 TINY_DIAGNOSE = [
     "diagnose", "--vocab", "10", "--depth", "24", "--branches", "3", "--problems", "6",
@@ -32,9 +32,11 @@ def test_worker_count_caps_at_cpus_and_shards(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_fan_out_returns_results_in_shard_order(n):
+def test_map_sharded_returns_large_results_in_shard_order(monkeypatch, n):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     parent = os.getpid()
-    results = fan_out(lambda k: (k, os.getpid(), [k] * (k * 50000)), n)
+    results, workers = map_sharded(lambda k: (k, os.getpid(), [k] * (k * 50000)), range(n), n)
+    assert workers == n
     assert [k for k, _, _ in results] == list(range(n))
     assert [len(big) for _, _, big in results] == [k * 50000 for k in range(n)]
     pids = [pid for _, pid, _ in results]
@@ -55,33 +57,41 @@ def test_map_sharded_keeps_item_order(monkeypatch):
             assert pids[:1] in ([], [parent])  # item 0 runs in the calling process
 
 
-def test_fan_out_without_fork_runs_serially(monkeypatch):
+def test_map_sharded_without_fork_runs_serially(monkeypatch):
     monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     parent = os.getpid()
-    assert fan_out(lambda k: (k, os.getpid()), 3) == [(0, parent), (1, parent), (2, parent)]
+    got = map_sharded(lambda x: (x, os.getpid()), range(3), 3)
+    assert got == ([(0, parent), (1, parent), (2, parent)], 3)  # still 3 workers, as run_meta.json records
 
 
 @pytest.mark.parametrize("cls", [InvalidInputError, DegenerateInputError, NumericDomainError])
-def test_child_error_is_reraised_with_class_and_message(cls):
+def test_child_error_is_reraised_with_class_and_message(monkeypatch, cls):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
     def fn(k):
         if k == 2:
+            assert os.getpid() != parent
             raise cls(f"shard {k} failed")
         return k
 
+    parent = os.getpid()
     with pytest.raises(cls) as info:
-        fan_out(fn, 3)
+        map_sharded(fn, range(3), 3)
     assert type(info.value) is cls
     assert str(info.value) == "shard 2 failed"
 
 
-def test_lowest_failing_child_wins():
+def test_lowest_failing_child_wins(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
     def fn(k):
         if k:
             raise InvalidInputError(f"shard {k}")
         return k
 
     with pytest.raises(InvalidInputError, match="^shard 1$"):
-        fan_out(fn, 4)
+        map_sharded(fn, range(4), 4)
 
 
 def test_map_sharded_raises_the_first_failing_item_at_any_thread_count(monkeypatch):
@@ -157,27 +167,51 @@ def test_map_sharded_charges_a_finish_error_to_the_shards_first_item(monkeypatch
         map_sharded(fn, range(6), 3, finish=lambda done: done)
 
 
-def test_child_exit_without_result_raises_child_process_error():
+def test_child_exit_without_result_raises_child_process_error(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
     def fn(k):
         if k == 1:
             os._exit(1)
         return k
 
     with pytest.raises(ChildProcessError, match="shard 1 .*without a result: exit status 1"):
-        fan_out(fn, 2)
+        map_sharded(fn, range(2), 2)
 
 
-def test_killed_child_raises_child_process_error():
+def test_child_system_exit_ends_it_without_a_result(monkeypatch):
+    # a BaseException that is not an Exception never crosses the fork: the
+    # child leaves without a result, and the caller's shard is not stopped
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def fn(k):
+        if k == 1:
+            raise SystemExit(0)
+        return k
+
+    with pytest.raises(ChildProcessError, match="shard 1 .*without a result: exit status 1"):
+        map_sharded(fn, range(2), 2)
+
+
+def test_killed_child_raises_child_process_error(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
     def fn(k):
         if k == 1:
             os.kill(os.getpid(), signal.SIGKILL)
         return k
 
     with pytest.raises(ChildProcessError, match="signal SIGKILL"):
-        fan_out(fn, 2)
+        map_sharded(fn, range(2), 2)
 
 
-def test_parent_shard_error_kills_and_reaps_children(tmp_path):
+class _Interrupt(BaseException):
+    """Stands for KeyboardInterrupt: the one kind of failure a shard raises."""
+
+
+def test_parent_shard_error_kills_and_reaps_children(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
     def fn(k):
         if k:
             (tmp_path / f"{k}.tmp").write_text(str(os.getpid()))
@@ -187,11 +221,11 @@ def test_parent_shard_error_kills_and_reaps_children(tmp_path):
         deadline = time.monotonic() + 30
         while len(list(tmp_path.glob("*.pid"))) < 2 and time.monotonic() < deadline:
             time.sleep(0.01)
-        raise NumericDomainError("parent shard failed")
+        raise _Interrupt("parent shard failed")
 
     start = time.monotonic()
-    with pytest.raises(NumericDomainError, match="parent shard failed"):
-        fan_out(fn, 3)
+    with pytest.raises(_Interrupt, match="parent shard failed"):
+        map_sharded(fn, range(3), 3)
     assert time.monotonic() - start < 30
     pids = [int(p.read_text()) for p in sorted(tmp_path.glob("*.pid"))]
     assert len(pids) == 2

@@ -88,6 +88,14 @@ def test_problem_shapes_and_rows_are_distributions():
     assert p.gold_answer == str(p.gold_token)
 
 
+def _alternatives(problem, t, lane):
+    # a state's (token, target lane) pairs: the alternative tokens, sent where their kind says
+    tokens = [tok for tok in problem.alts[t, lane].tolist() if tok >= 0]
+    if problem.kind[t, lane] == DIVERSE:
+        return [(tok, (lane + 1 + j) % problem.cfg.branch_count) for j, tok in enumerate(tokens)]
+    return [(tok, problem.dead_lane) for tok in tokens]
+
+
 def test_transition_semantics():
     cfg = _small_cfg()
     p = generate_problem(cfg, 1)
@@ -101,7 +109,7 @@ def test_transition_semantics():
     # alternatives go where the table says; anything else dies
     for t in range(p.length - 1):
         for z in range(cfg.branch_count):
-            listed = {int(tok): tgt for tok, tgt in p.alts[t][z]}
+            listed = dict(_alternatives(p, t, z))
             for tok in range(cfg.vocab_size):
                 got = p.transition(t, z, tok)
                 if tok == p.canon[t, z]:
@@ -119,7 +127,7 @@ def test_branch_kinds_control_alternative_targets():
     for t in range(p.length - 1):
         for z in range(cfg.branch_count):
             k = int(p.kind[t, z])
-            targets = [tgt for _, tgt in p.alts[t][z]]
+            targets = [p.transition(t, z, tok) for tok in p.children(t, z)[1:]]
             if k == DIVERSE:
                 found_diverse = True
                 assert len(targets) == 2
@@ -340,8 +348,8 @@ def test_forcing_a_dead_child_never_recovers():
     tried = 0
     for t in range(p.length - 1):
         if int(p.kind[t, 0]) == UNRELIABLE:
-            for tok, tgt in p.alts[t][0]:
-                assert tgt == p.dead_lane
+            for tok in p.children(t, 0)[1:]:
+                assert p.transition(t, 0, tok) == p.dead_lane
                 outs = forced_continuation(p, trace, t, int(tok), attempts=5)
                 assert outs == [False] * 5
                 tried += 1
@@ -563,7 +571,7 @@ def _reference_transition(problem, t, lane, token):
         return problem.dead_lane
     if token == problem.canon[t, lane]:
         return lane
-    for tok, target in problem.alts[t][lane]:
+    for tok, target in _alternatives(problem, t, lane):
         if token == tok:
             return target
     return problem.dead_lane
@@ -598,9 +606,9 @@ def test_next_lane_equals_the_per_alternative_writes(cfg, index):
     table = np.full((p.length - 1, dead + 1, cfg.vocab_size), dead)
     layer, lane = np.indices(p.canon.shape)
     table[layer, lane, p.canon] = lane
-    for t, row in enumerate(p.alts):  # one scalar write per alternative
-        for z, state_alts in enumerate(row):
-            for tok, target in state_alts:
+    for t in range(p.length - 1):  # one scalar write per alternative
+        for z in range(cfg.branch_count):
+            for tok, target in _alternatives(p, t, z):
                 table[t, z, tok] = target
     pack = bytes if dead < 256 else list
     assert p.next_lane == [[pack(row) for row in rows] for rows in table.tolist()]
@@ -978,8 +986,10 @@ def test_generate_problem_equals_the_per_state_body(cfg, index):
     assert type(p.gold_token) is type(p.wrong_token) is type(p.filler_token) is int
     for got, expected in ((p.kind, kind), (p.canon, canon), (p.teacher, teacher), (p.student, student)):
         assert _bits(got) == _bits(expected)
-    assert p.alts == alts
-    assert all(type(x) is int for row in p.alts for state in row for pair in state for x in pair)
+    padded = [[[tok for tok, _ in state] + [-1] * (3 - len(state)) for state in row] for row in alts]
+    assert p.alts.tolist() == padded
+    pairs = [[_alternatives(p, t, z) for z in range(cfg.branch_count)] for t in range(length - 1)]
+    assert pairs == [[list(state) for state in row] for row in alts]  # each target follows from the kind
 
 
 @settings(max_examples=20, deadline=None)
