@@ -25,8 +25,9 @@ Reductions:
 The analytic gradient with respect to student logits treats the teacher as a
 constant. A vocabulary entry exactly at the clip boundary is treated as
 clipped (zero pull from that entry). The loss, the gradient and the
-finite-difference check read one memoised pass over a batch, whose arrays
-are read-only once it is built; none hands out an array of that pass.
+finite-difference check read one memoised pass over a batch (`RolloutBatch`,
+its one constructor), whose arrays are read-only once it is built; none
+hands out an array of that pass.
 """
 from __future__ import annotations
 
@@ -100,7 +101,8 @@ def default_gate_threshold(vocab_size: int) -> float:
 class RolloutBatch:
     """Ragged batch of (teacher distribution rows, student logit rows) pairs,
     packed: `teacher` and `student` are read-only (N_tokens, vocab) arrays,
-    and sequence i is their rows offsets[i]:offsets[i+1]."""
+    and sequence i is their rows offsets[i]:offsets[i+1]. Values are checked
+    on the packed rows; a refusal names the first bad sequence."""
 
     def __init__(self, teacher_dists, student_logits):
         if len(teacher_dists) != len(student_logits):
@@ -111,7 +113,6 @@ class RolloutBatch:
             raise InvalidInputError("batch must contain at least one sequence")
         teacher: list[np.ndarray] = []
         student: list[np.ndarray] = []
-        vocab = None
         for i, (q, z) in enumerate(zip(teacher_dists, student_logits)):
             qa = np.asarray(q, dtype=float)
             za = np.asarray(z, dtype=float)
@@ -125,38 +126,24 @@ class RolloutBatch:
                 raise InvalidInputError(f"sequence {i} is empty")
             if qa.shape[1] < 2:
                 raise InvalidInputError(f"sequence {i}: vocab must be >= 2")
-            if vocab is None:
-                vocab = qa.shape[1]
-            elif qa.shape[1] != vocab:
+            if teacher and qa.shape[1] != teacher[0].shape[1]:
                 raise InvalidInputError("all sequences must share one vocabulary size")
-            if not np.all(np.isfinite(za)):
-                raise InvalidInputError(f"sequence {i}: student logits contain non-finite entries")
-            teacher.append(as_rows(qa, f"teacher_dists[{i}]"))
+            teacher.append(qa)
             student.append(za)
         self.teacher: np.ndarray = np.concatenate(teacher)
         self.student: np.ndarray = np.concatenate(student)
+        try:
+            if not np.isfinite(self.student).all():
+                raise InvalidInputError("non-finite student logits")
+            as_rows(self.teacher)
+        except InvalidInputError:  # refused: name the first bad sequence
+            for i, (qa, za) in enumerate(zip(teacher, student)):
+                if not np.isfinite(za).all():
+                    raise InvalidInputError(f"sequence {i}: student logits contain non-finite entries")
+                as_rows(qa, f"teacher_dists[{i}]")
         self.teacher.flags.writeable = self.student.flags.writeable = False
         self.lengths: list[int] = [q.shape[0] for q in teacher]
         self.offsets: np.ndarray = np.cumsum([0, *self.lengths])
-
-    @classmethod
-    def packed(cls, teacher: np.ndarray, student: np.ndarray, lengths: list[int]) -> RolloutBatch:
-        """The batch of packed (N_tokens, vocab) rows whose sequence i is
-        `lengths[i]` rows long, checked as a whole; a batch the per-sequence
-        checks would refuse is refused by them, naming its first bad sequence."""
-        offsets = np.cumsum([0, *lengths])
-        try:
-            if not (lengths and min(lengths) >= 1 and teacher.shape == student.shape and teacher.shape[1] >= 2):
-                raise InvalidInputError("not a packed batch")
-            if not np.isfinite(student).all():
-                raise InvalidInputError("non-finite student logits")
-            as_rows(teacher)
-        except InvalidInputError:  # refused: the per-sequence checks name the first bad sequence
-            return cls(*([a[i:j] for i, j in zip(offsets[:-1], offsets[1:])] for a in (teacher, student)))
-        batch = cls.__new__(cls)
-        teacher.flags.writeable = student.flags.writeable = False
-        batch.teacher, batch.student, batch.lengths, batch.offsets = teacher, student, list(lengths), offsets
-        return batch
 
     def split(self, packed: np.ndarray) -> list[np.ndarray]:
         """Per-sequence views of an array whose rows are the batch's tokens."""

@@ -9,12 +9,13 @@ settles instead of rattling inside the gradient-noise ball. Each step samples
 and differentiates one batch: `train_step` returns the packed gradient it
 applied, and `run_training` builds the gradient-norm profile from it.
 
-A run's tables are packed into one array (`StudentParams.logits`). A table
-is sampled only through its T = 1 nucleus rows (`StudentParams.policy`),
-which are rebuilt only where the logits changed since their last build.
-Each step draws from them, gathers the batch with one index, and updates
-with one `np.subtract.at` in episode order: bit-identical to a softmax per
-problem, a table draw per episode and one scatter per episode.
+A run's tables are packed into one array (`StudentParams.logits`) and its
+teachers into one of the same layout. A table is sampled only through its
+T = 1 nucleus rows (`StudentParams.policy`), rebuilt only where the logits
+changed since their last build. Each step draws from them, gathers the batch
+with one index into both arrays, and updates with one `np.subtract.at` in
+episode order: bit-identical to a softmax per problem, a table draw per
+episode and one scatter per episode.
 
 Evaluation draws from the same nucleus rows with fresh seeds and pushes
 terminal answers through the multi-sample metrics pipeline; the rows the
@@ -163,7 +164,8 @@ class StudentParams:
 
     Each dict is packed into one (sum of lengths, K, V) array, `logits` and
     `teacher_rows`, whose entries are views into it: an edit in place through
-    either is seen by both."""
+    either is seen by both. Teachers, when set, must be the tables' problems
+    in their order and shapes: a state has one row index in both arrays."""
 
     tables: dict[str, np.ndarray]
     teachers: dict[str, np.ndarray] = field(default_factory=dict)
@@ -171,8 +173,14 @@ class StudentParams:
 
     def __post_init__(self) -> None:
         self.logits, self.tables, self._first = _pack(self.tables)
-        self.teacher_rows, self.teachers, self._teacher_first = _pack(self.teachers)
+        self._set_teachers(self.teachers)
         self._policy: tuple[np.ndarray, ...] | None = None
+
+    def _set_teachers(self, teachers: dict[str, np.ndarray]) -> None:
+        rows, views, _ = _pack(teachers)
+        if teachers and (list(teachers) != list(self.tables) or rows.shape != self.logits.shape):
+            raise InvalidInputError(f"teachers {list(teachers)} are not the tables' problems {list(self.tables)}")
+        self.teacher_rows, self.teachers = rows, views
 
     def logits_finite(self) -> bool:
         return bool(np.isfinite(self.logits).all())
@@ -181,7 +189,7 @@ class StudentParams:
         """Set each training problem's teacher table at `temperature`, once per run."""
         with np.errstate(invalid="ignore"):  # a row that underflows to all zeros: refused below
             teachers = {p.problem_id: temperature_scaled(p.teacher, temperature) for p in problems}
-        self.teacher_rows, self.teachers, self._teacher_first = _pack(teachers)
+        self._set_teachers(teachers)
         if not np.isfinite(self.teacher_rows).all():
             raise InvalidInputError(f"distill_temperature {temperature!r} empties a teacher row")
 
@@ -258,20 +266,13 @@ def _pool_rows(episodes: list[Episode], first: dict[str, int], lanes: int) -> np
     return layer * lanes + np.fromiter(chain.from_iterable(ep.lanes for ep in episodes), np.intp)
 
 
-def _batch_from_episodes(
-    episodes: list[Episode], theta: StudentParams, rows: np.ndarray | None = None
-) -> RolloutBatch:
-    """The episodes' teacher and student rows, gathered from the packed
-    pools; `rows`, if given, holds the visited states' rows in `logits`."""
-    K, V = theta.logits.shape[1:]
-    rows = _pool_rows(episodes, theta._first, K) if rows is None else rows
-    # the teachers of a run are packed as its tables are, unless set apart
-    same = theta._teacher_first == theta._first
-    return RolloutBatch.packed(
-        theta.teacher_rows.reshape(-1, V)[rows if same else _pool_rows(episodes, theta._teacher_first, K)],
-        theta.logits.reshape(-1, V)[rows],
-        [len(ep.lanes) for ep in episodes],
-    )
+def _batch_from_episodes(episodes: list[Episode], theta: StudentParams, rows: np.ndarray) -> RolloutBatch:
+    """The episodes' teacher and student rows, gathered from the packed pools
+    at `rows`, the visited states' rows in either (`_pool_rows`)."""
+    V = theta.logits.shape[2]
+    ends = np.cumsum([len(ep.lanes) for ep in episodes]).tolist()
+    pools = (theta.teacher_rows.reshape(-1, V)[rows], theta.logits.reshape(-1, V)[rows])
+    return RolloutBatch(*([pool[i:j] for i, j in zip([0, *ends], ends)] for pool in pools))
 
 
 def train_step(

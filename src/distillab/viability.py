@@ -10,7 +10,8 @@ along it, the probe:
    selected (ties break toward the earlier position);
 3. records each candidate's top valid child tokens by teacher probability;
 4. after forced continuations are run elsewhere, labels the candidate from
-   its children's empirical viability:
+   its children's viabilities (`world` records each forced child's outcome,
+   1.0 or 0.0):
 
    * diversity      -- at least min_high_children children reach viability
                        >= v_high (several alternatives genuinely work);
@@ -215,14 +216,6 @@ def select_candidates(
             )
         )
     return selected
-
-
-def child_viability(outcomes) -> float:
-    """Fraction of successful forced continuations for one child."""
-    arr = list(outcomes)
-    if len(arr) == 0:
-        raise DegenerateInputError("child viability needs at least one outcome")
-    return float(sum(bool(o) for o in arr)) / len(arr)
 
 
 def label_candidate(child_viabilities, thresholds: LabelThresholds) -> Label:

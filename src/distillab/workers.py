@@ -9,8 +9,9 @@ serial run would raise it. A child sends its shard's pickled result through
 its own pipe and always leaves by `os._exit`, so it never runs the caller's
 `finally` blocks, atexit handlers or stdout flushes. A child that ends
 without a result, as one whose shard raised a `BaseException` that is not an
-`Exception` does, raises `ChildProcessError` naming its exit status. On any
-failure the remaining children are killed and every child is reaped. Without
+`Exception` does, raises `ChildProcessError` naming its exit status, unless
+item 0 failed: then no child is waited for. On any failure the remaining
+children are killed and every child is reaped. Without
 `os.fork` the shards run one after another.
 
 Shards must not depend on one another: every draw in this package comes from
@@ -95,7 +96,8 @@ def map_sharded(
         for k in range(serial, workers):
             pending.append((k, *_spawn(shard, k)))
         shards = [shard(k) for k in range(serial)]
-        while pending:
+        # a failure of item 0 comes first whatever the children return: none is read
+        while pending and (shards[0][1] is None or shards[0][1][0] > 0):
             k, pid, read_fd = pending[0]
             with os.fdopen(read_fd, "rb") as fh:
                 data = fh.read()

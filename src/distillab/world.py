@@ -47,7 +47,6 @@ from .viability import (
     Label,
     LabelThresholds,
     candidates_jsonl,
-    child_viability,
     label_candidate,
     select_candidates,
 )
@@ -338,27 +337,23 @@ def student_rollout(problem: ProblemInstance) -> Episode:
     return walk(problem, 0, 0, problem.student.argmax(axis=-1))
 
 
-def forced_continuation(
-    problem: ProblemInstance, spine: Episode, position: int, forced_token: int, attempts: int = 6
-) -> list[bool]:
+def forced_continuation(problem: ProblemInstance, spine: Episode, position: int, forced_token: int) -> bool:
     """Force one child token at a spine position, then continue the student
-    to the answer at T = 1, top_p = 0.95 `attempts` times; the outcome per
-    attempt is terminal-answer correctness. Every kept nucleus of the world
-    student is one token, so every attempt walks the same tokens and each
-    reads its outcome from the problem's `_continuation_outcomes`."""
+    to the answer at T = 1, top_p = 0.95: whether the answer is correct.
+    Every kept nucleus of the world student is one token, so the continuation
+    is one walk, and its outcome is read from the problem's
+    `_continuation_outcomes`."""
     if not (0 <= position < problem.length - 1):
         raise InvalidInputError(
             f"position must lie in [0, {problem.length - 2}], got {position}"
         )
-    if attempts < 1:
-        raise InvalidInputError(f"attempts must be >= 1, got {attempts}")
     lane = spine.lanes[position]
     if forced_token not in problem.children(position, lane):
         raise InvalidInputError(
             f"token {forced_token} is not a child of layer {position} lane {lane}"
         )
     after = problem.transition(position, lane, int(forced_token))
-    return [_continuation_outcomes(problem)[position + 1][after]] * attempts
+    return _continuation_outcomes(problem)[position + 1][after]
 
 
 def teacher_ensemble(
@@ -432,7 +427,6 @@ def _probe_problem(
     index: int,
     filter_cfg: FilterConfig,
     thresholds: LabelThresholds,
-    continuations_per_child: int,
 ) -> tuple[dict, list[CandidateRecord], ProblemInstance, Episode]:
     """One problem's greedy spine record, its labelled candidates (none when
     the spine is wrong: the probe reads only correct spines), the problem
@@ -457,18 +451,10 @@ def _probe_problem(
     )
     for cand in candidates:
         lane = trace.lanes[cand.spine_pos]
-        viabilities = []
-        for token, _prob in cand.children:
-            outcomes = forced_continuation(
-                problem,
-                trace,
-                cand.spine_pos,
-                token,
-                attempts=continuations_per_child,
-            )
-            viabilities.append(child_viability(outcomes))
-        cand.child_viabilities = viabilities
-        cand.label = label_candidate(viabilities, thresholds)
+        cand.child_viabilities = [
+            float(forced_continuation(problem, trace, cand.spine_pos, token)) for token, _ in cand.children
+        ]
+        cand.label = label_candidate(cand.child_viabilities, thresholds)
         cand.ground_truth_reliable = int(problem.kind[cand.spine_pos, lane]) != UNRELIABLE
     return spine_record, candidates, problem, trace
 
@@ -509,7 +495,8 @@ def run_diagnostic(
     merge in problem order and the statistics run here, so the report does
     not depend on `threads`. `on_samples(candidates_jsonl, spines_jsonl)` gets
     the two files' text before any statistic, so a caller keeps them even
-    when the statistics fail. `report.workers` is the processes used."""
+    when the statistics fail. `report.workers` is the processes used. A forced
+    child records one outcome; `continuations_per_child` is only echoed."""
     if n_problems < 2:
         raise InvalidInputError(f"n_problems must be >= 2, got {n_problems}")
     # the kernels' own refusals, made before any problem is probed
@@ -519,14 +506,14 @@ def run_diagnostic(
         raise InvalidInputError(f"perturb_scale must be >= 0, got {perturb_scale!r}")
     if not math.isfinite(perturb_scale):
         raise InvalidInputError(f"perturb_scale {perturb_scale!r} overflows the ensemble logits")
-    if continuations_per_child < 1:
+    if continuations_per_child < 1:  # `diagnose --continuations 0` exits 2 with this message
         raise InvalidInputError(f"attempts must be >= 1, got {continuations_per_child}")
     filter_cfg = filter_cfg or default_filter_for_depth(cfg.depth)
     thresholds = thresholds or LabelThresholds()
     bootstrap_cfg = bootstrap_cfg or BootstrapConfig(seed=cfg.seed)
 
     probes, workers = map_sharded(
-        lambda index: _probe_problem(cfg, index, filter_cfg, thresholds, continuations_per_child),
+        lambda index: _probe_problem(cfg, index, filter_cfg, thresholds),
         range(n_problems),
         threads,
         finish=lambda block: _score_block(block, ensemble_members, perturb_scale),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import distillab.objectives as objectives_module
 from distillab.dists import (
     PROB_FLOOR,
+    as_rows,
     entropy,
     fkl_terms,
     floored_log,
@@ -500,6 +501,32 @@ def _refusal(make):
     return str(info.value)
 
 
+def _reference_checked_rows(teacher_dists, student_logits):
+    # the per-sequence checks that the check of the packed rows replaced: each
+    # sequence's shapes and then its values, sequence by sequence; returns
+    # the packed rows and the lengths
+    teacher, student, vocab = [], [], None
+    for i, (q, z) in enumerate(zip(teacher_dists, student_logits)):
+        qa, za = np.asarray(q, dtype=float), np.asarray(z, dtype=float)
+        if qa.ndim != 2 or za.ndim != 2:
+            raise InvalidInputError(f"sequence {i}: rows must be 2-D (length, vocab)")
+        if qa.shape != za.shape:
+            raise InvalidInputError(f"sequence {i}: teacher shape {qa.shape} != student shape {za.shape}")
+        if qa.shape[0] < 1:
+            raise InvalidInputError(f"sequence {i} is empty")
+        if qa.shape[1] < 2:
+            raise InvalidInputError(f"sequence {i}: vocab must be >= 2")
+        if vocab is None:
+            vocab = qa.shape[1]
+        elif qa.shape[1] != vocab:
+            raise InvalidInputError("all sequences must share one vocabulary size")
+        if not np.all(np.isfinite(za)):
+            raise InvalidInputError(f"sequence {i}: student logits contain non-finite entries")
+        teacher.append(as_rows(qa, f"teacher_dists[{i}]"))
+        student.append(za)
+    return np.concatenate(teacher), np.concatenate(student), [q.shape[0] for q in teacher]
+
+
 @pytest.mark.parametrize("bad", ["none", "teacher_sum", "teacher_nan", "student_inf", "both", "vocab", "empty"])
 def test_packed_batch_equals_the_per_sequence_batch(bad):
     # three sequences of 2, 1 and 3 rows; a bad row in the second or third
@@ -520,12 +547,45 @@ def test_packed_batch_equals_the_per_sequence_batch(bad):
     offsets = np.cumsum([0, *lengths])
     seqs = [[a[i:j] for i, j in zip(offsets[:-1], offsets[1:])] for a in (teacher, student)]
     if bad == "none":
-        got, want = RolloutBatch.packed(teacher, student, lengths), RolloutBatch(*seqs)
-        assert got.lengths == want.lengths
-        assert all(_same_bits(getattr(got, k), getattr(want, k)) for k in ("offsets", "teacher", "student"))
+        batch = RolloutBatch(*seqs)
+        q, z, want_lengths = _reference_checked_rows(*seqs)
+        assert batch.lengths == want_lengths == lengths
+        assert _same_bits(batch.offsets, offsets)
+        assert _same_bits(batch.teacher, q) and _same_bits(batch.teacher, teacher)
+        assert _same_bits(batch.student, z) and _same_bits(batch.student, student)
     else:
-        message = _refusal(lambda: RolloutBatch(*seqs))
-        assert _refusal(lambda: RolloutBatch.packed(teacher, student, lengths)) == message
+        message = _refusal(lambda: _reference_checked_rows(*seqs))
+        assert _refusal(lambda: RolloutBatch(*seqs)) == message
+
+
+_bad_entries = st.sampled_from([np.nan, np.inf, -np.inf, -0.5, 0.25])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    vocab=st.integers(2, 5),
+    bad=st.lists(st.tuples(st.booleans(), st.integers(0, 2**16), st.integers(0, 4), _bad_entries), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_batch_names_the_first_bad_sequence_as_the_per_sequence_checks(lengths, vocab, bad, seed):
+    # well-shaped sequences with bad values anywhere: the batch is refused,
+    # or built, as the sequence-by-sequence checks refuse or build it
+    rng = derive_rng(34, seed)
+    teacher = rng.dirichlet(np.ones(vocab), size=sum(lengths))
+    student = rng.standard_normal((sum(lengths), vocab))
+    for in_teacher, row, col, value in bad:
+        (teacher if in_teacher else student)[row % len(teacher), col % vocab] += value
+    offsets = np.cumsum([0, *lengths])
+    seqs = [[a[i:j] for i, j in zip(offsets[:-1], offsets[1:])] for a in (teacher, student)]
+    try:
+        q, z, want_lengths = _reference_checked_rows(*seqs)
+    except InvalidInputError as exc:
+        assert _refusal(lambda: RolloutBatch(*seqs)) == str(exc)
+    else:
+        batch = RolloutBatch(*seqs)
+        assert batch.lengths == want_lengths
+        assert _same_bits(batch.teacher, q) and _same_bits(batch.student, z)
 
 
 @pytest.mark.parametrize("weighting", [UniformWeighting(), PositionWeighting(preset("sharp")), EntropyGateWeighting(1.8)])
@@ -547,9 +607,18 @@ def test_alternating_batches_give_each_its_own_loss_and_gradient(weighting):
 
 @pytest.mark.parametrize("packed", [False, True])
 def test_batch_arrays_are_read_only(packed):
+    # packed: the sequences are views of one array each, as the trainer
+    # passes them; the batch packs copies, and the caller's arrays stay writable
     rng = derive_rng(33)
     teacher, student = rng.dirichlet(np.ones(4), size=5), rng.standard_normal((5, 4))
-    batch = RolloutBatch.packed(teacher, student, [2, 3]) if packed else RolloutBatch([teacher], [student])
+    if packed:
+        batch = RolloutBatch(np.split(teacher, [2]), np.split(student, [2]))
+        q, z = teacher.copy(), student.copy()
+        teacher += 1.0
+        student += 1.0
+        assert _same_bits(batch.teacher, q) and _same_bits(batch.student, z)
+    else:
+        batch = RolloutBatch([teacher], [student])
     for array in (batch.teacher, batch.student, *batch.split(batch.student), *batch.split(batch.teacher)):
         with pytest.raises(ValueError):
             array[0, 0] = 0.5

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import distillab.objectives as objectives_module
 import distillab.trainer as trainer_module
 import distillab.world as world_module
-from distillab.dists import softmax_with_temperature, temperature_scaled
+from distillab.dists import floored_log, softmax_with_temperature, temperature_scaled
 from distillab.errors import InvalidInputError
 from distillab.objectives import (
     EntropyGateWeighting,
@@ -278,13 +278,40 @@ def test_only_training_teacher_tables_are_scaled_and_refused():
     with pytest.raises(InvalidInputError, match="distill_temperature 0.00102 empties a teacher row"):
         run_training(dataclasses.replace(cfg, train_problems=2), world)
     # init_student scales nothing; scale_teachers scales the problems it is given
-    problems = [generate_problem(world, i) for i in range(3)]
+    problems = [generate_problem(world, 0)]
     theta = init_student(cfg, problems)
     assert theta.teachers == {}
-    theta.scale_teachers(problems[:1], temperature)
+    theta.scale_teachers(problems, temperature)
     assert list(theta.teachers) == [problems[0].problem_id]
     expected = temperature_scaled(problems[0].teacher, temperature)
     assert theta.teachers[problems[0].problem_id].tobytes() == expected.tobytes()
+
+
+def test_student_params_refuse_teachers_of_other_problems():
+    # teachers share the tables' layout: one row index reads a state in both
+    world = _small_world()
+    problems = [generate_problem(world, i) for i in range(3)]
+    tables = {p.problem_id: floored_log(p.teacher) for p in problems}
+    teachers = {p.problem_id: temperature_scaled(p.teacher, 1.1) for p in problems}
+    theta = StudentParams(tables, teachers)
+    assert theta.teacher_rows.shape == theta.logits.shape
+    assert all(np.shares_memory(theta.teachers[pid], theta.teacher_rows) for pid in teachers)
+    others = [
+        problems[:2],  # a subset
+        problems[::-1],  # another order
+        [*problems, generate_problem(world, 3)],  # one more
+        [problems[0], generate_problem(world, 3), problems[2]],  # another problem
+    ]
+    for chosen in others:
+        with pytest.raises(InvalidInputError, match="are not the tables' problems"):
+            StudentParams(tables, {p.problem_id: teachers.get(p.problem_id, p.teacher) for p in chosen})
+        theta = StudentParams(tables)
+        with pytest.raises(InvalidInputError, match="are not the tables' problems"):
+            theta.scale_teachers(chosen, 1.1)
+    # the tables' problems, but a teacher table of another shape
+    short = dict(teachers, **{problems[1].problem_id: teachers[problems[1].problem_id][:-1]})
+    with pytest.raises(InvalidInputError, match="are not the tables' problems"):
+        StudentParams(tables, short)
 
 
 def test_run_training_matches_manual_step_loop(monkeypatch):
@@ -308,9 +335,9 @@ def test_run_training_matches_manual_step_loop(monkeypatch):
     norm_sums: list[float] = []
     norm_counts: list[int] = []
     for _ in range(cfg.steps):
-        batch = trainer_module._batch_from_episodes(
-            trainer_module._collect_episodes(theta, problems, cfg), theta
-        )
+        episodes = trainer_module._collect_episodes(theta, problems, cfg)
+        rows = trainer_module._pool_rows(episodes, theta._first, theta.logits.shape[1])
+        batch = trainer_module._batch_from_episodes(episodes, theta, rows)
         expected = loss_gradient_wrt_student_logits(
             batch, cfg.objective, cfg.weighting, cfg.reduction
         )

@@ -14,7 +14,6 @@ from distillab.viability import (
     Label,
     LabelThresholds,
     candidates_jsonl,
-    child_viability,
     label_candidate,
     position_scores,
     select_candidates,
@@ -211,14 +210,6 @@ def test_select_candidates_equals_the_per_position_loop(case):
     got = select_candidates("p7", dists, mask, cfg, answer_position=answer)
     assert got == expected
     assert [type(t) for c in got for t, _ in c.children] == [int] * sum(len(c.children) for c in got)
-
-
-def test_child_viability_fraction():
-    assert child_viability([True, True, False, True]) == 0.75
-    assert child_viability([False, False]) == 0.0
-    assert child_viability([True]) == 1.0
-    with pytest.raises(DegenerateInputError):
-        child_viability([])
 
 
 def test_label_rules():

@@ -234,6 +234,31 @@ def test_parent_shard_error_kills_and_reaps_children(monkeypatch, tmp_path):
             os.waitpid(pid, os.WNOHANG)  # already reaped
 
 
+def test_a_failing_item_0_waits_for_no_child(monkeypatch):
+    # item 0 fails before any child's item could: the caller raises it at
+    # once, whether item 0 or its shard's finish fails, and reads no child
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent = os.getpid()
+
+    def fn(x):
+        if x == 0 and fail_item:
+            raise InvalidInputError("item 0")
+        if os.getpid() != parent:
+            time.sleep(3)
+        return x
+
+    def finish(done):
+        if 0 in done:
+            raise InvalidInputError("shard of item 0")
+        return done
+
+    for fail_item, kwargs, message in ((True, {}, "item 0"), (False, {"finish": finish}, "shard of item 0")):
+        start = time.monotonic()
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            map_sharded(fn, range(4), 2, **kwargs)
+        assert time.monotonic() - start < 3  # the child's shard sleeps 6 s
+
+
 def _one_json_error(capsys) -> dict:
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

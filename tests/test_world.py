@@ -326,15 +326,14 @@ def test_forced_continuation_basics():
     trace = student_rollout(p)
     t = 2
     canon = int(p.canon[t, 0])
-    outs = forced_continuation(p, trace, t, canon, attempts=4)
-    assert len(outs) == 4
-    assert all(isinstance(o, bool) for o in outs)
+    outcome = forced_continuation(p, trace, t, canon)
+    assert isinstance(outcome, bool)
     # determinism
-    assert outs == forced_continuation(p, trace, t, canon, attempts=4)
+    assert outcome == forced_continuation(p, trace, t, canon)
+    # the per-attempt loop's attempts all walk to this one outcome
+    assert [correct for *_, correct in _reference_forced_continuation(p, trace, t, canon, 4)] == [outcome] * 4
     with pytest.raises(InvalidInputError):
         forced_continuation(p, trace, p.length - 1, p.gold_token)
-    with pytest.raises(InvalidInputError):
-        forced_continuation(p, trace, t, canon, attempts=0)
     bad_children = [tok for tok in range(cfg.vocab_size) if tok not in p.children(t, 0)]
     with pytest.raises(InvalidInputError):
         forced_continuation(p, trace, t, bad_children[0])
@@ -350,8 +349,8 @@ def test_forcing_a_dead_child_never_recovers():
         if int(p.kind[t, 0]) == UNRELIABLE:
             for tok in p.children(t, 0)[1:]:
                 assert p.transition(t, 0, tok) == p.dead_lane
-                outs = forced_continuation(p, trace, t, int(tok), attempts=5)
-                assert outs == [False] * 5
+                assert forced_continuation(p, trace, t, int(tok)) is False
+                assert [correct for *_, correct in _reference_forced_continuation(p, trace, t, tok, 5)] == [False] * 5
                 tried += 1
             break
     assert tried == 3
@@ -628,8 +627,8 @@ def test_walk_equals_the_replaced_world_loops(cfg, index, data):
     nucleus = _table_rows(p.student[position + 1 :], 0.95)
     for token in p.children(position, lane):
         reference = _reference_forced_continuation(p, spine, position, token, attempts)
-        outcomes = forced_continuation(p, spine, position, token, attempts)
-        assert outcomes == [correct for _, _, correct in reference]
+        outcome = forced_continuation(p, spine, position, token)
+        assert [correct for _, _, correct in reference] == [outcome] * attempts
         after = p.transition(position, lane, token)
         for a, (tokens, lanes, correct) in enumerate(reference):
             rng = derive_rng(cfg.seed, TAG_FORCE, index, position, token, a)
@@ -683,7 +682,9 @@ def test_batch_gather_and_update_scatter_equal_the_per_episode_code(
     theta.step = step
     episodes = trainer_module._collect_episodes(theta, problems, tcfg)
     assert len(episodes) == batch
-    got = trainer_module._batch_from_episodes(episodes, theta)
+    got = trainer_module._batch_from_episodes(
+        episodes, theta, trainer_module._pool_rows(episodes, theta._first, theta.logits.shape[1])
+    )
     for ep, q, z in zip(episodes, got.split(got.teacher), got.split(got.student), strict=True):
         visited = (np.arange(len(ep.lanes)), np.array(ep.lanes))
         expected_q = temperature_scaled(ep.problem.teacher[visited], temperature)
@@ -722,13 +723,11 @@ def test_forced_continuation_equals_the_per_attempt_loop(cfg, index, attempts, d
     else:
         position = data.draw(st.integers(0, p.length - 2), label="position")
     children = p.children(position, spine.lanes[position])
-    expected = [
-        [correct for *_, correct in _reference_forced_continuation(p, spine, position, token, attempts)]
-        for token in children
-    ]
     with mock.patch.object(world_module, "derive_rng", wraps=world_module.derive_rng) as spy:
-        outcomes = [forced_continuation(p, spine, position, token, attempts) for token in children]
-    assert outcomes == expected
+        outcomes = [forced_continuation(p, spine, position, token) for token in children]
+    for token, outcome in zip(children, outcomes, strict=True):
+        reference = _reference_forced_continuation(p, spine, position, token, attempts)
+        assert [correct for *_, correct in reference] == [outcome] * attempts  # every attempt, one outcome
     assert spy.call_count == 1  # the problem's one generator, for every child and attempt
 
 
@@ -745,7 +744,7 @@ def test_point_mass_outcome_table_equals_the_walks(cfg, index, attempts):
         world_module, "nucleus_rows", wraps=world_module.nucleus_rows
     ) as built:
         forced = {
-            (position, token): forced_continuation(p, spine, position, token, attempts)
+            (position, token): forced_continuation(p, spine, position, token)
             for position in range(p.length - 1)
             for token in p.children(position, spine.lanes[position])
         }
@@ -758,9 +757,9 @@ def test_point_mass_outcome_table_equals_the_walks(cfg, index, attempts):
     greedy = p.student.argmax(axis=-1)
     for t in range(p.length):  # every state: the outcome of its greedy walk
         assert table[t] == [world_module.walk(p, t, lane, greedy[t:]).correct for lane in range(cfg.branch_count + 1)]
-    for (position, token), outcomes in forced.items():
+    for (position, token), outcome in forced.items():
         reference = _reference_forced_continuation(p, spine, position, token, attempts)
-        assert outcomes == [correct for *_, correct in reference]
+        assert [correct for *_, correct in reference] == [outcome] * attempts
 
 
 def _reference_teacher_ensemble(problem, position, lane, members, perturb_scale):
@@ -856,7 +855,7 @@ def test_stacked_teacher_ensemble_refuses_overflowing_logits_by_name(perturb_sca
 def test_score_block_scores_each_candidate_as_its_own_ensemble():
     cfg = _small_cfg()
     probes = [
-        world_module._probe_problem(cfg, index, default_filter_for_depth(cfg.depth), LabelThresholds(), 3)
+        world_module._probe_problem(cfg, index, default_filter_for_depth(cfg.depth), LabelThresholds())
         for index in range(6)
     ]
     assert not any(cand.scores for _, candidates, *_ in probes for cand in candidates)  # the probe scores none
