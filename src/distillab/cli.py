@@ -62,7 +62,7 @@ from .world import WorldConfig, run_diagnostic
 
 
 # Bound on gradcheck's batches * batch_size * max_len * vocab^2: a token costs about
-# 0.45 us of CPU per vocab^2 on a 2-vCPU x86 host (0.45 s at vocab 1024, 2.0 s at 2048),
+# 0.41-0.46 us of CPU per vocab^2 on a 2-vCPU x86 host (0.44 s at vocab 1024, 1.9 s at 2048),
 # so an allowed run costs at most about 45 s of CPU there, shared by its --threads workers.
 GRADCHECK_WORK_LIMIT = 10**8
 # Largest relative error a gradient check may report and pass (acceptance criterion 1).

@@ -58,17 +58,29 @@ def as_rows(p, name: str = "distribution") -> np.ndarray:
 
 
 def floored_log(p: np.ndarray) -> np.ndarray:
-    """ln(max(p, PROB_FLOOR)) elementwise; the floor applies only inside the log."""
-    return np.log(np.maximum(p, PROB_FLOOR))
+    """ln(max(p, PROB_FLOOR)) elementwise; the floor applies only inside the log.
+    The log is taken in place in np.maximum's fresh array, so `p` is never
+    written; a 0-d `p` gives a numpy scalar, which takes no `out`."""
+    floored = np.maximum(p, PROB_FLOOR)
+    return np.log(floored, out=floored) if isinstance(floored, np.ndarray) else np.log(floored)
 
 
 def fkl_terms(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Elementwise forward-KL terms q_j (ln q_j - ln p_j), 0 where q_j = 0.
 
     Both logs are floored (floored_log); nothing is validated, and the terms
-    keep the inputs' dtype. Reverse-KL terms are fkl_terms(p, q).
+    take the inputs' promoted dtype. Reverse-KL terms are fkl_terms(p, q).
+    The result is a new array, built in one of the two log arrays when that
+    one already has the result's shape and dtype (a float64 buffer would
+    round longdouble terms); the arguments are never written.
     """
-    return np.where(q > 0.0, q * (floored_log(q) - floored_log(p)), 0.0)
+    log_q, log_p = floored_log(q), floored_log(p)
+    shape, dtype = np.broadcast(q, p).shape, np.result_type(q, p)
+    fits = [a for a in (log_q, log_p) if isinstance(a, np.ndarray) and a.shape == shape and a.dtype == dtype]
+    out = np.asarray(np.subtract(log_q, log_p, out=fits[0] if fits else None))  # 0-d: a 0-d array
+    np.multiply(q, out, out=out)
+    np.copyto(out, 0.0, where=~(q > 0.0))
+    return out
 
 
 def temperature_scaled(q: np.ndarray, temperature: float) -> np.ndarray:
@@ -98,10 +110,11 @@ def softmax_with_temperature(logits, temperature: float) -> np.ndarray:
 
 
 def entropy(p) -> float:
-    """Shannon entropy in nats with the 0 ln 0 = 0 convention."""
+    """Shannon entropy in nats with the 0 ln 0 = 0 convention. The entropy
+    kernels negate as 0.0 - s: -s for s != 0, and +0.0 for a point mass."""
     arr = as_distribution(p, "entropy input")
     pos = arr[arr > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(0.0 - (pos * np.log(pos)).sum())
 
 
 def row_entropies(table) -> np.ndarray:
@@ -115,7 +128,7 @@ def row_entropies(table) -> np.ndarray:
     if arr.ndim != 2:
         raise InvalidInputError(f"entropy table must be 2-D, got shape {arr.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -(arr * np.log(arr)).sum(axis=1)
+        out = 0.0 - (arr * np.log(arr)).sum(axis=1)
     for i in np.flatnonzero((arr == 0.0).any(axis=1)):
         out[i] = entropy(arr[i])
     return out
@@ -131,7 +144,7 @@ def prefix_entropies(ranked: np.ndarray) -> np.ndarray:
         same = width == k
         p = ranked[same, :k]
         p = p / p.sum(axis=1, keepdims=True)
-        out[same] = -(p * np.log(p)).sum(axis=1)
+        out[same] = 0.0 - (p * np.log(p)).sum(axis=1)
     return out
 
 

@@ -270,52 +270,58 @@ class FiniteDifferenceReport:
     skipped_boundary_tokens: int
 
 
-_FD_BLOCK_ENTRIES = 1 << 16  # longdouble entries in one block of perturbed logit rows
+_FD_BLOCK_ENTRIES = 1 << 13  # longdouble entries in one block of perturbed logit rows
 _FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 
 
-def _token_losses_from_exps(q_row, e, cfg: ObjectiveConfig, fkl: bool) -> np.ndarray:
-    """One token's unweighted loss for each (..., V) row of exponentials
-    exp(z/T - max(z/T)) of a logit row z. Mirrors `_objective`'s losses
-    row-wise for a single teacher row, in np.longdouble so that central
-    differences of the result are not drowned by float64 rounding of the loss
-    values themselves."""
-    p = e / e.sum(axis=-1, keepdims=True)
-    q = q_row.astype(np.longdouble)
-    if fkl:
-        return np.minimum(fkl_terms(q, p), np.longdouble(cfg.clip_threshold)).sum(axis=-1)
-    return fkl_terms(p, q).sum(axis=-1)
-
-
-def _fd_row(q_row, z_row, scale, cfg: ObjectiveConfig, fkl: bool, step: float) -> np.ndarray:
-    """`scale` times the five-point difference quotient of one token's
-    extended-precision loss, one float64 per logit coordinate."""
-    V = z_row.size
-    chunk = max(1, _FD_BLOCK_ENTRIES // (4 * V))
+def _fd_rows(q, z, scale, cfg: ObjectiveConfig, fkl: bool, step: float) -> np.ndarray:
+    """`scale` (n,) times the five-point difference quotient of each token's
+    unweighted loss, (n, V) float64, for n tokens of one gate kind (`fkl`:
+    clipped forward KL, else reverse KL) with teacher rows `q` and student
+    logit rows `z`, in blocks as finite_difference_check describes. The probe
+    losses mirror `_objective`'s row-wise, in np.longdouble so that central
+    differences of them are not drowned by float64 rounding of the loss
+    values themselves; every temporary is bounded by a block or by n tokens."""
+    n, V = z.shape
+    chunk = min(V, max(1, _FD_BLOCK_ENTRIES // (4 * V)))  # coordinates per block
+    per_block = max(1, _FD_BLOCK_ENTRIES // (4 * V * chunk))  # tokens per block
     T = np.longdouble(cfg.distill_temperature)
-    zb = z_row.astype(np.longdouble) / T
-    top = int(zb.argmax())
-    M = zb[top]
-    eb = np.exp(zb - M)
-    rest_max = np.where(np.arange(V) == top, np.delete(zb, top).max(), M)  # max over j != k
+    zb = z.astype(np.longdouble)
+    zb /= T
+    top = zb.argmax(axis=1)[:, None]
+    M = np.take_along_axis(zb, top, axis=1)
+    eb = np.subtract(zb, M)
+    np.exp(eb, out=eb)
+    # the max over j != k where k is the argmax (M itself when the max is tied)
+    second = np.where(np.arange(V) == top, -np.inf, zb).max(axis=1, keepdims=True)
+    clip = np.longdouble(cfg.clip_threshold)
     h = np.longdouble(step)
-    fd = np.empty(V)
-    for k0 in range(0, V, chunk):
-        cols = np.arange(k0, min(k0 + chunk, V))
-        # row (o, k) of the block: the logits with coordinate cols[k] moved by o*step
-        moved = (z_row[cols] + _FD_OFFSETS[:, None] * step).astype(np.longdouble) / T
-        row_max = np.maximum(moved, rest_max[cols])
-        e = np.tile(eb, (4, cols.size, 1))
-        # same max: only entry cols[k] differs from eb (elsewhere moved - M may overflow)
-        o, k = np.nonzero(row_max == M)
-        e[o, k, cols[k]] = np.exp(moved[o, k] - M)
-        o, k = np.nonzero(row_max != M)  # a new max shifts every entry
-        z = np.tile(zb, (o.size, 1))
-        z[np.arange(o.size), cols[k]] = moved[o, k]
-        e[o, k] = np.exp(z - row_max[o, k, None])
-        probes = _token_losses_from_exps(q_row, e, cfg, fkl)
-        quotient = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * h)
-        fd[k0 : k0 + cols.size] = scale * quotient
+    fd = np.empty((n, V))
+    for t0 in range(0, n, per_block):
+        t = slice(t0, t0 + per_block)
+        for k0 in range(0, V, chunk):
+            cols = np.arange(k0, min(k0 + chunk, V))
+            # row (o, i, k) of the block: token i's logits with coordinate cols[k] moved by o*step
+            moved = (z[t][:, cols] + _FD_OFFSETS[:, None, None] * step).astype(np.longdouble) / T
+            row_max = np.maximum(moved, np.where(cols == top[t], second[t], M[t]))
+            e = np.broadcast_to(eb[t, None, :], moved.shape + (V,)).copy()
+            # same max: only entry cols[k] differs from eb (elsewhere moved - M may overflow)
+            same = row_max == M[t]
+            o, i, k = np.nonzero(same)
+            e[o, i, k, cols[k]] = np.exp(moved[o, i, k] - M[t][i, 0])
+            o, i, k = np.nonzero(~same)  # a new max shifts every entry
+            zz = zb[t][i]
+            zz[np.arange(o.size), cols[k]] = moved[o, i, k]
+            e[o, i, k] = np.exp(zz - row_max[o, i, k, None])
+            e /= e.sum(axis=-1, keepdims=True)
+            q_rows = q[None, t, None, :].astype(np.longdouble)  # (1, tokens, 1, V) against the block
+            if fkl:
+                terms = fkl_terms(q_rows, e)
+                probes = np.minimum(terms, clip, out=terms).sum(axis=-1)
+            else:
+                probes = fkl_terms(e, q_rows).sum(axis=-1)
+            quotient = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * h)
+            fd[t, k0 : k0 + cols.size] = scale[t, None] * quotient
     return fd
 
 
@@ -346,16 +352,21 @@ def finite_difference_check(
     meaningful. `max_tokens` stops after that many tokens have been compared
     (spot-check mode); None compares every token in the batch.
 
-    A token's stencil is one (4, K, V) block whose row (o, k) is its logits
-    with coordinate k moved by o * step, o in (-2, -1, 1, 2); K = V, or
-    chunks of max(1, _FD_BLOCK_ENTRIES // 4V) coordinates when that bounds
-    memory. The rows reuse the token's own exponentials eb = exp(z / T - M):
-    a row whose exact max, max(max_{j != k} z_j / T, moved z_k / T), is M is
-    eb with entry k alone recomputed, and a row whose max moved (k is the
-    argmax, or the move crosses it) is recomputed whole. Each row so meets
-    the same ufuncs on the same inputs as alone, and a row's last-axis sum in
-    a C-contiguous block is the same pairwise reduction as its 1-D sum, so
-    this is bit-identical to one evaluation per perturbed row.
+    The compared tokens go to _fd_rows by gate kind (forward KL, then
+    reverse KL) in groups of at most _FD_BLOCK_ENTRIES // V tokens, and the
+    errors are reduced per group: a max is exact in any order. A group's
+    stencils are (4, tokens, K, V) longdouble blocks of at most
+    _FD_BLOCK_ENTRIES entries, whose row (o, i, k) is token i's logits with
+    coordinate k moved by o * step, o in (-2, -1, 1, 2): several whole tokens
+    (K = V) when 4V^2 fits, else one token's coordinates in chunks of
+    max(1, _FD_BLOCK_ENTRIES // 4V). The rows reuse each token's own
+    exponentials eb = exp(z / T - M): a row whose exact max,
+    max(max_{j != k} z_j / T, moved z_k / T), is M is eb with entry k alone
+    recomputed, and a row whose max moved (k is the argmax, or the move
+    crosses it) is recomputed whole. Each row so meets the same ufuncs on the
+    same inputs as alone, and a row's last-axis sum in a C-contiguous block
+    is the same pairwise reduction as its 1-D sum, so this is bit-identical
+    to one evaluation per perturbed row.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidInputError(f"step must be positive and finite, got {step!r}")
@@ -368,25 +379,29 @@ def finite_difference_check(
         scales = obj.weights / batch.total_tokens
     else:
         scales = obj.weights / np.repeat(batch.lengths, batch.lengths) / len(batch)
-    margin = 10.0 * step
+    N, V = batch.student.shape
+    group = max(1, _FD_BLOCK_ENTRIES // V)  # tokens handed to one _fd_rows call
+    fkl = np.ones(N, dtype=bool) if obj.gates is None else obj.gates
+    near = np.empty(N, dtype=bool)  # a term within 10 * step of the clip
+    for r in range(0, N, group):
+        near[r : r + group] = (np.abs(obj.terms[r : r + group] - cfg.clip_threshold) <= 10.0 * step).any(axis=1)
+    near &= fkl
+    chosen = np.flatnonzero(~near)
+    end = N
+    if max_tokens is not None and chosen.size >= max_tokens:  # stop after the last one compared
+        chosen = chosen[:max_tokens]
+        end = chosen[-1] + 1
 
     max_rel = 0.0
     max_abs = 0.0
-    skipped = 0
-    tokens_done = 0
-    for t in range(batch.total_tokens):
-        if max_tokens is not None and tokens_done >= max_tokens:
-            break
-        fkl_token = obj.gates is None or obj.gates[t]
-        if fkl_token and np.any(np.abs(obj.terms[t] - cfg.clip_threshold) <= margin):
-            skipped += 1
-            continue
-        tokens_done += 1
-        scale = np.longdouble(scales[t])
-        fd = _fd_row(batch.teacher[t], batch.student[t], scale, cfg, fkl_token, step)
-        a = analytic[t]
-        err = np.abs(fd - a)
-        rel = np.abs(a) > rel_floor
-        max_rel = np.max(err[rel] / np.abs(a[rel]), initial=max_rel)
-        max_abs = np.max(err[~rel], initial=max_abs)
-    return FiniteDifferenceReport(float(max_rel), float(max_abs), tokens_done * batch.student.shape[-1], skipped)
+    for kind in (True, False):
+        tokens = chosen[fkl[chosen] == kind]
+        for g0 in range(0, tokens.size, group):
+            g = tokens[g0 : g0 + group]
+            fd = _fd_rows(batch.teacher[g], batch.student[g], scales[g].astype(np.longdouble), cfg, kind, step)
+            a = analytic[g]
+            err = np.abs(fd - a)
+            rel = np.abs(a) > rel_floor
+            max_rel = np.max(err[rel] / np.abs(a[rel]), initial=max_rel)
+            max_abs = np.max(err[~rel], initial=max_abs)
+    return FiniteDifferenceReport(float(max_rel), float(max_abs), chosen.size * V, int(near[:end].sum()))

@@ -1,4 +1,6 @@
+import io
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from distillab.dists import (
     fkl_terms,
     floored_log,
     forward_kl,
+    prefix_entropies,
     reverse_kl,
     row_entropies,
     softmax_with_temperature,
@@ -128,13 +131,14 @@ def test_truncated_entropy_degenerate_mask():
 
 
 def _reference_truncated_entropy(p, valid_mask, top_m):
-    # the one-row body that the shared prefix_entropies kernel replaced
+    # the one-row body that the shared prefix_entropies kernel replaced, with
+    # the point-mass sign fix: 0.0 - s, so that one surviving entry gives +0.0
     masked = np.where(np.asarray(valid_mask, dtype=bool), np.asarray(p, dtype=float), 0.0)
     order = np.argsort(-masked, kind="stable")
     top = masked[order[: min(top_m, masked.size)]]
     top = top[top > 0.0]
     top = top / top.sum()
-    return float(-(top * np.log(top)).sum())
+    return float(0.0 - (top * np.log(top)).sum())
 
 
 @st.composite
@@ -159,6 +163,26 @@ def _masked_rows(draw):
 def test_truncated_entropy_equals_the_one_row_reference(row, top_m):
     p, mask = row
     assert truncated_entropy(p, mask, top_m).hex() == _reference_truncated_entropy(p, mask, top_m).hex()
+
+
+def test_entropy_of_a_point_mass_is_positive_zero(monkeypatch, capsys):
+    # each kernel negates a sum of terms that is 0 for a point mass: +0.0, not -0.0
+    from distillab.cli import main
+
+    values = [
+        entropy([1.0, 0.0]),
+        entropy([1.0]),
+        *row_entropies([[1.0, 0.0], [0.0, 1.0]]),  # a row with a zero: entropy()'s path
+        *row_entropies([[1.0]]),  # no zero: the one-pass path
+        *prefix_entropies(np.array([[1.0, 0.0], [1.0, 0.0]])),
+        truncated_entropy([1.0, 0.0], [True, True], 1),
+        truncated_entropy([0.5, 0.5], [False, True], 2),
+    ]
+    assert all(v == 0.0 and not np.signbit(v) for v in values), values
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"members": [[1.0, 0.0], [1.0, 0.0]]}'))
+    assert main(["score", "--in", "-"]) == 0
+    out = capsys.readouterr().out
+    assert '"truncated_entropy": 0.0' in out and "-0.0" not in out
 
 
 def test_clipped_terms_fixture():
@@ -343,6 +367,42 @@ def test_fkl_terms_equal_every_replaced_copy_bit_for_bit(seed, shape, zero_share
         for clip in (1e-3, 0.05, 1e6):
             got_terms = clipped_fkl_terms(q_row, p_row, clip)
             assert _identical(got_terms, _ref_clipped_terms(q_row, p_row, clip))
+
+
+@st.composite
+def _kl_kernel_pairs(draw):
+    """(q, p) for fkl_terms: two 0-d values, or rows with exact zeros shaped as
+    the finite-difference check meets them, a (1, n, 1, V) block of teacher
+    rows against a (4, n, K, V) block of perturbed student rows either way
+    round, or one shape for both; float64 or longdouble in each argument."""
+    dtypes = [draw(st.sampled_from([np.float64, np.longdouble])) for _ in range(2)]
+    kind = draw(st.sampled_from(["0-d", "same", "block-second", "block-first"]))
+    if kind == "0-d":  # zero, below the floor, inside (0, 1), one
+        values = [draw(st.sampled_from([0.0, 1e-300, 1e-13, 0.3, 1.0])) for _ in range(2)]
+        return tuple(np.array(v, dtype=d) for v, d in zip(values, dtypes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, K, V = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    small, big = (1, n, 1, V), (4, n, K, V)
+    shapes = {"same": (big, big), "block-second": (small, big), "block-first": (big, small)}[kind]
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    return tuple(_random_rows(rng, shape, zero_share).astype(d) for shape, d in zip(shapes, dtypes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_kl_kernel_pairs())
+def test_fkl_terms_returns_the_replaced_terms_and_writes_no_argument(pair):
+    q, p = pair
+    before = [q.copy(), p.copy()]
+    got = fkl_terms(q, p)
+    # a float64 buffer would round mixed-dtype terms; a 0-d log is a numpy scalar
+    assert _identical(got, _ref_fkl_raw_terms(q, p))
+    assert isinstance(got, np.ndarray) and not np.shares_memory(got, q) and not np.shares_memory(got, p)
+    for x, x0 in zip((q, p), before):
+        assert x.tobytes() == x0.tobytes()
+        log = floored_log(x)
+        want = np.log(np.maximum(x0, PROB_FLOOR))
+        assert type(log) is type(want) and _identical(log, want)
+        assert x.tobytes() == x0.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -276,9 +276,77 @@ def _reference_token_loss(q_row, z_row, temperature, clip_threshold, fkl):
     return np.where(p > 0.0, p * (logp - logq), zero).sum()
 
 
+# Per-token reference copies of the stencil code that objectives._fd_rows
+# replaced: one token at a time, in (4, K, V) blocks of up to _REF_FD_BLOCK
+# entries.
+_REF_FD_BLOCK = 1 << 16
+_FD_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+
+
+def _ref_token_losses_from_exps(q_row, e, cfg, fkl):
+    p = e / e.sum(axis=-1, keepdims=True)
+    q = q_row.astype(np.longdouble)
+    if fkl:
+        return np.minimum(fkl_terms(q, p), np.longdouble(cfg.clip_threshold)).sum(axis=-1)
+    return fkl_terms(p, q).sum(axis=-1)
+
+
+def _ref_fd_row(q_row, z_row, scale, cfg, fkl, step):
+    V = z_row.size
+    chunk = max(1, _REF_FD_BLOCK // (4 * V))
+    T = np.longdouble(cfg.distill_temperature)
+    zb = z_row.astype(np.longdouble) / T
+    top = int(zb.argmax())
+    M = zb[top]
+    eb = np.exp(zb - M)
+    rest_max = np.where(np.arange(V) == top, np.delete(zb, top).max(), M)  # max over j != k
+    h = np.longdouble(step)
+    fd = np.empty(V)
+    for k0 in range(0, V, chunk):
+        cols = np.arange(k0, min(k0 + chunk, V))
+        moved = (z_row[cols] + _FD_OFFSETS[:, None] * step).astype(np.longdouble) / T
+        row_max = np.maximum(moved, rest_max[cols])
+        e = np.tile(eb, (4, cols.size, 1))
+        o, k = np.nonzero(row_max == M)
+        e[o, k, cols[k]] = np.exp(moved[o, k] - M)
+        o, k = np.nonzero(row_max != M)
+        z = np.tile(zb, (o.size, 1))
+        z[np.arange(o.size), cols[k]] = moved[o, k]
+        e[o, k] = np.exp(z - row_max[o, k, None])
+        probes = _ref_token_losses_from_exps(q_row, e, cfg, fkl)
+        quotient = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * h)
+        fd[k0 : k0 + cols.size] = scale * quotient
+    return fd
+
+
+def _spied_fd_rows(rows, budget=None):
+    """Patch objectives._fd_rows (and the block budget, when given) so that
+    every call appends (q_row bytes, z_row bytes, scale, fkl, fd row) for each
+    of its tokens to `rows`, after checking the group size and that each row
+    equals _ref_fd_row's bit for bit."""
+    fd_rows = objectives_module._fd_rows
+
+    def spy(q, z, scale, cfg, fkl, step):
+        got = fd_rows(q, z, scale, cfg, fkl, step)
+        assert got.shape == z.shape and z.shape[0] <= max(1, objectives_module._FD_BLOCK_ENTRIES // z.shape[1])
+        for i in range(z.shape[0]):
+            assert _same_bits(got[i], _ref_fd_row(q[i], z[i], scale[i], cfg, fkl, step))
+            rows.append((q[i].tobytes(), z[i].tobytes(), scale[i], fkl, got[i]))
+        return got
+
+    budget = objectives_module._FD_BLOCK_ENTRIES if budget is None else budget
+    return mock.patch.multiple(objectives_module, _fd_rows=spy, _FD_BLOCK_ENTRIES=budget)
+
+
+def _by_gate_kind(rows, at):
+    """Per-token `rows` in token order, reordered as the check takes them: the
+    forward-KL tokens (row[at] true) first, then the reverse-KL ones."""
+    return [row for row in rows if row[at]] + [row for row in rows if not row[at]]
+
+
 def _reference_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1e-8, max_tokens=None):
     """The scalar per-coordinate, per-probe finite-difference loop: the report
-    and, for each compared token, its vector of fd values."""
+    and, for each compared token in token order, (forward KL?, its fd values)."""
     analytic = batch.split(loss_gradient_wrt_student_logits(batch, cfg, weighting, reduction))
     weights = batch.split(token_weights(batch, weighting))
     gates = _gate_masks(batch, weighting)
@@ -323,7 +391,7 @@ def _reference_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1
                     max_rel = max(max_rel, abs(fd - a) / abs(a))
                 else:
                     max_abs = max(max_abs, abs(fd - a))
-            fds.append(np.array(fd_row))
+            fds.append((fkl_token, np.array(fd_row)))
     return FiniteDifferenceReport(max_rel, max_abs, compared, skipped), fds
 
 
@@ -356,8 +424,9 @@ def _fd_cases(draw):
         p = softmax_with_temperature(logits[0][:1], temperature)
         clip = max(float(fkl_terms(teachers[0][:1], p).max()), 1e-3)
     cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=clip)
-    # a block budget that splits a token's coordinates into chunks, or the default
-    budget = draw(st.one_of(st.none(), st.integers(1, 4 * vocab * vocab)))
+    # a block budget that splits a token's coordinates into chunks, holds one
+    # whole token or several, or the default
+    budget = draw(st.one_of(st.none(), st.integers(1, 3 * 4 * vocab * vocab)))
     return (
         RolloutBatch(teachers, logits),
         cfg,
@@ -372,23 +441,15 @@ def _fd_cases(draw):
 @given(case=_fd_cases())
 def test_batched_fd_check_equals_scalar_reference(case):
     batch, cfg, weighting, reduction, max_tokens, budget = case
-    fd_rows = []
-    fd_row = objectives_module._fd_row
-
-    def spy(*args):
-        fd_rows.append(fd_row(*args))
-        return fd_rows[-1]
-
-    budget = budget if budget is not None else objectives_module._FD_BLOCK_ENTRIES
-    with mock.patch.object(objectives_module, "_FD_BLOCK_ENTRIES", budget), mock.patch.object(
-        objectives_module, "_fd_row", spy
-    ):
+    rows = []
+    with _spied_fd_rows(rows, budget):
         report = finite_difference_check(batch, cfg, weighting, reduction, max_tokens=max_tokens)
     expected, expected_rows = _reference_fd_check(batch, cfg, weighting, reduction, max_tokens=max_tokens)
     assert report == expected
-    assert len(fd_rows) == len(expected_rows)
-    for got, want in zip(fd_rows, expected_rows):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(rows) == len(expected_rows)
+    for got, (fkl, want) in zip(rows, _by_gate_kind(expected_rows, 0)):
+        assert got[3] == fkl
+        assert got[4].dtype == want.dtype and np.array_equal(got[4], want)
 
 
 def test_fd_check_memory_is_bounded_for_a_large_vocabulary():
@@ -407,6 +468,26 @@ def test_fd_check_memory_is_bounded_for_a_large_vocabulary():
     assert rep.compared == vocab
     assert rep.max_rel_err < 1e-6
     assert peak < 16 * 2**20
+
+
+def test_fd_check_memory_is_bounded_for_many_tokens():
+    # 20,000 tokens at V = 4: the stencils run in groups of _FD_BLOCK_ENTRIES // V
+    # tokens, so no temporary grows with the batch beyond a per-token mask
+    rng = derive_rng(23)
+    vocab = 4
+    batch = RolloutBatch(
+        [rng.dirichlet(np.ones(vocab), size=200) for _ in range(100)],
+        [rng.standard_normal((200, vocab)) for _ in range(100)],
+    )
+    tracemalloc.start()
+    try:
+        rep = finite_difference_check(batch, ObjectiveConfig(), UniformWeighting(), Reduction.GLOBAL_TOKEN_MEAN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.compared + vocab * rep.skipped_boundary_tokens == batch.teacher.size
+    assert rep.max_rel_err < 1e-6
+    assert peak < 8 * batch.teacher.nbytes
 
 
 def _stencil_case(vocab, plant, step=1e-5, budget=objectives_module._FD_BLOCK_ENTRIES):
@@ -433,6 +514,7 @@ _STENCIL_CASES = {
     "exact-student-zeros": _stencil_case(8, [(1, -1e-5), (4, -5000.0), (5, -20000.0)]),
     "step-1e-3": _stencil_case(8, [(1, -1.5e-3), (2, 0.0)], step=1e-3),
     "chunked": _stencil_case(13, [(1, -1.5e-5), (6, -0.5e-5), (12, 0.0)], budget=4 * 13 * 5),
+    "one-token-blocks": _stencil_case(8, [(1, -1.5e-5), (3, 0.0)], budget=4 * 8 * 8),
 }
 
 
@@ -445,22 +527,14 @@ def test_fd_stencil_fallback_rows_equal_scalar_reference(case, gated):
     # a gate at the larger teacher entropy sends both tokens to reverse KL
     weighting = EntropyGateWeighting(max(entropy(row) for row in q)) if gated else UniformWeighting()
     reduction = Reduction.GLOBAL_TOKEN_MEAN
-    fd_rows = []
-    fd_row = objectives_module._fd_row
-
-    def spy(*args):
-        fd_rows.append(fd_row(*args))
-        return fd_rows[-1]
-
-    with mock.patch.object(objectives_module, "_FD_BLOCK_ENTRIES", budget), mock.patch.object(
-        objectives_module, "_fd_row", spy
-    ):
+    rows = []
+    with _spied_fd_rows(rows, budget):
         report = finite_difference_check(batch, cfg, weighting, reduction, step=step)
     expected, expected_rows = _reference_fd_check(batch, cfg, weighting, reduction, step=step)
     assert report == expected and report.compared > 0
-    assert len(fd_rows) == len(expected_rows)
-    for got, want in zip(fd_rows, expected_rows):
-        assert _same_bits(got, want)
+    assert len(rows) == len(expected_rows)
+    for got, (fkl, want) in zip(rows, _by_gate_kind(expected_rows, 0)):
+        assert got[3] == fkl and _same_bits(got[4], want)
 
 
 def test_gradient_scales_with_weights_and_reduction():
@@ -795,26 +869,40 @@ def test_masked_gate_rows_equal_per_row_loops(seed, vocab, zeros, gate_at, tempe
 @given(
     seed=st.integers(0, 2**32 - 1),
     vocab=st.sampled_from([2, 3, 12, 129]),
-    stack=st.sampled_from([(), (1,), (5,), (4, 3)]),
+    tokens=st.sampled_from([1, 2, 5]),
     zeros=st.booleans(),
     fkl=st.booleans(),
     temperature=st.sampled_from([0.5, 1.1, 2.5]),
+    budget_share=st.floats(0.0, 1.0),
 )
-def test_extended_token_losses_equal_longdouble_reference(seed, vocab, stack, zeros, fkl, temperature):
+def test_extended_token_losses_equal_longdouble_reference(seed, vocab, tokens, zeros, fkl, temperature, budget_share):
+    # every token's fd row from _fd_rows equals the quotient of the longdouble
+    # reference losses of its 4V perturbed rows, built one by one, and
+    # _ref_fd_row's, at a block budget that chunks a token, holds one or several
     rng = np.random.default_rng(seed)
-    q_row = rng.dirichlet(np.full(vocab, 0.5))
+    q = rng.dirichlet(np.full(vocab, 0.5), size=tokens)
     if zeros:
-        q_row[q_row.argmin()] = 0.0
-        q_row /= q_row.sum()
-    z_rows = 30.0 * rng.standard_normal(stack + (vocab,))  # large logits give student zeros
+        q[np.arange(tokens), q.argmin(axis=1)] = 0.0
+        q /= q.sum(axis=1, keepdims=True)
+    z = 30.0 * rng.standard_normal((tokens, vocab))  # large logits give student zeros
+    scale = np.longdouble(1.0) / rng.integers(1, 50, size=tokens)
     cfg = ObjectiveConfig(distill_temperature=temperature, clip_threshold=0.05)
-    z = z_rows.astype(np.longdouble) / np.longdouble(temperature)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    got = objectives_module._token_losses_from_exps(q_row, e, cfg, fkl)
-    assert _identical(got, _ref_token_losses_extended(q_row, z_rows, cfg, fkl))
-    for index in np.ndindex(stack):  # one row alone, as the scalar stencil took it
-        one = _reference_token_loss(q_row, z_rows[index], temperature, 0.05, fkl)
-        assert _identical(np.asarray(got[index]), np.asarray(one))
+    step = 1e-5
+    budget = 1 + int(budget_share * 3 * 4 * vocab * vocab)
+    with mock.patch.object(objectives_module, "_FD_BLOCK_ENTRIES", budget):
+        got = objectives_module._fd_rows(q, z, scale, cfg, fkl, step)
+    assert got.shape == z.shape and got.dtype == np.float64
+    h = np.longdouble(step)
+    for t in range(tokens):
+        rows = np.tile(z[t], (4, vocab, 1))  # row (o, k): coordinate k moved by o * step
+        rows[:, np.arange(vocab), np.arange(vocab)] = z[t] + _FD_OFFSETS[:, None] * step
+        probes = _ref_token_losses_extended(q[t], rows, cfg, fkl)
+        for index in [(0, 0), (3, vocab - 1)]:  # one row alone, as the scalar stencil took it
+            one = _reference_token_loss(q[t], rows[index], temperature, 0.05, fkl)
+            assert _identical(np.asarray(probes[index]), np.asarray(one))
+        quotient = (probes[0] - 8.0 * probes[1] + 8.0 * probes[2] - probes[3]) / (12.0 * h)
+        assert _same_bits(got[t], (scale[t] * quotient).astype(np.float64))
+        assert _same_bits(got[t], _ref_fd_row(q[t], z[t], scale[t], cfg, fkl, step))
 
 
 # Reference copies of the per-sequence code the packed (N_tokens, V) batch
@@ -897,7 +985,8 @@ def _seq_gradient(batch, cfg, weighting, reduction):
     return grads
 
 
-def _seq_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1e-8, max_tokens=None):
+def _seq_fd_check(batch, cfg, weighting, reduction, rows, step=1e-5, rel_floor=1e-8, max_tokens=None):
+    # appends (q_row bytes, z_row bytes, scale, fkl, fd row) of each compared token to `rows`
     analytic = _seq_gradient(batch, cfg, weighting, reduction)
     weights = _seq_token_weights(batch, weighting)
     gates = _seq_gate_masks(batch, weighting)
@@ -927,7 +1016,8 @@ def _seq_fd_check(batch, cfg, weighting, reduction, step=1e-5, rel_floor=1e-8, m
                 scale = np.longdouble(w / total)
             else:
                 scale = np.longdouble(w / z.shape[0] / len(batch))
-            fd = objectives_module._fd_row(batch.teacher_dists[i][t], z[t], scale, cfg, fkl_token, step)
+            fd = _ref_fd_row(batch.teacher_dists[i][t], z[t], scale, cfg, fkl_token, step)
+            rows.append((batch.teacher_dists[i][t].tobytes(), z[t].tobytes(), scale, fkl_token, fd))
             a = analytic[i][t]
             err = np.abs(fd - a)
             rel = np.abs(a) > rel_floor
@@ -1028,24 +1118,16 @@ def test_packed_objective_equals_per_sequence_reference(case):
 def test_packed_fd_check_equals_nested_loop_reference(case):
     teachers, logits, cfg, weighting, reduction, max_tokens = case
     batch, ref = RolloutBatch(teachers, logits), _ListBatch(teachers, logits)
-    fd_row = objectives_module._fd_row
-
-    def recorded(calls):
-        def spy(q_row, z_row, scale, *rest):
-            calls.append((q_row.tobytes(), z_row.tobytes(), scale, fd_row(q_row, z_row, scale, *rest)))
-            return calls[-1][-1]
-
-        return mock.patch.object(objectives_module, "_fd_row", spy)
-
-    got_calls, want_calls = [], []
-    with recorded(got_calls):
+    got_rows, want_rows = [], []
+    with _spied_fd_rows(got_rows):
         got = finite_difference_check(batch, cfg, weighting, reduction, max_tokens=max_tokens)
-    with recorded(want_calls):
-        want = _seq_fd_check(ref, cfg, weighting, reduction, max_tokens=max_tokens)
+    want = _seq_fd_check(ref, cfg, weighting, reduction, want_rows, max_tokens=max_tokens)
     assert got == want
-    assert len(got_calls) == len(want_calls)
-    for (q, z, scale, fd), (q_ref, z_ref, scale_ref, fd_ref) in zip(got_calls, want_calls):
-        assert (q, z) == (q_ref, z_ref)
+    assert len(got_rows) == len(want_rows)
+    for (q, z, scale, fkl, fd), (q_ref, z_ref, scale_ref, fkl_ref, fd_ref) in zip(
+        got_rows, _by_gate_kind(want_rows, 3)
+    ):
+        assert (q, z, fkl) == (q_ref, z_ref, fkl_ref)
         assert scale.dtype == scale_ref.dtype and scale == scale_ref
         assert _same_bits(fd, fd_ref)
 
